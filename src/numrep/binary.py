@@ -47,7 +47,7 @@ BinNat = Union[Zero, Even, Odd]
 
 def even(x: BinNat) -> BinNat:
     # 2 * 0 = 0, so collapsing keeps results canonical without special cases
-    return x if isinstance(x, Zero) else Even(x)
+    return x if type(x) is Zero else Even(x)
 
 
 def odd(x: BinNat) -> BinNat:
@@ -86,11 +86,13 @@ def to_int(x: BinNat) -> int:
 
 def is_canonical(x: BinNat) -> bool:
     """True iff no ``Even`` is applied directly to ``Zero`` anywhere."""
-    while isinstance(x, (Even, Odd)):
-        if isinstance(x, Even) and isinstance(x.rest, Zero):
-            return False
+    tx = type(x)
+    while tx is Even or tx is Odd:
         x = x.rest
-    return isinstance(x, Zero)
+        if tx is Even and type(x) is Zero:
+            return False
+        tx = type(x)
+    return tx is Zero
 
 
 def size(x: BinNat) -> int:
@@ -102,33 +104,42 @@ def size(x: BinNat) -> int:
     return n
 
 
+# The recursive operations dispatch with ``type(x) is C`` tests, one branch
+# per clause of the definition and in the same order.  In CPython a tuple
+# ``match`` builds its subject and runs a sequence match plus isinstance
+# tests on every call, which is several times slower; the constructors have
+# no subclasses, so an identity test on the type decides the same clauses.
+
+
 def add1(x: BinNat) -> BinNat:
     """Increment: flip trailing 1 bits until a 0 bit absorbs the carry."""
-    match x:
-        case Zero():
-            return Odd(Zero())
-        case Even(a):
-            return odd(a)
-        case Odd(a):
-            return even(add1(a))
+    tx = type(x)
+    if tx is Zero:
+        return Odd(Zero())
+    if tx is Even:
+        return odd(x.rest)
+    if tx is Odd:
+        return even(add1(x.rest))
     raise TypeError(f"not a binary natural: {x!r}")
 
 
 def add_v1(x: BinNat, y: BinNat) -> BinNat:
     """Addition, first formulation: the 1+1 carry goes through add1."""
-    match (x, y):
-        case (_, Zero()):
-            return x
-        case (Zero(), _):
-            return y
-        case (Even(a), Even(b)):
-            return even(add_v1(a, b))
-        case (Even(a), Odd(b)):
-            return odd(add_v1(a, b))
-        case (Odd(a), Even(b)):
-            return odd(add_v1(a, b))
-        case (Odd(a), Odd(b)):
-            return even(add1(add_v1(a, b)))
+    tx, ty = type(x), type(y)
+    if ty is Zero:
+        return x
+    if tx is Zero:
+        return y
+    if tx is Even:
+        if ty is Even:
+            return even(add_v1(x.rest, y.rest))
+        if ty is Odd:
+            return odd(add_v1(x.rest, y.rest))
+    elif tx is Odd:
+        if ty is Even:
+            return odd(add_v1(x.rest, y.rest))
+        if ty is Odd:
+            return even(add1(add_v1(x.rest, y.rest)))
     raise TypeError(f"not binary naturals: {x!r}, {y!r}")
 
 
@@ -138,53 +149,59 @@ def add_v2(x: BinNat, y: BinNat) -> BinNat:
     Every recursive call consumes a digit from each nonzero argument, so
     the running time is plainly linear in the larger digit count.
     """
-    match (x, y):
-        case (_, Zero()):
-            return x
-        case (Zero(), _):
-            return y
-        case (Even(a), Even(b)):
-            return even(add_v2(a, b))
-        case (Even(a), Odd(b)):
-            return odd(add_v2(a, b))
-        case (Odd(a), Even(b)):
-            return odd(add_v2(a, b))
-        case (Odd(a), Odd(b)):
-            return even(add_plus1(a, b))
+    tx, ty = type(x), type(y)
+    if ty is Zero:
+        return x
+    if tx is Zero:
+        return y
+    if tx is Even:
+        if ty is Even:
+            return even(add_v2(x.rest, y.rest))
+        if ty is Odd:
+            return odd(add_v2(x.rest, y.rest))
+    elif tx is Odd:
+        if ty is Even:
+            return odd(add_v2(x.rest, y.rest))
+        if ty is Odd:
+            return even(add_plus1(x.rest, y.rest))
     raise TypeError(f"not binary naturals: {x!r}, {y!r}")
 
 
 def add_plus1(x: BinNat, y: BinNat) -> BinNat:
     """x + y + 1, mutually recursive with :func:`add_v2`."""
-    match (x, y):
-        case (Zero(), Zero()):
+    tx, ty = type(x), type(y)
+    if tx is Zero:
+        if ty is Zero:
             return Odd(Zero())
-        case (Zero(), Even(b)):
-            return odd(b)
-        case (Zero(), Odd(b)):
-            return even(add_plus1(Zero(), b))
-        case (Even(a), Zero()):
-            return odd(a)
-        case (Odd(a), Zero()):
-            return even(add_plus1(a, Zero()))
-        case (Even(a), Even(b)):
-            return odd(add_v2(a, b))
-        case (Even(a), Odd(b)):
-            return even(add_plus1(a, b))
-        case (Odd(a), Even(b)):
-            return even(add_plus1(a, b))
-        case (Odd(a), Odd(b)):
-            return odd(add_plus1(a, b))
+        if ty is Even:
+            return odd(y.rest)
+        if ty is Odd:
+            return even(add_plus1(Zero(), y.rest))
+    elif ty is Zero:
+        if tx is Even:
+            return odd(x.rest)
+        if tx is Odd:
+            return even(add_plus1(x.rest, Zero()))
+    elif tx is Even:
+        if ty is Even:
+            return odd(add_v2(x.rest, y.rest))
+        if ty is Odd:
+            return even(add_plus1(x.rest, y.rest))
+    elif tx is Odd:
+        if ty is Even:
+            return even(add_plus1(x.rest, y.rest))
+        if ty is Odd:
+            return odd(add_plus1(x.rest, y.rest))
     raise TypeError(f"not binary naturals: {x!r}, {y!r}")
 
 
 def mult(x: BinNat, y: BinNat) -> BinNat:
     """Multiplication, structural on the second argument (shift and add)."""
-    match y:
-        case Zero():
-            return Zero()
-        case Even(b):
-            return even(mult(x, b))
-        case Odd(b):
-            return add_v2(x, even(mult(x, b)))
+    ty = type(y)
+    if ty is Zero:
+        return Zero()
+    if ty is Even:
+        return even(mult(x, y.rest))
+    if ty is Odd:
+        return add_v2(x, even(mult(x, y.rest)))
     raise TypeError(f"not a binary natural: {y!r}")

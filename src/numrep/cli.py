@@ -118,6 +118,8 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers: {args.sizes!r}") from None
+    if any(n < 0 for n in sizes):
+        raise _UsageError(f"--sizes must not be negative: {args.sizes!r}")
     rows = costmeter.measure_schedule(args.op, sizes)
     sys.stdout.write(numio.csv_emit(rows))
     return 0

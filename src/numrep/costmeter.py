@@ -1,8 +1,10 @@
 """Step-count instrumentation for the recursive operations.
 
 Each operation id below maps to a metered mirror of the plain function:
-identical clauses, plus one tick at every entry into a function body
-(base clauses included).  The plain functions stay untouched, so they
+the same clauses in the same order, plus one tick at every entry into a
+function body (base clauses included).  The mirrors still state their
+clauses as ``match`` statements, where the plain functions dispatch on
+``type(x) is C`` tests.  The plain functions stay untouched, so they
 carry no instrumentation cost; a measurement confines its tally to one
 call tree.  Helper bodies count toward their caller's total (add_v1
 includes its increments, add_v2 its carry helper, mult its additions).

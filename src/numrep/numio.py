@@ -16,6 +16,7 @@ which reports the character position of a syntax problem.
 
 from __future__ import annotations
 
+import re
 from typing import Any, List, Tuple
 
 from . import binary, braun, twoscomp, unary
@@ -60,53 +61,35 @@ _CHILD_FIELD = {
 }
 
 
+def _literal_shape(kind: str) -> "re.Pattern[str]":
+    # wrapper letters each followed by "(", one nullary letter, then ")"s;
+    # \s and str.isspace agree on every code point, so whitespace is
+    # skipped exactly where the positioned scan below skips it
+    wrappers = "".join(_WRAPPERS[kind])
+    nullaries = "".join(_NULLARIES[kind])
+    return re.compile(rf"\s*((?:[{wrappers}]\s*\(\s*)*)([{nullaries}])((?:\s*\))*)\s*")
+
+
+_SHAPES = {kind: _literal_shape(kind) for kind in KINDS}
+
+
 def parse_numeral(text: str, kind: str) -> Any:
     """Parse a literal of the given kind; whitespace-insensitive."""
     if kind not in KINDS:
         raise ValueError(f"unknown numeral kind: {kind!r}")
     wrappers = _WRAPPERS[kind]
-    nullaries = _NULLARIES[kind]
+    m = _SHAPES[kind].fullmatch(text)
+    if m is None:
+        raise _syntax_error(text, kind)
+    opening, nullary, closing = m.groups()
+    # "A ( B(" -> "A(B(" -> "AB": every other character is a letter
+    letters = "".join(opening.split())[::2]
+    if closing.count(")") != len(letters):
+        raise _syntax_error(text, kind)
 
-    i, n = 0, len(text)
-
-    def skip_ws() -> None:
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    # the grammar is a linear chain: wrapper letters with "(", one nullary,
-    # then the matching ")"s, so no recursion is needed
-    stack: List[type] = []
-    value = None
-    while True:
-        skip_ws()
-        if i >= n:
-            raise ParseError("unexpected end of input, expected a constructor", i)
-        c = text[i]
-        if c in wrappers:
-            stack.append(wrappers[c])
-            i += 1
-            skip_ws()
-            if i >= n or text[i] != "(":
-                raise ParseError(f"expected '(' after {c!r}", i)
-            i += 1
-        elif c in nullaries:
-            value = nullaries[c]()
-            i += 1
-            break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    for _ in stack:
-        skip_ws()
-        if i >= n or text[i] != ")":
-            raise ParseError("expected ')'", i)
-        i += 1
-    skip_ws()
-    if i < n:
-        raise ParseError(f"trailing input {text[i]!r}", i)
-
-    for ctor in reversed(stack):
-        value = ctor(value)
+    value = _NULLARIES[kind][nullary]()
+    for c in reversed(letters):
+        value = wrappers[c](value)
 
     if kind == "binary" and not binary.is_canonical(value):
         raise CanonicalityError("non-canonical literal: A applied directly to Z")
@@ -117,17 +100,56 @@ def parse_numeral(text: str, kind: str) -> Any:
     return value
 
 
+def _syntax_error(text: str, kind: str) -> ParseError:
+    """The positioned error for a literal that does not have the shape."""
+    wrappers = _WRAPPERS[kind]
+    nullaries = _NULLARIES[kind]
+    i, n = 0, len(text)
+
+    def skip_ws() -> None:
+        nonlocal i
+        while i < n and text[i].isspace():
+            i += 1
+
+    depth = 0
+    while True:
+        skip_ws()
+        if i >= n:
+            return ParseError("unexpected end of input, expected a constructor", i)
+        c = text[i]
+        if c in nullaries:
+            i += 1
+            break
+        if c not in wrappers:
+            return ParseError(f"unexpected character {c!r}", i)
+        i += 1
+        skip_ws()
+        if i >= n or text[i] != "(":
+            return ParseError(f"expected '(' after {c!r}", i)
+        i += 1
+        depth += 1
+    for _ in range(depth):
+        skip_ws()
+        if i >= n or text[i] != ")":
+            return ParseError("expected ')'", i)
+        i += 1
+    skip_ws()
+    return ParseError(f"trailing input {text[i]!r}", i)
+
+
 def print_numeral(value: Any) -> str:
     """Canonical text of a numeral value; exact inverse of the parser."""
     parts: List[str] = []
-    while type(value) in _CHILD_FIELD:
-        parts.append(_LETTERS[type(value)])
-        value = getattr(value, _CHILD_FIELD[type(value)])
+    t = type(value)
+    while t in _CHILD_FIELD:
+        parts.append(_LETTERS[t])
+        value = getattr(value, _CHILD_FIELD[t])
+        t = type(value)
     try:
-        tail = _LETTERS[type(value)]
+        parts.append(_LETTERS[t])
     except KeyError:
         raise TypeError(f"not a printable numeral: {value!r}") from None
-    return "".join(f"{p}(" for p in parts) + tail + ")" * len(parts)
+    return "(".join(parts) + ")" * (len(parts) - 1)
 
 
 def csv_emit(rows: List[Tuple[int, int]]) -> str:

@@ -36,7 +36,7 @@ TcInt = Union[Zero, MinusOne, Even, Odd]
 
 def odd(x: TcInt) -> TcInt:
     # 2 * -1 + 1 = -1, the signed counterpart of even() collapsing on zero
-    return x if isinstance(x, MinusOne) else Odd(x)
+    return x if type(x) is MinusOne else Odd(x)
 
 
 def from_int(n: int) -> TcInt:
@@ -75,13 +75,15 @@ def to_int(x: TcInt) -> int:
 
 def is_canonical(x: TcInt) -> bool:
     """No ``Even`` directly on ``Zero``, no ``Odd`` directly on ``MinusOne``."""
-    while isinstance(x, (Even, Odd)):
-        if isinstance(x, Even) and isinstance(x.rest, Zero):
-            return False
-        if isinstance(x, Odd) and isinstance(x.rest, MinusOne):
-            return False
+    tx = type(x)
+    while tx is Even or tx is Odd:
         x = x.rest
-    return isinstance(x, (Zero, MinusOne))
+        if tx is Even and type(x) is Zero:
+            return False
+        if tx is Odd and type(x) is MinusOne:
+            return False
+        tx = type(x)
+    return tx is Zero or tx is MinusOne
 
 
 def complement(x: TcInt) -> TcInt:
@@ -90,41 +92,41 @@ def complement(x: TcInt) -> TcInt:
     Sends n to -n-1.  The two canonicality rules swap into each other,
     so plain constructors stay canonical here.
     """
-    match x:
-        case Zero():
-            return MinusOne()
-        case MinusOne():
-            return Zero()
-        case Even(a):
-            return Odd(complement(a))
-        case Odd(a):
-            return Even(complement(a))
+    tx = type(x)
+    if tx is Zero:
+        return MinusOne()
+    if tx is MinusOne:
+        return Zero()
+    if tx is Even:
+        return Odd(complement(x.rest))
+    if tx is Odd:
+        return Even(complement(x.rest))
     raise TypeError(f"not a two's-complement value: {x!r}")
 
 
 def add1(x: TcInt) -> TcInt:
-    match x:
-        case Zero():
-            return Odd(Zero())
-        case MinusOne():
-            return Zero()
-        case Even(a):
-            return odd(a)
-        case Odd(a):
-            return even(add1(a))
+    tx = type(x)
+    if tx is Zero:
+        return Odd(Zero())
+    if tx is MinusOne:
+        return Zero()
+    if tx is Even:
+        return odd(x.rest)
+    if tx is Odd:
+        return even(add1(x.rest))
     raise TypeError(f"not a two's-complement value: {x!r}")
 
 
 def sub1(x: TcInt) -> TcInt:
-    match x:
-        case Zero():
-            return MinusOne()
-        case MinusOne():
-            return Even(MinusOne())
-        case Even(a):
-            return odd(sub1(a))
-        case Odd(a):
-            return even(a)
+    tx = type(x)
+    if tx is Zero:
+        return MinusOne()
+    if tx is MinusOne:
+        return Even(MinusOne())
+    if tx is Even:
+        return odd(sub1(x.rest))
+    if tx is Odd:
+        return even(x.rest)
     raise TypeError(f"not a two's-complement value: {x!r}")
 
 
@@ -136,57 +138,65 @@ def add(x: TcInt, y: TcInt) -> TcInt:
     identical structure.  The ``MinusOne`` clauses thread the infinite
     1 tail through the same digit recursion.
     """
-    match (x, y):
-        case (_, Zero()):
-            return x
-        case (Zero(), _):
-            return y
-        case (MinusOne(), MinusOne()):
+    tx, ty = type(x), type(y)
+    if ty is Zero:
+        return x
+    if tx is Zero:
+        return y
+    if tx is MinusOne:
+        if ty is MinusOne:
             return Even(MinusOne())
-        case (MinusOne(), Even(b)):
-            return odd(add(MinusOne(), b))
-        case (MinusOne(), Odd(b)):
-            return even(b)
-        case (Even(a), MinusOne()):
-            return odd(add(a, MinusOne()))
-        case (Odd(a), MinusOne()):
-            return even(a)
-        case (Even(a), Even(b)):
-            return even(add(a, b))
-        case (Even(a), Odd(b)):
-            return odd(add(a, b))
-        case (Odd(a), Even(b)):
-            return odd(add(a, b))
-        case (Odd(a), Odd(b)):
-            return even(add_plus1(a, b))
+        if ty is Even:
+            return odd(add(MinusOne(), y.rest))
+        if ty is Odd:
+            return even(y.rest)
+    elif ty is MinusOne:
+        if tx is Even:
+            return odd(add(x.rest, MinusOne()))
+        if tx is Odd:
+            return even(x.rest)
+    elif tx is Even:
+        if ty is Even:
+            return even(add(x.rest, y.rest))
+        if ty is Odd:
+            return odd(add(x.rest, y.rest))
+    elif tx is Odd:
+        if ty is Even:
+            return odd(add(x.rest, y.rest))
+        if ty is Odd:
+            return even(add_plus1(x.rest, y.rest))
     raise TypeError(f"not two's-complement values: {x!r}, {y!r}")
 
 
 def add_plus1(x: TcInt, y: TcInt) -> TcInt:
     """x + y + 1, mutually recursive with :func:`add`."""
-    match (x, y):
-        case (_, MinusOne()):
-            return x
-        case (MinusOne(), _):
-            return y
-        case (Zero(), Zero()):
+    tx, ty = type(x), type(y)
+    if ty is MinusOne:
+        return x
+    if tx is MinusOne:
+        return y
+    if tx is Zero:
+        if ty is Zero:
             return Odd(Zero())
-        case (Zero(), Even(b)):
-            return odd(b)
-        case (Zero(), Odd(b)):
-            return even(add_plus1(Zero(), b))
-        case (Even(a), Zero()):
-            return odd(a)
-        case (Odd(a), Zero()):
-            return even(add_plus1(a, Zero()))
-        case (Even(a), Even(b)):
-            return odd(add(a, b))
-        case (Even(a), Odd(b)):
-            return even(add_plus1(a, b))
-        case (Odd(a), Even(b)):
-            return even(add_plus1(a, b))
-        case (Odd(a), Odd(b)):
-            return odd(add_plus1(a, b))
+        if ty is Even:
+            return odd(y.rest)
+        if ty is Odd:
+            return even(add_plus1(Zero(), y.rest))
+    elif ty is Zero:
+        if tx is Even:
+            return odd(x.rest)
+        if tx is Odd:
+            return even(add_plus1(x.rest, Zero()))
+    elif tx is Even:
+        if ty is Even:
+            return odd(add(x.rest, y.rest))
+        if ty is Odd:
+            return even(add_plus1(x.rest, y.rest))
+    elif tx is Odd:
+        if ty is Even:
+            return even(add_plus1(x.rest, y.rest))
+        if ty is Odd:
+            return odd(add_plus1(x.rest, y.rest))
     raise TypeError(f"not two's-complement values: {x!r}, {y!r}")
 
 

@@ -53,11 +53,11 @@ def to_int(x: UnaryNat) -> int:
 
 def plus(x: UnaryNat, y: UnaryNat) -> UnaryNat:
     """Structural addition: peel the second argument, rewrap the result."""
-    match y:
-        case Zero():
-            return x
-        case Succ(p):
-            return Succ(plus(x, p))
+    ty = type(y)
+    if ty is Zero:
+        return x
+    if ty is Succ:
+        return Succ(plus(x, y.pred))
     raise TypeError(f"not a unary natural: {y!r}")
 
 
@@ -67,19 +67,19 @@ def add(x: UnaryNat, y: UnaryNat) -> UnaryNat:
     Same function as :func:`plus` extensionally, but the recursion moves
     layers onto the accumulator instead of wrapping on the way out.
     """
-    match y:
-        case Zero():
-            return x
-        case Succ(p):
-            return add(Succ(x), p)
+    ty = type(y)
+    if ty is Zero:
+        return x
+    if ty is Succ:
+        return add(Succ(x), y.pred)
     raise TypeError(f"not a unary natural: {y!r}")
 
 
 def mult(x: UnaryNat, y: UnaryNat) -> UnaryNat:
     """Repeated addition, structural on the second argument."""
-    match y:
-        case Zero():
-            return Zero()
-        case Succ(p):
-            return plus(x, mult(x, p))
+    ty = type(y)
+    if ty is Zero:
+        return Zero()
+    if ty is Succ:
+        return plus(x, mult(x, y.pred))
     raise TypeError(f"not a unary natural: {y!r}")

@@ -151,3 +151,31 @@ def test_operations_preserve_canonicality(a, b):
     assert binary.is_canonical(binary.add_plus1(x, y))
     assert binary.is_canonical(binary.add1(x))
     assert binary.is_canonical(binary.mult(x, y))
+
+
+# A foreign value in a structural position fits no clause and raises
+# TypeError, at the top of the call or deep in the recursion.
+@pytest.mark.parametrize("op, args", [
+    (binary.add1, ("x",)),
+    (binary.add1, (Odd(Odd("x")),)),
+    (binary.add_v1, (Even(Zero()), 3)),
+    (binary.add_v1, (Odd(Odd(Zero())), Odd(Even(3)))),
+    (binary.add_v2, (Even(Odd(Zero())), 3)),
+    (binary.add_v2, (Odd(Odd(Zero())), Odd(Odd(3)))),
+    (binary.add_plus1, (Zero(), 3)),
+    (binary.add_plus1, (3, Zero())),
+    (binary.add_plus1, (Odd(Even(Zero())), Odd("y"))),
+    (binary.mult, (Zero(), "y")),
+    (binary.mult, (Odd(Zero()), Even(Odd("y")))),
+])
+def test_foreign_values_raise_type_error(op, args):
+    with pytest.raises(TypeError):
+        op(*args)
+
+
+def test_wildcard_clauses_accept_any_value():
+    assert binary.add_v1(3, Zero()) == 3
+    assert binary.add_v1(Zero(), "y") == "y"
+    assert binary.add_v2(3, Zero()) == 3
+    assert binary.add_v2(Zero(), "y") == "y"
+    assert binary.mult("x", Zero()) == Zero()

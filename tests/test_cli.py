@@ -180,6 +180,13 @@ def test_bench_bad_sizes(capsys):
     assert code == 2
 
 
+def test_bench_negative_size_is_usage_error(capsys):
+    code, out, err = run(capsys, ["bench", "--op", "sumlist", "--sizes=-3,1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- check ---------------------------------------------------------------------
 
 def test_check_all_passes(capsys):

@@ -68,6 +68,59 @@ def test_syntax_errors_carry_positions():
     assert err.value.position == 0
 
 
+# The error contract of parse_numeral: (text, kind, exception class,
+# message, position).  "\u2003" is an em space, which the parser skips
+# like any other whitespace.
+PARSE_ERRORS = [
+    ("S Z)", "unary", ParseError, "expected '(' after 'S' (at position 2)", 2),
+    ("B", "binary", ParseError, "expected '(' after 'B' (at position 1)", 1),
+    ("S(S(Z)", "unary", ParseError, "expected ')' (at position 6)", 6),
+    ("A(B(Z) ", "binary", ParseError, "expected ')' (at position 7)", 7),
+    ("Z)", "unary", ParseError, "trailing input ')' (at position 1)", 1),
+    ("B(Z) )", "binary", ParseError, "trailing input ')' (at position 5)", 5),
+    ("S(S(Z)))", "unary", ParseError, "trailing input ')' (at position 7)", 7),
+    ("(Z)", "binary", ParseError, "unexpected character '(' (at position 0)", 0),
+    ("B((Z))", "binary", ParseError, "unexpected character '(' (at position 2)", 2),
+    ("Z Z", "binary", ParseError, "trailing input 'Z' (at position 2)", 2),
+    ("B(Z) B(Z)", "binary", ParseError, "trailing input 'B' (at position 5)", 5),
+    ("S(Z)", "binary", ParseError, "unexpected character 'S' (at position 0)", 0),
+    ("N", "binary", ParseError, "unexpected character 'N' (at position 0)", 0),
+    ("A(B(Z))", "cd", ParseError, "unexpected character 'A' (at position 0)", 0),
+    ("B(S(Z))", "twoscomp", ParseError, "unexpected character 'S' (at position 2)", 2),
+    ("b(Z)", "binary", ParseError, "unexpected character 'b' (at position 0)", 0),
+    ("", "binary", ParseError,
+     "unexpected end of input, expected a constructor (at position 0)", 0),
+    ("   ", "twoscomp", ParseError,
+     "unexpected end of input, expected a constructor (at position 3)", 3),
+    ("\t\n", "unary", ParseError,
+     "unexpected end of input, expected a constructor (at position 2)", 2),
+    ("B ( ", "binary", ParseError,
+     "unexpected end of input, expected a constructor (at position 4)", 4),
+    ("\u2003", "binary", ParseError,
+     "unexpected end of input, expected a constructor (at position 1)", 1),
+    ("B\u2003(Z)\u2003x", "binary", ParseError, "trailing input 'x' (at position 6)", 6),
+    ("\u2003B(\u2003Z)\u2003)", "binary", ParseError,
+     "trailing input ')' (at position 7)", 7),
+    (" A ( Z ) ", "binary", CanonicalityError,
+     "non-canonical literal: A applied directly to Z", None),
+    ("B(N)", "twoscomp", CanonicalityError,
+     "non-canonical literal: A applied directly to Z, or B directly to N", None),
+]
+
+
+@pytest.mark.parametrize("text, kind, error, message, position", PARSE_ERRORS)
+def test_parse_error_contract(text, kind, error, message, position):
+    with pytest.raises(error) as err:
+        numio.parse_numeral(text, kind)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+def test_unicode_whitespace_between_tokens():
+    assert numio.parse_numeral("S(\u2003Z\u2003)", "unary") == unary.from_int(1)
+
+
 def test_parse_rejects_constructors_of_other_kinds():
     with pytest.raises(ParseError):
         numio.parse_numeral("S(Z)", "binary")
@@ -108,6 +161,18 @@ def test_parse_print_roundtrip_500_random_values_per_kind():
             value = make()
             text = numio.print_numeral(value)
             assert numio.parse_numeral(text, kind) == value
+
+
+@pytest.mark.parametrize("module, kind, n", [
+    (binary, "binary", int("1011" * 2500, 2)),
+    (twoscomp, "twoscomp", -int("1011" * 2500, 2)),
+])
+def test_parse_print_roundtrip_10000_digits(module, kind, n):
+    text = numio.print_numeral(module.from_int(n))
+    assert text.count("(") == 10_000
+    value = numio.parse_numeral(text, kind)
+    assert module.to_int(value) == n
+    assert numio.print_numeral(value) == text
 
 
 def test_print_of_parse_gives_canonical_text():

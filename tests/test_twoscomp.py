@@ -169,3 +169,27 @@ def test_parse_bits_rejects_garbage():
     for bad in ("1011", "...", "...2", "...0x1"):
         with pytest.raises(ValueError):
             twoscomp.parse_bits(bad)
+
+
+@pytest.mark.parametrize("op, args", [
+    (twoscomp.complement, ("x",)),
+    (twoscomp.complement, (Even(Odd("x")),)),
+    (twoscomp.add1, (Odd(Odd("x")),)),
+    (twoscomp.sub1, (Even(Even("x")),)),
+    (twoscomp.add, (Even(Zero()), 3)),
+    (twoscomp.add, (MinusOne(), 3)),
+    (twoscomp.add, (Odd(Odd(Zero())), Even(Odd("y")))),
+    (twoscomp.add_plus1, (Odd(Zero()), 3)),
+    (twoscomp.add_plus1, (Zero(), 3)),
+    (twoscomp.add_plus1, (Odd(Even(Zero())), Odd("y"))),
+])
+def test_foreign_values_raise_type_error(op, args):
+    with pytest.raises(TypeError):
+        op(*args)
+
+
+def test_wildcard_clauses_accept_any_value():
+    assert twoscomp.add(3, Zero()) == 3
+    assert twoscomp.add(Zero(), "y") == "y"
+    assert twoscomp.add_plus1("x", MinusOne()) == "x"
+    assert twoscomp.add_plus1(MinusOne(), "y") == "y"

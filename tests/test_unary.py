@@ -102,3 +102,20 @@ def test_mult_small_product():
 @given(st.integers(0, 20), st.integers(0, 20))
 def test_mult_agrees_with_machine_multiplication(a, b):
     assert unary.to_int(unary.mult(unary.from_int(a), unary.from_int(b))) == a * b
+
+
+@pytest.mark.parametrize("op, args", [
+    (unary.plus, (Zero(), 3)),
+    (unary.plus, (Zero(), Succ(Succ("y")))),
+    (unary.add, (Zero(), Succ("y"))),
+    (unary.mult, (Succ(Zero()), "y")),
+])
+def test_foreign_values_raise_type_error(op, args):
+    with pytest.raises(TypeError):
+        op(*args)
+
+
+def test_wildcard_clauses_accept_any_value():
+    assert unary.plus("x", Zero()) == "x"
+    assert unary.add("x", Zero()) == "x"
+    assert unary.mult("x", Zero()) == Zero()
