@@ -160,15 +160,15 @@ def access_cd(s: BraunSeq, ix: CdIndex) -> Any:
     while True:
         if node is None:
             raise IndexError("index reaches past the sequence end")
-        match ix:
-            case IxZero():
-                return node.elem
-            case IxOdd(r):
-                node, ix = node.left, r
-            case IxEven(r):
-                node, ix = node.right, r
-            case _:
-                raise TypeError(f"not an index numeral: {ix!r}")
+        tix = type(ix)
+        if tix is IxZero:
+            return node.elem
+        if tix is IxOdd:
+            node, ix = node.left, ix.rest
+        elif tix is IxEven:
+            node, ix = node.right, ix.rest
+        else:
+            raise TypeError(f"not an index numeral: {ix!r}")
 
 
 def update(s: BraunSeq, i: int, v: Any) -> BraunSeq:
@@ -189,13 +189,7 @@ def update(s: BraunSeq, i: int, v: Any) -> BraunSeq:
 def cons(v: Any, s: BraunSeq) -> BraunSeq:
     """Prepend v.  Every old index shifts up by one, which turns the old
     left subtree into the new right and pushes the old root leftward."""
-
-    def push(w: Any, node: BraunTree) -> Node:
-        if node is None:
-            return Node(w, None, None)
-        return Node(w, push(node.elem, node.right), node.left)
-
-    return BraunSeq(s.length + 1, push(v, s.tree))
+    return BraunSeq(s.length + 1, _push(v, s.tree))
 
 
 def first(s: BraunSeq) -> Any:
@@ -210,6 +204,13 @@ def rest(s: BraunSeq) -> BraunSeq:
     if s.length == 0:
         raise ValueError("rest of an empty sequence")
     return BraunSeq(s.length - 1, _untop(s.tree)[1])
+
+
+def _push(w: Any, node: BraunTree) -> Node:
+    # (tree of w followed by the elements of node), in one right-spine pass
+    if node is None:
+        return Node(w, None, None)
+    return Node(w, _push(node.elem, node.right), node.left)
 
 
 def _untop(node: Node) -> tuple:

@@ -1,19 +1,47 @@
-"""Step-count instrumentation for the recursive operations.
+"""Step counts for the recursive operations, taken from the plain functions.
 
-Each operation id below maps to a metered mirror of the plain function:
-the same clauses in the same order, plus one tick at every entry into a
-function body (base clauses included).  The mirrors still state their
-clauses as ``match`` statements, where the plain functions dispatch on
-``type(x) is C`` tests.  The plain functions stay untouched, so they
-carry no instrumentation cost; a measurement confines its tally to one
-call tree.  Helper bodies count toward their caller's total (add_v1
-includes its increments, add_v2 its carry helper, mult its additions).
+A measurement runs the plain function itself under the C profiler that
+backs ``cProfile`` (``_lsprof.Profiler(builtins=False)``, imported alone
+to spare the CLI the ``cProfile`` and ``profile`` modules) and counts
+every entry into the code of the functions listed for its operation id,
+recursive entries and base clauses included.  Each operation has one
+definition: the profiler is switched on only inside :func:`measured`, so
+a call made anywhere else pays nothing for the meter.  Helper bodies
+count toward their caller's total (add_v1 includes its increments,
+add_v2 its carry helper, mult its additions); smart constructors such as
+``even`` and ``odd`` are not steps.
 
-The Braun operations count node visits instead of body entries:
-``bs_access`` ticks once per child descent, so its count equals the
-digit count of the index exactly, and ``bs_cons``/``bs_rest`` tick once
-per node constructed or inspected along their spine, which stays within
-depth + 1.
+    op id        counted functions
+    -----------  ------------------------------------------------
+    u_plus       unary.plus
+    u_add        unary.add
+    sumlist      listlab.sumlist
+    sumlist2     listlab.sumlist2, listlab.sumh
+    filter_keep  listlab.filter_keep (not the predicate)
+    max_naive    listlab.max_naive
+    max_fast     listlab.max_fast
+    b_add1       binary.add1
+    b_add_v1     binary.add_v1, binary.add1
+    b_add_v2     binary.add_v2, binary.add_plus1
+    b_mult       binary.mult, binary.add_v2, binary.add_plus1
+    i_add        twoscomp.add, twoscomp.add_plus1
+    bs_cons      braun._push (one entry per spine node built)
+    bs_rest      braun._untop (one entry per spine node inspected)
+    bs_access    closed form, see below
+
+``braun.access`` is a loop, not a recursion, so there are no entries to
+count.  It descends one node per digit of the index's bijective base-2
+numeral, and that digit count has the closed form
+``(i + 1).bit_length() - 1``; ``bs_access`` runs the plain function and
+reports that count.  ``bs_cons`` and ``bs_rest`` stay within depth + 1.
+
+The profile hook belongs to the calling thread on Python 3.11 and
+earlier, so threads can measure at the same time.  From 3.12 on, cProfile
+is interpreter-wide (``sys.monitoring``): a second profiler cannot be
+enabled while one is active, and calls from other threads would be seen.
+A test that measures from two threads at once guards that case.  Any
+profiler the caller had running (``sys.setprofile`` or an enabled
+``cProfile.Profile``) is active again when :func:`measured` returns.
 
 Benchmark sizes mean, per operation: the denoted value for the unary
 ops, the list length for the list ops, the digit count of an all-ones
@@ -23,17 +51,14 @@ sequence length for the Braun ops (which access their last index).
 
 from __future__ import annotations
 
+import _lsprof
 import contextlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from types import CodeType
+from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from . import binary, braun, listlab, twoscomp, unary
-from .binary import Even, Odd, Zero
-from .braun import BraunSeq, Node
-from .twoscomp import MinusOne
-from .unary import Succ
-from .unary import Zero as UZero
 
 
 # Frozen linear-bound constants for the two addition algorithms: over all
@@ -42,18 +67,6 @@ from .unary import Zero as UZero
 # entries against 10) and exactly 1.0 for add_v2.  Rounded up to integers.
 K_ADD_V1 = 2
 K_ADD_V2 = 1
-
-
-class Tally:
-    """Mutable step counter confined to a single measurement."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self) -> None:
-        self.steps = 0
-
-    def tick(self) -> None:
-        self.steps += 1
 
 
 @contextlib.contextmanager
@@ -67,288 +80,73 @@ def deep_recursion(limit: int = 50_000):
         sys.setrecursionlimit(old)
 
 
-# ---------------------------------------------------------------------------
-# metered mirrors (same clauses as the plain functions, one tick per entry)
-
-def _u_plus(t, x, y):
-    t.tick()
-    match y:
-        case UZero():
-            return x
-        case Succ(p):
-            return Succ(_u_plus(t, x, p))
-    raise TypeError(f"not a unary natural: {y!r}")
-
-
-def _u_add(t, x, y):
-    t.tick()
-    match y:
-        case UZero():
-            return x
-        case Succ(p):
-            return _u_add(t, Succ(x), p)
-    raise TypeError(f"not a unary natural: {y!r}")
-
-
-def _sumlist(t, xs):
-    t.tick()
-    if not xs:
-        return 0
-    return xs[0] + _sumlist(t, xs[1:])
-
-
-def _sumh(t, xs, acc):
-    t.tick()
-    if not xs:
-        return acc
-    return _sumh(t, xs[1:], xs[0] + acc)
-
-
-def _sumlist2(t, xs):
-    t.tick()
-    return _sumh(t, xs, 0)
-
-
-def _filter_keep(t, p, xs):
-    t.tick()
-    if not xs:
-        return []
-    x, rest = xs[0], xs[1:]
-    if p(x):
-        return [x] + _filter_keep(t, p, rest)
-    return _filter_keep(t, p, rest)
-
-
-def _max_naive(t, xs):
-    t.tick()
-    if not xs:
-        raise ValueError("max of an empty list")
-    if len(xs) == 1:
-        return xs[0]
-    x, rest = xs[0], xs[1:]
-    if x > _max_naive(t, rest):
-        return x
-    return _max_naive(t, rest)
-
-
-def _max_fast(t, xs):
-    t.tick()
-    if not xs:
-        raise ValueError("max of an empty list")
-    if len(xs) == 1:
-        return xs[0]
-    m = _max_fast(t, xs[1:])
-    return xs[0] if xs[0] > m else m
-
-
-def _b_add1(t, x):
-    t.tick()
-    match x:
-        case Zero():
-            return Odd(Zero())
-        case Even(a):
-            return binary.odd(a)
-        case Odd(a):
-            return binary.even(_b_add1(t, a))
-    raise TypeError(f"not a binary natural: {x!r}")
-
-
-def _b_add_v1(t, x, y):
-    t.tick()
-    match (x, y):
-        case (_, Zero()):
-            return x
-        case (Zero(), _):
-            return y
-        case (Even(a), Even(b)):
-            return binary.even(_b_add_v1(t, a, b))
-        case (Even(a), Odd(b)):
-            return binary.odd(_b_add_v1(t, a, b))
-        case (Odd(a), Even(b)):
-            return binary.odd(_b_add_v1(t, a, b))
-        case (Odd(a), Odd(b)):
-            return binary.even(_b_add1(t, _b_add_v1(t, a, b)))
-    raise TypeError(f"not binary naturals: {x!r}, {y!r}")
-
-
-def _b_add_v2(t, x, y):
-    t.tick()
-    match (x, y):
-        case (_, Zero()):
-            return x
-        case (Zero(), _):
-            return y
-        case (Even(a), Even(b)):
-            return binary.even(_b_add_v2(t, a, b))
-        case (Even(a), Odd(b)):
-            return binary.odd(_b_add_v2(t, a, b))
-        case (Odd(a), Even(b)):
-            return binary.odd(_b_add_v2(t, a, b))
-        case (Odd(a), Odd(b)):
-            return binary.even(_b_add_plus1(t, a, b))
-    raise TypeError(f"not binary naturals: {x!r}, {y!r}")
-
-
-def _b_add_plus1(t, x, y):
-    t.tick()
-    match (x, y):
-        case (Zero(), Zero()):
-            return Odd(Zero())
-        case (Zero(), Even(b)):
-            return binary.odd(b)
-        case (Zero(), Odd(b)):
-            return binary.even(_b_add_plus1(t, Zero(), b))
-        case (Even(a), Zero()):
-            return binary.odd(a)
-        case (Odd(a), Zero()):
-            return binary.even(_b_add_plus1(t, a, Zero()))
-        case (Even(a), Even(b)):
-            return binary.odd(_b_add_v2(t, a, b))
-        case (Even(a), Odd(b)):
-            return binary.even(_b_add_plus1(t, a, b))
-        case (Odd(a), Even(b)):
-            return binary.even(_b_add_plus1(t, a, b))
-        case (Odd(a), Odd(b)):
-            return binary.odd(_b_add_plus1(t, a, b))
-    raise TypeError(f"not binary naturals: {x!r}, {y!r}")
-
-
-def _b_mult(t, x, y):
-    t.tick()
-    match y:
-        case Zero():
-            return Zero()
-        case Even(b):
-            return binary.even(_b_mult(t, x, b))
-        case Odd(b):
-            return _b_add_v2(t, x, binary.even(_b_mult(t, x, b)))
-    raise TypeError(f"not a binary natural: {y!r}")
-
-
-def _i_add(t, x, y):
-    t.tick()
-    match (x, y):
-        case (_, Zero()):
-            return x
-        case (Zero(), _):
-            return y
-        case (MinusOne(), MinusOne()):
-            return Even(MinusOne())
-        case (MinusOne(), Even(b)):
-            return twoscomp.odd(_i_add(t, MinusOne(), b))
-        case (MinusOne(), Odd(b)):
-            return twoscomp.even(b)
-        case (Even(a), MinusOne()):
-            return twoscomp.odd(_i_add(t, a, MinusOne()))
-        case (Odd(a), MinusOne()):
-            return twoscomp.even(a)
-        case (Even(a), Even(b)):
-            return twoscomp.even(_i_add(t, a, b))
-        case (Even(a), Odd(b)):
-            return twoscomp.odd(_i_add(t, a, b))
-        case (Odd(a), Even(b)):
-            return twoscomp.odd(_i_add(t, a, b))
-        case (Odd(a), Odd(b)):
-            return twoscomp.even(_i_add_plus1(t, a, b))
-    raise TypeError(f"not two's-complement values: {x!r}, {y!r}")
-
-
-def _i_add_plus1(t, x, y):
-    t.tick()
-    match (x, y):
-        case (_, MinusOne()):
-            return x
-        case (MinusOne(), _):
-            return y
-        case (Zero(), Zero()):
-            return Odd(Zero())
-        case (Zero(), Even(b)):
-            return twoscomp.odd(b)
-        case (Zero(), Odd(b)):
-            return twoscomp.even(_i_add_plus1(t, Zero(), b))
-        case (Even(a), Zero()):
-            return twoscomp.odd(a)
-        case (Odd(a), Zero()):
-            return twoscomp.even(_i_add_plus1(t, a, Zero()))
-        case (Even(a), Even(b)):
-            return twoscomp.odd(_i_add(t, a, b))
-        case (Even(a), Odd(b)):
-            return twoscomp.even(_i_add_plus1(t, a, b))
-        case (Odd(a), Even(b)):
-            return twoscomp.even(_i_add_plus1(t, a, b))
-        case (Odd(a), Odd(b)):
-            return twoscomp.odd(_i_add_plus1(t, a, b))
-    raise TypeError(f"not two's-complement values: {x!r}, {y!r}")
-
-
-def _bs_access(t, s, i):
-    if not 0 <= i < s.length:
-        raise IndexError(f"index {i} out of range for length {s.length}")
-    node = s.tree
-    while i:
-        t.tick()  # one visit per child descent: equals the digit count of i
-        if i & 1:
-            node = node.left
-            i = (i - 1) >> 1
-        else:
-            node = node.right
-            i = (i - 2) >> 1
-    return node.elem
-
-
-def _bs_cons(t, v, s):
-    def push(w, node):
-        t.tick()
-        if node is None:
-            return Node(w, None, None)
-        return Node(w, push(node.elem, node.right), node.left)
-
-    return BraunSeq(s.length + 1, push(v, s.tree))
-
-
-def _bs_rest(t, s):
-    if s.length == 0:
-        raise ValueError("rest of an empty sequence")
-
-    def untop(node):
-        t.tick()
-        if node.left is None:
-            return node.elem, None
-        head, left_rest = untop(node.left)
-        return node.elem, Node(head, node.right, left_rest)
-
-    return BraunSeq(s.length - 1, untop(s.tree)[1])
-
-
 METERED: Dict[str, Callable[..., Any]] = {
-    "u_plus": _u_plus,
-    "u_add": _u_add,
-    "sumlist": _sumlist,
-    "sumlist2": _sumlist2,
-    "filter_keep": _filter_keep,
-    "max_naive": _max_naive,
-    "max_fast": _max_fast,
-    "b_add1": _b_add1,
-    "b_add_v1": _b_add_v1,
-    "b_add_v2": _b_add_v2,
-    "b_mult": _b_mult,
-    "i_add": _i_add,
-    "bs_access": _bs_access,
-    "bs_cons": _bs_cons,
-    "bs_rest": _bs_rest,
+    "u_plus": unary.plus,
+    "u_add": unary.add,
+    "sumlist": listlab.sumlist,
+    "sumlist2": listlab.sumlist2,
+    "filter_keep": listlab.filter_keep,
+    "max_naive": listlab.max_naive,
+    "max_fast": listlab.max_fast,
+    "b_add1": binary.add1,
+    "b_add_v1": binary.add_v1,
+    "b_add_v2": binary.add_v2,
+    "b_mult": binary.mult,
+    "i_add": twoscomp.add,
+    "bs_access": braun.access,
+    "bs_cons": braun.cons,
+    "bs_rest": braun.rest,
+}
+
+
+def _codes(*fns: Callable[..., Any]) -> FrozenSet[CodeType]:
+    return frozenset(fn.__code__ for fn in fns)
+
+
+# the code whose entries are the steps of each op; bs_access has none
+_COUNTED: Dict[str, FrozenSet[CodeType]] = {
+    "u_plus": _codes(unary.plus),
+    "u_add": _codes(unary.add),
+    "sumlist": _codes(listlab.sumlist),
+    "sumlist2": _codes(listlab.sumlist2, listlab.sumh),
+    "filter_keep": _codes(listlab.filter_keep),
+    "max_naive": _codes(listlab.max_naive),
+    "max_fast": _codes(listlab.max_fast),
+    "b_add1": _codes(binary.add1),
+    "b_add_v1": _codes(binary.add_v1, binary.add1),
+    "b_add_v2": _codes(binary.add_v2, binary.add_plus1),
+    "b_mult": _codes(binary.mult, binary.add_v2, binary.add_plus1),
+    "i_add": _codes(twoscomp.add, twoscomp.add_plus1),
+    "bs_cons": _codes(braun._push),
+    "bs_rest": _codes(braun._untop),
 }
 
 
 def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
-    """Run the metered mirror of an operation; return (result, steps)."""
+    """Run the plain operation and count its steps; return (result, steps)."""
     try:
         fn = METERED[op_id]
     except KeyError:
         raise KeyError(f"unknown operation id: {op_id!r}") from None
-    tally = Tally()
+    if op_id == "bs_access":  # a loop: one step per index digit
+        return fn(*args), (args[1] + 1).bit_length() - 1
+    counted = _COUNTED[op_id]
+    profiler = _lsprof.Profiler(builtins=False)
+    outer = sys.getprofile()
     with deep_recursion():
-        result = fn(tally, *args)
-    return result, tally.steps
+        profiler.enable()
+        try:
+            result = fn(*args)
+        finally:
+            profiler.disable()
+            # enable() displaced the caller's hook.  Restore it inline: an
+            # outer cProfile would see a helper's return but not its call.
+            if isinstance(outer, _lsprof.Profiler):
+                outer.enable()
+            else:
+                sys.setprofile(outer)
+    steps = sum(e.callcount for e in profiler.getstats() if e.code in counted)
+    return result, steps
 
 
 def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
@@ -367,7 +165,7 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
         return (binary.from_int((1 << n) - 1), binary.from_int((1 << n) - 1))
     if op_id == "i_add":
         return (twoscomp.from_int((1 << n) - 1), twoscomp.from_int((1 << n) - 1))
-    if op_id == "bs_access":
+    if op_id == "bs_access":  # a loop: one step per index digit
         return (braun.from_list(range(n)), n - 1)
     if op_id == "bs_cons":
         return ("x", braun.from_list(range(n)))

@@ -163,6 +163,13 @@ def test_access_cd_falls_off_the_tree():
         braun.access_cd(EMPTY, IxZero())
 
 
+def test_access_cd_rejects_foreign_indices():
+    s = braun.from_list(range(20))
+    for ix in (1, "1", None, IxOdd(1), IxEven(IxOdd(None))):
+        with pytest.raises(TypeError):
+            braun.access_cd(s, ix)
+
+
 # --- update ------------------------------------------------------------------
 
 def test_update_singleton():

@@ -1,3 +1,9 @@
+import cProfile
+import json
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,3 +238,101 @@ def test_check_bound_detects_violation():
 def test_check_bound_unknown_form():
     with pytest.raises(ValueError):
         costmeter.check_bound("sumlist", [10], "quadratic")
+
+
+# --- the benchmark's step ledger ------------------------------------------------
+
+LEDGER = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "data" / "ledger.json").read_text()
+)
+
+
+def test_ledger_covers_every_op_id():
+    assert set(LEDGER) == set(costmeter.METERED)
+
+
+@pytest.mark.parametrize("op_id", sorted(LEDGER))
+def test_schedule_matches_the_ledger(op_id):
+    want = [tuple(sample) for sample in LEDGER[op_id]]
+    assert costmeter.measure_schedule(op_id, [n for n, _ in want]) == want
+
+
+# --- the profile hook -------------------------------------------------------------
+
+def test_no_hook_left_behind():
+    assert sys.getprofile() is None
+    costmeter.measured("b_add_v2", binary.from_int(1000), binary.from_int(999))
+    assert sys.getprofile() is None
+    with pytest.raises(ValueError):
+        costmeter.measured("max_naive", [])
+    assert sys.getprofile() is None
+
+
+def test_python_profile_hook_is_restored():
+    events = []
+
+    def hook(frame, event, arg):
+        events.append(frame.f_code.co_name)
+
+    def after():
+        pass
+
+    sys.setprofile(hook)
+    try:
+        _, steps = costmeter.measured("max_naive", list(range(1, 9)))
+        restored = sys.getprofile()
+        after()
+    finally:
+        sys.setprofile(None)
+    assert steps == 2 ** 8 - 1
+    assert restored is hook
+    assert "after" in events
+    assert "max_naive" not in events
+
+
+def test_outer_cprofile_is_enabled_again():
+    def after():
+        pass
+
+    outer = cProfile.Profile()
+    outer.enable()
+    try:
+        _, steps = costmeter.measured("max_naive", list(range(1, 9)))
+        restored = sys.getprofile()
+        after()
+    finally:
+        outer.disable()
+    assert steps == 2 ** 8 - 1
+    assert restored is outer
+    calls = {e.code: e.callcount for e in outer.getstats()}
+    assert calls.get(after.__code__) == 1
+    assert listlab.max_naive.__code__ not in calls
+
+
+def test_measurements_in_two_threads_at_once():
+    xs = list(range(1, 13))
+    x = binary.from_int((1 << 300) - 1)
+    start = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def run(name, op_id, *args):
+        start.wait()
+        results[name] = [costmeter.measured(op_id, *args)[1] for _ in range(20)]
+
+    old_limit = sys.getrecursionlimit()
+    threads = [threading.Thread(target=run, args=("naive", "max_naive", xs)),
+               threading.Thread(target=run, args=("add", "b_add_v2", x, x))]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+        # deep_recursion saves and restores a process-wide limit, which
+        # overlapping measurements in two threads can leave raised
+        sys.setrecursionlimit(old_limit)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {"naive": [2 ** 12 - 1] * 20, "add": [301] * 20}
