@@ -380,7 +380,7 @@ def _br_access_cost(rng):
         for i in {0, length - 1, rng.randrange(length)}:
             _, steps = costmeter.measured("bs_access", s, i)
             if steps != _digit_count(i):
-                return f"access({i}) visited {steps} nodes, digits {_digit_count(i)}"
+                return f"access({i}) reported {steps} steps, digits {_digit_count(i)}"
     return None
 
 

@@ -1,15 +1,13 @@
 """Step counts for the recursive operations, taken from the plain functions.
 
-A measurement runs the plain function itself under the C profiler that
-backs ``cProfile`` (``_lsprof.Profiler(builtins=False)``, imported alone
-to spare the CLI the ``cProfile`` and ``profile`` modules) and counts
-every entry into the code of the functions listed for its operation id,
-recursive entries and base clauses included.  Each operation has one
-definition: the profiler is switched on only inside :func:`measured`, so
-a call made anywhere else pays nothing for the meter.  Helper bodies
-count toward their caller's total (add_v1 includes its increments,
-add_v2 its carry helper, mult its additions); smart constructors such as
-``even`` and ``odd`` are not steps.
+A measurement runs the plain function itself with a ``sys.setprofile``
+hook and counts every ``call`` event whose code belongs to the functions
+listed for its operation id, recursive entries and base clauses
+included.  Each operation has one definition: the hook is installed only
+inside :func:`measured`, so a call made anywhere else pays nothing for
+the meter.  Helper bodies count toward their caller's total (add_v1
+includes its increments, add_v2 its carry helper, mult its additions);
+smart constructors such as ``even`` and ``odd`` are not steps.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -30,18 +28,20 @@ add_v2 its carry helper, mult its additions); smart constructors such as
     bs_access    closed form, see below
 
 ``braun.access`` is a loop, not a recursion, so there are no entries to
-count.  It descends one node per digit of the index's bijective base-2
-numeral, and that digit count has the closed form
-``(i + 1).bit_length() - 1``; ``bs_access`` runs the plain function and
-reports that count.  ``bs_cons`` and ``bs_rest`` stay within depth + 1.
+count, and ``bs_access`` observes no traversal: it runs the plain
+function and reports, by definition, the digit count of the index's
+bijective base-2 numeral, ``(i + 1).bit_length() - 1``, which is the
+number of nodes the loop descends through.  ``bs_cons`` and ``bs_rest``
+stay within depth + 1.
 
-The profile hook belongs to the calling thread on Python 3.11 and
-earlier, so threads can measure at the same time.  From 3.12 on, cProfile
-is interpreter-wide (``sys.monitoring``): a second profiler cannot be
-enabled while one is active, and calls from other threads would be seen.
-A test that measures from two threads at once guards that case.  Any
-profiler the caller had running (``sys.setprofile`` or an enabled
-``cProfile.Profile``) is active again when :func:`measured` returns.
+A ``sys.setprofile`` hook belongs to the calling thread on every
+supported Python, so threads measure at the same time without seeing
+each other's calls; a test that measures from two threads at once guards
+this.  Whatever profiler the caller had running is active again when
+:func:`measured` returns: a ``sys.setprofile`` hook is put back, and an
+enabled ``cProfile.Profile`` (which the hook displaces on 3.11 and
+earlier; from 3.12 on it runs on ``sys.monitoring`` and is left alone)
+is enabled again.
 
 Benchmark sizes mean, per operation: the denoted value for the unary
 ops, the list length for the list ops, the digit count of an all-ones
@@ -56,7 +56,7 @@ import contextlib
 import sys
 from dataclasses import dataclass
 from types import CodeType
-from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from . import binary, braun, listlab, twoscomp, unary
 
@@ -80,45 +80,29 @@ def deep_recursion(limit: int = 50_000):
         sys.setrecursionlimit(old)
 
 
-METERED: Dict[str, Callable[..., Any]] = {
-    "u_plus": unary.plus,
-    "u_add": unary.add,
-    "sumlist": listlab.sumlist,
-    "sumlist2": listlab.sumlist2,
-    "filter_keep": listlab.filter_keep,
-    "max_naive": listlab.max_naive,
-    "max_fast": listlab.max_fast,
-    "b_add1": binary.add1,
-    "b_add_v1": binary.add_v1,
-    "b_add_v2": binary.add_v2,
-    "b_mult": binary.mult,
-    "i_add": twoscomp.add,
-    "bs_access": braun.access,
-    "bs_cons": braun.cons,
-    "bs_rest": braun.rest,
+# op id -> (plain entry function, functions whose entries are its steps);
+# bs_access is a loop and counts none
+_OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {
+    "u_plus": (unary.plus, (unary.plus,)),
+    "u_add": (unary.add, (unary.add,)),
+    "sumlist": (listlab.sumlist, (listlab.sumlist,)),
+    "sumlist2": (listlab.sumlist2, (listlab.sumlist2, listlab.sumh)),
+    "filter_keep": (listlab.filter_keep, (listlab.filter_keep,)),
+    "max_naive": (listlab.max_naive, (listlab.max_naive,)),
+    "max_fast": (listlab.max_fast, (listlab.max_fast,)),
+    "b_add1": (binary.add1, (binary.add1,)),
+    "b_add_v1": (binary.add_v1, (binary.add_v1, binary.add1)),
+    "b_add_v2": (binary.add_v2, (binary.add_v2, binary.add_plus1)),
+    "b_mult": (binary.mult, (binary.mult, binary.add_v2, binary.add_plus1)),
+    "i_add": (twoscomp.add, (twoscomp.add, twoscomp.add_plus1)),
+    "bs_access": (braun.access, ()),
+    "bs_cons": (braun.cons, (braun._push,)),
+    "bs_rest": (braun.rest, (braun._untop,)),
 }
 
-
-def _codes(*fns: Callable[..., Any]) -> FrozenSet[CodeType]:
-    return frozenset(fn.__code__ for fn in fns)
-
-
-# the code whose entries are the steps of each op; bs_access has none
-_COUNTED: Dict[str, FrozenSet[CodeType]] = {
-    "u_plus": _codes(unary.plus),
-    "u_add": _codes(unary.add),
-    "sumlist": _codes(listlab.sumlist),
-    "sumlist2": _codes(listlab.sumlist2, listlab.sumh),
-    "filter_keep": _codes(listlab.filter_keep),
-    "max_naive": _codes(listlab.max_naive),
-    "max_fast": _codes(listlab.max_fast),
-    "b_add1": _codes(binary.add1),
-    "b_add_v1": _codes(binary.add_v1, binary.add1),
-    "b_add_v2": _codes(binary.add_v2, binary.add_plus1),
-    "b_mult": _codes(binary.mult, binary.add_v2, binary.add_plus1),
-    "i_add": _codes(twoscomp.add, twoscomp.add_plus1),
-    "bs_cons": _codes(braun._push),
-    "bs_rest": _codes(braun._untop),
+METERED: Dict[str, Callable[..., Any]] = {op_id: fn for op_id, (fn, _) in _OPS.items()}
+_COUNTED: Dict[str, Tuple[CodeType, ...]] = {
+    op_id: tuple(f.__code__ for f in fns) for op_id, (_, fns) in _OPS.items()
 }
 
 
@@ -131,21 +115,28 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     if op_id == "bs_access":  # a loop: one step per index digit
         return fn(*args), (args[1] + 1).bit_length() - 1
     counted = _COUNTED[op_id]
-    profiler = _lsprof.Profiler(builtins=False)
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event == "call" and frame.f_code in counted:
+            steps += 1
+
     outer = sys.getprofile()
     with deep_recursion():
-        profiler.enable()
+        sys.setprofile(count)
         try:
             result = fn(*args)
         finally:
-            profiler.disable()
-            # enable() displaced the caller's hook.  Restore it inline: an
-            # outer cProfile would see a helper's return but not its call.
+            # an enabled cProfile.Profile is displaced by setprofile on 3.11
+            # and earlier and must be re-enabled, not passed to setprofile
+            # (_lsprof is its builtin core; importing cProfile would slow
+            # CLI start-up).  Inline, not a helper: an outer cProfile would
+            # see the helper's return but not its call.
             if isinstance(outer, _lsprof.Profiler):
                 outer.enable()
             else:
                 sys.setprofile(outer)
-    steps = sum(e.callcount for e in profiler.getstats() if e.code in counted)
     return result, steps
 
 
