@@ -11,12 +11,18 @@ Two addition algorithms are kept side by side on purpose: :func:`add_v1`
 resolves digit carries with a separate increment, :func:`add_v2` folds the
 carry into a mutually recursive "add plus one" so every recursive call
 shrinks its arguments.  They always produce identical structures.
+
+Conversions to and from machine integers go through Python's base-2
+text, ``bin(n)`` and ``int(bits, 2)``: one builder wraps a
+most-significant-first ``"0"``/``"1"`` string onto a tail, one walker
+reads it back off, and :mod:`numrep.twoscomp` and :mod:`numrep.braun`
+convert through the same pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Tuple, Union
 
 
 class CanonicalityError(ValueError):
@@ -58,30 +64,32 @@ def from_int(n: int) -> BinNat:
     """Binary digits of n, least significant constructor outermost."""
     if n < 0:
         raise ValueError(f"cannot represent {n} as a binary natural")
-    bits = []
-    while n:
-        bits.append(n & 1)
-        n >>= 1
-    value: BinNat = Zero()
-    for bit in reversed(bits):
-        value = Odd(value) if bit else Even(value)
-    return value
+    return _from_bits(bin(n)[2:].lstrip("0"), Zero())
 
 
 def to_int(x: BinNat) -> int:
     """Inverse of :func:`from_int`; rejects non-canonical input."""
     if not is_canonical(x):
         raise CanonicalityError(f"non-canonical binary natural: {x!r}")
-    n = 0
-    shift = 0
-    while isinstance(x, (Even, Odd)):
-        if isinstance(x, Odd):
-            n |= 1 << shift
-        shift += 1
+    return int(_bits(x)[0] or "0", 2)
+
+
+def _from_bits(bits: str, tail: Any, zero: type = Even, one: type = Odd) -> Any:
+    """Wrap the digits of a most-significant-first 0/1 string onto tail."""
+    for b in bits:
+        tail = one(tail) if b == "1" else zero(tail)
+    return tail
+
+
+def _bits(x: Any, zero: type = Even, one: type = Odd) -> Tuple[str, Any]:
+    """Inverse of :func:`_from_bits`: (most-significant-first 0/1 string, tail)."""
+    digits = []
+    tx = type(x)
+    while tx is zero or tx is one:
+        digits.append("1" if tx is one else "0")
         x = x.rest
-    if not isinstance(x, Zero):
-        raise TypeError(f"not a binary natural: {x!r}")
-    return n
+        tx = type(x)
+    return "".join(reversed(digits)), x
 
 
 def is_canonical(x: BinNat) -> bool:

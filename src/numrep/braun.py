@@ -18,6 +18,12 @@ doubling digit, so the slot at every left child would sit permanently
 empty and half the tree would be wasted.  Starting the digit values at
 1 and 2 closes the gap (see the negative demonstration in the tests).
 
+The index numeral of i is spelled by the binary digits of i + 1 below
+its leading 1, with a 0 bit for ``IxOdd`` and a 1 bit for ``IxEven``
+(Okasaki, "Three Algorithms on Braun Trees", JFP 1997): 2n+1 + 1 is
+2(n+1) and 2n+2 + 1 is 2(n+1)+1.  The conversions use exactly that, and
+a numeral has (i + 1).bit_length() - 1 digits.
+
 Sequences are persistent: every operation returns a new value and never
 touches the old one, sharing untouched subtrees.  ``BraunSeq`` carries
 an explicit length so range and emptiness checks are constant time; the
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Union
+
+from .binary import _bits, _from_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,32 +88,15 @@ def cd_from_int(n: int) -> CdIndex:
     """Index numeral of n, least significant digit outermost."""
     if n < 0:
         raise ValueError(f"cannot represent {n} as an index numeral")
-    digits = []
-    while n:
-        if n & 1:
-            digits.append(1)
-            n = (n - 1) >> 1
-        else:
-            digits.append(2)
-            n = (n - 2) >> 1
-    value: CdIndex = IxZero()
-    for d in reversed(digits):
-        value = IxOdd(value) if d == 1 else IxEven(value)
-    return value
+    return _from_bits(bin(n + 1)[3:], IxZero(), zero=IxOdd, one=IxEven)
 
 
 def cd_to_int(ix: CdIndex) -> int:
     """Inverse of :func:`cd_from_int`."""
-    digits = []
-    while isinstance(ix, (IxOdd, IxEven)):
-        digits.append(1 if isinstance(ix, IxOdd) else 2)
-        ix = ix.rest
-    if not isinstance(ix, IxZero):
+    bits, tail = _bits(ix, zero=IxOdd, one=IxEven)
+    if type(tail) is not IxZero:
         raise TypeError(f"not an index numeral: {ix!r}")
-    n = 0
-    for d in reversed(digits):
-        n = 2 * n + d
-    return n
+    return int("1" + bits, 2) - 1
 
 
 def from_list(xs: Iterable[Any]) -> BraunSeq:

@@ -54,6 +54,7 @@ from __future__ import annotations
 import _lsprof
 import contextlib
 import sys
+import threading
 from dataclasses import dataclass
 from types import CodeType
 from typing import Any, Callable, Dict, List, Sequence, Tuple
@@ -69,15 +70,31 @@ K_ADD_V1 = 2
 K_ADD_V2 = 1
 
 
+# the recursion limit is process-wide: the first of any overlapping
+# deep_recursion entries, in any thread, saves and raises it and the last
+# exit restores it, so one thread's exit cannot lower it under another's
+_depth_lock = threading.Lock()
+_depth_entries = 0
+_depth_saved = 0
+
+
 @contextlib.contextmanager
 def deep_recursion(limit: int = 50_000):
     """Temporarily raise the interpreter recursion limit for a measurement."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
+    global _depth_entries, _depth_saved
+    with _depth_lock:
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old, limit))
+        if _depth_entries == 0:
+            _depth_saved = old
+        _depth_entries += 1
     try:
         yield
     finally:
-        sys.setrecursionlimit(old)
+        with _depth_lock:
+            _depth_entries -= 1
+            if _depth_entries == 0:
+                sys.setrecursionlimit(_depth_saved)
 
 
 # op id -> (plain entry function, functions whose entries are its steps);

@@ -33,32 +33,28 @@ class ParseError(ValueError):
         self.position = position
 
 
-# per kind: wrapper letter -> one-argument constructor, and nullary letters
+# each kind's alphabet, letter -> constructor; the tables below derive from
+# it: a constructor with one slot wraps the value in it, one with none is nullary
+_ALPHABETS = {
+    "unary": {"Z": unary.Zero, "S": unary.Succ},
+    "binary": {"Z": binary.Zero, "A": binary.Even, "B": binary.Odd},
+    "twoscomp": {"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
+    "cd": {"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven},
+}
+
+# parsing tables per kind: wrapper letters, and nullary letters
 _WRAPPERS = {
-    "unary": {"S": unary.Succ},
-    "binary": {"A": binary.Even, "B": binary.Odd},
-    "twoscomp": {"A": binary.Even, "B": binary.Odd},
-    "cd": {"C": braun.IxOdd, "D": braun.IxEven},
+    kind: {c: k for c, k in alphabet.items() if k.__slots__}
+    for kind, alphabet in _ALPHABETS.items()
 }
 _NULLARIES = {
-    "unary": {"Z": unary.Zero},
-    "binary": {"Z": binary.Zero},
-    "twoscomp": {"Z": binary.Zero, "N": twoscomp.MinusOne},
-    "cd": {"Z": braun.IxZero},
+    kind: {c: k for c, k in alphabet.items() if not k.__slots__}
+    for kind, alphabet in _ALPHABETS.items()
 }
 
 # printing tables: class -> letter, and the field holding the wrapped value
-_LETTERS = {
-    unary.Zero: "Z", unary.Succ: "S",
-    binary.Zero: "Z", binary.Even: "A", binary.Odd: "B",
-    twoscomp.MinusOne: "N",
-    braun.IxZero: "Z", braun.IxOdd: "C", braun.IxEven: "D",
-}
-_CHILD_FIELD = {
-    unary.Succ: "pred",
-    binary.Even: "rest", binary.Odd: "rest",
-    braun.IxOdd: "rest", braun.IxEven: "rest",
-}
+_LETTERS = {k: c for alphabet in _ALPHABETS.values() for c, k in alphabet.items()}
+_CHILD_FIELD = {k: k.__slots__[0] for k in _LETTERS if k.__slots__}
 
 
 def _literal_shape(kind: str) -> "re.Pattern[str]":

@@ -9,6 +9,11 @@ directly to ``MinusOne`` (2*(-1)+1 = -1, a redundant trailing 1).
 
 Negation is complement-then-increment, the classic identity; subtraction
 is addition of the negation.
+
+Conversions go through base-2 text as in :mod:`numrep.binary`: a
+nonnegative integer converts as the binary natural it is, and the digits
+of a negative n above its 1s tail are the bits of ~n = -n-1 >= 0,
+complemented.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .binary import CanonicalityError, Even, Odd, Zero, even
+from . import binary
+from .binary import CanonicalityError, Even, Odd, Zero, _bits, _from_bits, even
 
 __all__ = [
     "MinusOne", "TcInt", "CanonicalityError", "Even", "Odd", "Zero",
@@ -33,6 +39,8 @@ class MinusOne:
 
 TcInt = Union[Zero, MinusOne, Even, Odd]
 
+_FLIP = str.maketrans("01", "10")
+
 
 def odd(x: TcInt) -> TcInt:
     # 2 * -1 + 1 = -1, the signed counterpart of even() collapsing on zero
@@ -41,36 +49,20 @@ def odd(x: TcInt) -> TcInt:
 
 def from_int(n: int) -> TcInt:
     """Two's-complement digits of n, least significant outermost."""
-    bits = []
     if n >= 0:
-        while n:
-            bits.append(n & 1)
-            n >>= 1
-        value: TcInt = Zero()
-    else:
-        while n != -1:
-            bits.append(n & 1)
-            n >>= 1
-        value = MinusOne()
-    for bit in reversed(bits):
-        value = Odd(value) if bit else Even(value)
-    return value
+        return binary.from_int(n)
+    # the complemented bits of ~n = -n - 1 >= 0; the strip empties -1's lone bit
+    return _from_bits(bin(~n)[2:].translate(_FLIP).lstrip("1"), MinusOne())
 
 
 def to_int(x: TcInt) -> int:
     """Inverse of :func:`from_int`; rejects non-canonical input."""
     if not is_canonical(x):
         raise CanonicalityError(f"non-canonical two's-complement value: {x!r}")
-    n = 0
-    shift = 0
-    while isinstance(x, (Even, Odd)):
-        if isinstance(x, Odd):
-            n |= 1 << shift
-        shift += 1
-        x = x.rest
-    if isinstance(x, MinusOne):
-        n -= 1 << shift
-    return n
+    bits, tail = _bits(x)
+    if type(tail) is MinusOne:
+        return ~int(bits.translate(_FLIP) or "0", 2)
+    return int(bits or "0", 2)
 
 
 def is_canonical(x: TcInt) -> bool:
@@ -218,17 +210,12 @@ def render_bits(x: TcInt) -> str:
     exception is -1 itself, which prints as ``...11`` so that it carries
     one explicit bit.  Assumes canonical input.
     """
-    digits = []
-    while isinstance(x, (Even, Odd)):
-        digits.append("1" if isinstance(x, Odd) else "0")
-        x = x.rest
-    if isinstance(x, MinusOne):
-        if not digits:
-            return "...11"
-        return "...1" + "".join(reversed(digits))
-    if not isinstance(x, Zero):
+    bits, tail = _bits(x)
+    if type(tail) is MinusOne:
+        return "...1" + (bits or "1")
+    if type(tail) is not Zero:
         raise TypeError(f"not a two's-complement value: {x!r}")
-    return "...0" + "".join(reversed(digits))
+    return "...0" + bits
 
 
 def parse_bits(text: str) -> TcInt:
@@ -241,8 +228,4 @@ def parse_bits(text: str) -> TcInt:
         raise ValueError(f"bit string needs a 0/1 tail digit and bits: {text!r}")
     tail, digits = body[0], body[1:]
     # explicit copies of the tail bit on the left are part of the tail
-    digits = digits.lstrip(tail)
-    value: TcInt = MinusOne() if tail == "1" else Zero()
-    for d in digits:
-        value = Odd(value) if d == "1" else Even(value)
-    return value
+    return _from_bits(digits.lstrip(tail), MinusOne() if tail == "1" else Zero())

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,17 @@ def test_convert_negative_unary_is_domain_failure(capsys):
 def test_convert_bad_int_is_usage_failure(capsys):
     code, _, _ = run(capsys, ["convert", "--kind", "binary", "--from", "int", "--to", "literal", "four"])
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "numrep.cli", "convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "A(A(B(Z)))\n"
 
 
 # --- eval ----------------------------------------------------------------------

@@ -329,10 +329,46 @@ def test_measurements_in_two_threads_at_once():
             t.start()
         for t in threads:
             t.join(timeout=120)
+        final_limit = sys.getrecursionlimit()
     finally:
         sys.setswitchinterval(old_interval)
-        # deep_recursion saves and restores a process-wide limit, which
-        # overlapping measurements in two threads can leave raised
+        # keeps a raised limit from leaking into later tests if this fails
         sys.setrecursionlimit(old_limit)
     assert not any(t.is_alive() for t in threads)
     assert results == {"naive": [2 ** 12 - 1] * 20, "add": [301] * 20}
+    assert final_limit == old_limit
+
+
+def test_deep_recursion_overlapping_in_two_threads():
+    # forced order: A enters, B enters, A exits, B exits
+    a_in, b_in, a_out, b_go = (threading.Event() for _ in range(4))
+
+    def a():
+        with costmeter.deep_recursion():
+            a_in.set()
+            b_in.wait(30)
+        a_out.set()
+
+    def b():
+        a_in.wait(30)
+        with costmeter.deep_recursion():
+            b_in.set()
+            b_go.wait(30)
+
+    original = sys.getrecursionlimit()
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    try:
+        for t in threads:
+            t.start()
+        assert a_out.wait(30)
+        after_a = sys.getrecursionlimit()
+        b_go.set()
+        for t in threads:
+            t.join(timeout=30)
+        after_b = sys.getrecursionlimit()
+    finally:
+        b_go.set()
+        sys.setrecursionlimit(original)
+    assert not any(t.is_alive() for t in threads)
+    assert after_a == max(original, 50_000)
+    assert after_b == original

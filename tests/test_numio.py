@@ -166,6 +166,7 @@ def test_parse_print_roundtrip_500_random_values_per_kind():
 @pytest.mark.parametrize("module, kind, n", [
     (binary, "binary", int("1011" * 2500, 2)),
     (twoscomp, "twoscomp", -int("1011" * 2500, 2)),
+    (twoscomp, "twoscomp", int("1011" * 2500, 2)),
 ])
 def test_parse_print_roundtrip_10000_digits(module, kind, n):
     text = numio.print_numeral(module.from_int(n))
@@ -173,6 +174,27 @@ def test_parse_print_roundtrip_10000_digits(module, kind, n):
     value = numio.parse_numeral(text, kind)
     assert module.to_int(value) == n
     assert numio.print_numeral(value) == text
+
+
+def test_index_and_bit_string_conversions_10000_digits():
+    i = int("1011" * 2500, 2) * 2  # i + 1 has 10,001 bits
+    text = numio.print_numeral(braun.cd_from_int(i))
+    digits, j = [], i  # independent digit oracle: odd j takes C, even j takes D
+    while j:
+        digits.append("C" if j % 2 else "D")
+        j = (j - 1) // 2 if j % 2 else (j - 2) // 2
+    assert text == "(".join(digits + ["Z"]) + ")" * 10_000
+    assert braun.cd_to_int(numio.parse_numeral(text, "cd")) == i
+
+    for n in (int("1011" * 2500, 2), -int("1011" * 2500, 2)):
+        value = twoscomp.from_int(n)
+        bits = twoscomp.render_bits(value)
+        tail, body = bits[3], bits[4:]
+        assert len(body) == 10_000
+        assert int(body, 2) - (2 ** len(body) if tail == "1" else 0) == n
+        parsed = twoscomp.parse_bits(bits)
+        assert twoscomp.to_int(parsed) == n
+        assert numio.print_numeral(parsed) == numio.print_numeral(value)
 
 
 def test_print_of_parse_gives_canonical_text():
