@@ -1,9 +1,9 @@
 """Command-line front door: convert, eval, braun, bench, check.
 
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
-negative unary value, non-canonical literal, failed check suite), 2 for
-usage and syntax errors (bad flags, malformed literals or numbers,
-unknown operation ids).
+negative unary value, non-canonical literal, failed check suite) and for
+inputs too deep for the recursion limit, 2 for usage and syntax errors
+(bad flags, malformed literals or numbers, unknown operation ids).
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,9 @@ everywhere.  Each numeral kind has its own alphabet:
 
 Parsing rejects non-canonical binary and twoscomp literals; that failure
 is a :class:`CanonicalityError`, distinct from a :class:`ParseError`,
-which reports the character position of a syntax problem.
+which reports the character position of a syntax problem.  Each kind's
+grammar is one regular expression, built from pieces; a literal that does
+not match it is positioned by matching the same pieces as far as they go.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from typing import Any, List, Tuple
 
 from . import binary, braun, twoscomp, unary
 from .binary import CanonicalityError
-
-KINDS = ("unary", "binary", "twoscomp", "cd")
 
 
 class ParseError(ValueError):
@@ -41,6 +41,7 @@ _ALPHABETS = {
     "twoscomp": {"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
     "cd": {"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven},
 }
+KINDS = tuple(_ALPHABETS)
 
 # parsing tables per kind: wrapper letters, and nullary letters
 _WRAPPERS = {
@@ -57,16 +58,21 @@ _LETTERS = {k: c for alphabet in _ALPHABETS.values() for c, k in alphabet.items(
 _CHILD_FIELD = {k: k.__slots__[0] for k in _LETTERS if k.__slots__}
 
 
-def _literal_shape(kind: str) -> "re.Pattern[str]":
-    # wrapper letters each followed by "(", one nullary letter, then ")"s;
-    # \s and str.isspace agree on every code point, so whitespace is
-    # skipped exactly where the positioned scan below skips it
-    wrappers = "".join(_WRAPPERS[kind])
-    nullaries = "".join(_NULLARIES[kind])
-    return re.compile(rf"\s*((?:[{wrappers}]\s*\(\s*)*)([{nullaries}])((?:\s*\))*)\s*")
-
-
-_SHAPES = {kind: _literal_shape(kind) for kind in KINDS}
+# each kind's literal grammar as regex pieces: the wrapper and nullary
+# letter classes, the openings (wrapper letters each followed by "(") and
+# the closer; \s and str.isspace, which str.split uses, agree on every
+# code point
+_CLASSES = {
+    kind: (f"[{''.join(_WRAPPERS[kind])}]", f"[{''.join(_NULLARIES[kind])}]")
+    for kind in KINDS
+}
+_OPENINGS = r"\s*((?:{}\s*\(\s*)*)"
+_CLOSER = r"\s*\)"
+# the shape: the openings, one nullary letter, then the closers
+_SHAPES = {
+    kind: re.compile(_OPENINGS.format(wrapper) + rf"({nullary})((?:{_CLOSER})*)\s*")
+    for kind, (wrapper, nullary) in _CLASSES.items()
+}
 
 
 def parse_numeral(text: str, kind: str) -> Any:
@@ -97,39 +103,24 @@ def parse_numeral(text: str, kind: str) -> Any:
 
 
 def _syntax_error(text: str, kind: str) -> ParseError:
-    """The positioned error for a literal that does not have the shape."""
-    wrappers = _WRAPPERS[kind]
-    nullaries = _NULLARIES[kind]
-    i, n = 0, len(text)
-
-    def skip_ws() -> None:
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    depth = 0
-    while True:
-        skip_ws()
-        if i >= n:
-            return ParseError("unexpected end of input, expected a constructor", i)
-        c = text[i]
-        if c in nullaries:
-            i += 1
-            break
-        if c not in wrappers:
-            return ParseError(f"unexpected character {c!r}", i)
-        i += 1
-        skip_ws()
-        if i >= n or text[i] != "(":
-            return ParseError(f"expected '(' after {c!r}", i)
-        i += 1
-        depth += 1
-    for _ in range(depth):
-        skip_ws()
-        if i >= n or text[i] != ")":
-            return ParseError("expected ')'", i)
-        i += 1
-    skip_ws()
+    """The positioned error for a literal that does not have the shape: the
+    openings, then a wrapper letter with no "(", the nullary letter or
+    neither, then at most one closer per opening, as far as they match."""
+    wrapper, nullary = _CLASSES[kind]
+    stop = re.compile(_OPENINGS.format(wrapper) + rf"(?:({wrapper})\s*|({nullary}))?").match(text)
+    opened, unopened, last = stop.groups()
+    i = stop.end()
+    if unopened:
+        return ParseError(f"expected '(' after {unopened!r}", i)
+    if not last and i == len(text):
+        return ParseError("unexpected end of input, expected a constructor", i)
+    if not last:
+        return ParseError(f"unexpected character {text[i]!r}", i)
+    depth = opened.count("(")
+    closers = re.compile(rf"((?:{_CLOSER}){{0,{depth}}})\s*").match(text, i)
+    i = closers.end()
+    if closers.group(1).count(")") < depth:
+        return ParseError("expected ')'", i)
     return ParseError(f"trailing input {text[i]!r}", i)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from numrep import binary, cli
+from numrep import binary, cli, numio
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -71,11 +71,12 @@ def test_convert_bad_int_is_usage_failure(capsys):
     assert code == 2
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("module", ["numrep", "numrep.cli"])
+def test_python_dash_m_runs_the_cli(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "numrep.cli", "convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"],
+        [sys.executable, "-m", module, "convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0
@@ -120,6 +121,15 @@ def test_eval_unsupported_combination(capsys):
 def test_eval_wrong_arity(capsys):
     code, _, _ = run(capsys, ["eval", "--kind", "binary", "--op", "add", "B(Z)"])
     assert code == 2
+
+
+def test_eval_too_deep_for_the_recursion_limit(capsys):
+    literal = numio.print_numeral(binary.from_int(2**3000 - 1))  # 3000 digits
+    code, out, err = run(capsys, ["eval", "--kind", "binary", "--op", "add", literal, literal])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 # --- braun ---------------------------------------------------------------------

@@ -101,6 +101,15 @@ PARSE_ERRORS = [
     ("B\u2003(Z)\u2003x", "binary", ParseError, "trailing input 'x' (at position 6)", 6),
     ("\u2003B(\u2003Z)\u2003)", "binary", ParseError,
      "trailing input ')' (at position 7)", 7),
+    ("S ", "unary", ParseError, "expected '(' after 'S' (at position 2)", 2),
+    ("A( B( Z ) ", "binary", ParseError, "expected ')' (at position 10)", 10),
+    ("S(S(Z) ) )", "unary", ParseError, "trailing input ')' (at position 9)", 9),
+    ("C( ", "cd", ParseError,
+     "unexpected end of input, expected a constructor (at position 3)", 3),
+    pytest.param("B(" * 10000 + "Z" + ")" * 9999, "binary", ParseError,
+                 "expected ')' (at position 30000)", 30000, id="10000-deep-one-closer-short"),
+    pytest.param("B(" * 10000 + "Z" + ")" * 10001, "binary", ParseError,
+                 "trailing input ')' (at position 30001)", 30001, id="10000-deep-one-closer-over"),
     (" A ( Z ) ", "binary", CanonicalityError,
      "non-canonical literal: A applied directly to Z", None),
     ("B(N)", "twoscomp", CanonicalityError,
