@@ -16,7 +16,8 @@ Conversions to and from machine integers go through Python's base-2
 text, ``bin(n)`` and ``int(bits, 2)``: one builder wraps a
 most-significant-first ``"0"``/``"1"`` string onto a tail, one walker
 reads it back off, and :mod:`numrep.twoscomp` and :mod:`numrep.braun`
-convert through the same pair.
+convert through the same pair.  Every numeral constructor in the
+package derives from :class:`Numeral`, defined here next to that pair.
 """
 
 from __future__ import annotations
@@ -29,20 +30,72 @@ class CanonicalityError(ValueError):
     """A numeral violates its representation rules."""
 
 
-@dataclass(frozen=True, slots=True)
-class Zero:
+class Numeral:
+    """Base of the numeral constructors: a chain of one-slot wrappers ending
+    in a nullary constructor.
+
+    Equality, hashing and ``repr`` walk the chain in a loop, so values of
+    any length compare, hash and print at any recursion limit.  Equality is
+    structural and type-exact; ``repr`` is the dataclass form, such as
+    ``Odd(rest=Zero())``.  A subclass's ``__slots__`` name its child, if
+    any; a child that is not a numeral ends the chain and is compared,
+    hashed and printed as itself.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            ta = type(a)
+            if ta is not type(b) or not isinstance(a, Numeral):
+                return a == b
+            if not ta.__slots__:
+                return True
+            field = ta.__slots__[0]
+            a, b = getattr(a, field), getattr(b, field)
+        return True
+
+    def __hash__(self) -> int:
+        h, x = 0, self
+        while isinstance(x, Numeral):
+            tx = type(x)
+            h = hash((h, tx))
+            if not tx.__slots__:
+                return h
+            x = getattr(x, tx.__slots__[0])
+        return hash((h, x))
+
+    def __repr__(self) -> str:
+        parts, x = [], self
+        while isinstance(x, Numeral):
+            tx = type(x)
+            if not tx.__slots__:
+                parts.append(f"{tx.__qualname__}()")
+                break
+            parts.append(f"{tx.__qualname__}({tx.__slots__[0]}=")
+            x = getattr(x, tx.__slots__[0])
+        else:
+            parts.append(repr(x))
+        return "".join(parts) + ")" * (len(parts) - 1)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Zero(Numeral):
     """The empty digit string: 0."""
 
 
-@dataclass(frozen=True, slots=True)
-class Even:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Even(Numeral):
     """Digit constructor for 2n: appends a 0 bit."""
 
     rest: "BinNat"
 
 
-@dataclass(frozen=True, slots=True)
-class Odd:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Odd(Numeral):
     """Digit constructor for 2n+1: appends a 1 bit."""
 
     rest: "BinNat"
@@ -105,11 +158,7 @@ def is_canonical(x: BinNat) -> bool:
 
 def size(x: BinNat) -> int:
     """Number of digit constructors (0 for the zero numeral)."""
-    n = 0
-    while isinstance(x, (Even, Odd)):
-        n += 1
-        x = x.rest
-    return n
+    return len(_bits(x)[0])
 
 
 # The recursive operations dispatch with ``type(x) is C`` tests, one branch

@@ -24,6 +24,11 @@ its leading 1, with a 0 bit for ``IxOdd`` and a 1 bit for ``IxEven``
 2(n+1) and 2n+2 + 1 is 2(n+1)+1.  The conversions use exactly that, and
 a numeral has (i + 1).bit_length() - 1 digits.
 
+The tree is built and read by rows, in loops (Okasaki again): row k
+holds the elements 2^k - 1 to 2^(k+1) - 2, node j of a row w wide has
+children j and j + w of the row below, and so the row below is the left
+children of the row followed by its right children.
+
 Sequences are persistent: every operation returns a new value and never
 touches the old one, sharing untouched subtrees.  ``BraunSeq`` carries
 an explicit length so range and emptiness checks are constant time; the
@@ -33,25 +38,25 @@ nodes themselves store no sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Union
+from typing import Any, Iterable, Iterator, List, Optional, Union
 
-from .binary import _bits, _from_bits
+from .binary import Numeral, _bits, _from_bits
 
 
-@dataclass(frozen=True, slots=True)
-class IxZero:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class IxZero(Numeral):
     """Index 0: the empty digit string."""
 
 
-@dataclass(frozen=True, slots=True)
-class IxOdd:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class IxOdd(Numeral):
     """Index digit for 2n+1."""
 
     rest: "CdIndex"
 
 
-@dataclass(frozen=True, slots=True)
-class IxEven:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class IxEven(Numeral):
     """Index digit for 2n+2."""
 
     rest: "CdIndex"
@@ -102,29 +107,27 @@ def cd_to_int(ix: CdIndex) -> int:
 def from_list(xs: Iterable[Any]) -> BraunSeq:
     """Build a sequence; odd positions go left, even positions right."""
     items = list(xs)
+    below: List[BraunTree] = []
+    for k in reversed(range(len(items).bit_length())):
+        w = 1 << k
+        below += [None] * (2 * w - len(below))  # empty trees up to full width
+        row = items[w - 1 : 2 * w - 1]
+        below = [Node(x, below[j], below[j + w]) for j, x in enumerate(row)]
+    return BraunSeq(len(items), below[0] if below else None)
 
-    def build(chunk: List[Any]) -> BraunTree:
-        if not chunk:
-            return None
-        return Node(chunk[0], build(chunk[1::2]), build(chunk[2::2]))
 
-    return BraunSeq(len(items), build(items))
+def _rows(tree: BraunTree) -> Iterator[List[Node]]:
+    # the tree's rows top down, each in index order
+    row = [] if tree is None else [tree]
+    while row:
+        yield row
+        lefts = [n.left for n in row if n.left is not None]
+        row = lefts + [n.right for n in row if n.right is not None]
 
 
 def to_list(s: BraunSeq) -> List[Any]:
     """Enumerate elements in index order; inverse of :func:`from_list`."""
-
-    def flatten(node: BraunTree) -> List[Any]:
-        if node is None:
-            return []
-        left = flatten(node.left)
-        right = flatten(node.right)
-        out: List[Any] = [node.elem] + [None] * (len(left) + len(right))
-        out[1::2] = left
-        out[2::2] = right
-        return out
-
-    return flatten(s.tree)
+    return [n.elem for row in _rows(s.tree) for n in row]
 
 
 def access(s: BraunSeq, i: int) -> Any:
@@ -214,10 +217,4 @@ def _untop(node: Node) -> tuple:
 
 def depth(s: BraunSeq) -> int:
     """Longest root-to-node path, counted in nodes (empty tree: 0)."""
-
-    def walk(node: BraunTree) -> int:
-        if node is None:
-            return 0
-        return 1 + max(walk(node.left), walk(node.right))
-
-    return walk(s.tree)
+    return sum(1 for _ in _rows(s.tree))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
 negative unary value, non-canonical literal, failed check suite) and for
-inputs too deep for the recursion limit, 2 for usage and syntax errors
+inputs too deep for the recursion limit or too large for memory, 2 for
+usage and syntax errors
 (bad flags, malformed literals or numbers, unknown operation ids).
 """
 
@@ -189,8 +190,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, IndexError, RecursionError, MemoryError) as exc:
+        # a MemoryError usually has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import binary
-from .binary import CanonicalityError, Even, Odd, Zero, _bits, _from_bits, even
+from .binary import CanonicalityError, Even, Numeral, Odd, Zero, _bits, _from_bits, even
 
 __all__ = [
     "MinusOne", "TcInt", "CanonicalityError", "Even", "Odd", "Zero",
@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MinusOne:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class MinusOne(Numeral):
     """The integer -1: an infinite tail of 1 bits."""
 
 

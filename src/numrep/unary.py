@@ -3,7 +3,8 @@
 A value with n ``Succ`` layers denotes n.  This is the deliberately
 wasteful baseline the binary representations improve on; its arithmetic
 is written clause by clause so the recursion shapes stay visible.  All
-values are immutable and compare structurally.
+values are immutable and compare structurally, at any height: ``==``,
+``hash`` and ``repr`` come from :class:`numrep.binary.Numeral`.
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .binary import Numeral
 
-@dataclass(frozen=True, slots=True)
-class Zero:
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Zero(Numeral):
     """The natural number 0."""
 
 
-@dataclass(frozen=True, slots=True)
-class Succ:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Succ(Numeral):
     """The successor of ``pred``."""
 
     pred: "UnaryNat"

@@ -61,6 +61,9 @@ def test_int_roundtrip(n):
 def test_to_int_rejects_non_canonical():
     with pytest.raises(CanonicalityError):
         binary.to_int(Even(Zero()))
+    # the error message embeds the value's repr, 1000 digits deep here
+    with pytest.raises(CanonicalityError):
+        binary.to_int(build([1] * 999 + [0]))
 
 
 def test_is_canonical():
@@ -167,6 +170,7 @@ def test_operations_preserve_canonicality(a, b):
     (binary.add_plus1, (Odd(Even(Zero())), Odd("y"))),
     (binary.mult, (Zero(), "y")),
     (binary.mult, (Odd(Zero()), Even(Odd("y")))),
+    (binary.add_v2, (binary.from_int(2**500 - 1), object())),
 ])
 def test_foreign_values_raise_type_error(op, args):
     with pytest.raises(TypeError):

@@ -132,6 +132,18 @@ def test_eval_too_deep_for_the_recursion_limit(capsys):
     assert err.startswith("error: ")
 
 
+def test_eval_out_of_memory(capsys, monkeypatch):
+    def exhausted(x, y):
+        raise MemoryError
+
+    # the dispatch table holds the function objects, so patch the entry
+    monkeypatch.setitem(cli._EVAL_OPS, ("binary", "add"), (exhausted, 2))
+    code, out, err = run(capsys, ["eval", "--kind", "binary", "--op", "add", "B(Z)", "B(Z)"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: MemoryError\n"
+
+
 # --- braun ---------------------------------------------------------------------
 
 def test_braun_access(capsys, monkeypatch):

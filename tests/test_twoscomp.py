@@ -44,6 +44,12 @@ def test_is_canonical():
 def test_to_int_rejects_non_canonical():
     with pytest.raises(CanonicalityError):
         twoscomp.to_int(Odd(MinusOne()))
+    # the error message embeds the value's repr, 1000 digits deep here
+    v = Odd(MinusOne())
+    for _ in range(999):
+        v = Even(v)
+    with pytest.raises(CanonicalityError):
+        twoscomp.to_int(v)
 
 
 def test_complement_small():
