@@ -17,12 +17,13 @@ text, ``bin(n)`` and ``int(bits, 2)``: one builder wraps a
 most-significant-first ``"0"``/``"1"`` string onto a tail, one walker
 reads it back off, and :mod:`numrep.twoscomp` and :mod:`numrep.braun`
 convert through the same pair.  Every numeral constructor in the
-package derives from :class:`Numeral`, defined here next to that pair.
+package derives from :class:`Numeral`, defined here next to that pair,
+and every immutable value in the package, numerals included, from
+:class:`Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Tuple, Union
 
 
@@ -30,13 +31,61 @@ class CanonicalityError(ValueError):
     """A numeral violates its representation rules."""
 
 
-class Numeral:
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass names its own fields in ``__slots__``, after any it
+    inherits, and has an ``__init__`` with one parameter per field, which
+    stores each through the slot's own setter, bound once after the class
+    as ``_set_x = Cls.x.__set__``: calling the member descriptor directly
+    is the cheapest way to fill a slot that ``__setattr__`` refuses.
+    Afterwards, assigning or deleting an attribute raises AttributeError.
+    ``__match_args__`` are the field names, equality is type-exact over
+    the tuple of field values, ``hash`` is the hash of that tuple,
+    ``repr`` reads ``Cls(field=value, ...)``, and pickle and copy rebuild
+    a value by calling its class on the field values.
+    """
+
+    __slots__ = ()
+    __match_args__: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ += tuple(cls.__dict__.get("__slots__", ()))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __hash__(self) -> int:
+        return hash(_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> Tuple[type, tuple]:
+        return type(self), _values(self)
+
+
+def _values(r: Record) -> tuple:
+    return tuple([getattr(r, f) for f in r.__match_args__])
+
+
+class Numeral(Record):
     """Base of the numeral constructors: a chain of one-slot wrappers ending
     in a nullary constructor.
 
     Equality, hashing and ``repr`` walk the chain in a loop, so values of
     any length compare, hash and print at any recursion limit.  Equality is
-    structural and type-exact; ``repr`` is the dataclass form, such as
+    structural and type-exact; ``repr`` is the keyword form, such as
     ``Odd(rest=Zero())``.  A subclass's ``__slots__`` name its child, if
     any; a child that is not a numeral ends the chain and is compared,
     hashed and printed as itself.
@@ -82,24 +131,32 @@ class Numeral:
         return "".join(parts) + ")" * (len(parts) - 1)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zero(Numeral):
     """The empty digit string: 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
 class Even(Numeral):
     """Digit constructor for 2n: appends a 0 bit."""
 
-    rest: "BinNat"
+    __slots__ = ("rest",)
+
+    def __init__(self, rest: BinNat) -> None:
+        _set_even_rest(self, rest)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Odd(Numeral):
     """Digit constructor for 2n+1: appends a 1 bit."""
 
-    rest: "BinNat"
+    __slots__ = ("rest",)
 
+    def __init__(self, rest: BinNat) -> None:
+        _set_odd_rest(self, rest)
+
+
+_set_even_rest = Even.rest.__set__
+_set_odd_rest = Odd.rest.__set__
 
 BinNat = Union[Zero, Even, Odd]
 

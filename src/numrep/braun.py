@@ -37,53 +37,74 @@ nodes themselves store no sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Union
 
-from .binary import Numeral, _bits, _from_bits
+from .binary import Numeral, Record, _bits, _from_bits
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class IxZero(Numeral):
     """Index 0: the empty digit string."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
 class IxOdd(Numeral):
     """Index digit for 2n+1."""
 
-    rest: "CdIndex"
+    __slots__ = ("rest",)
+
+    def __init__(self, rest: CdIndex) -> None:
+        _set_ixodd_rest(self, rest)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class IxEven(Numeral):
     """Index digit for 2n+2."""
 
-    rest: "CdIndex"
+    __slots__ = ("rest",)
 
+    def __init__(self, rest: CdIndex) -> None:
+        _set_ixeven_rest(self, rest)
+
+
+_set_ixodd_rest = IxOdd.rest.__set__
+_set_ixeven_rest = IxEven.rest.__set__
 
 CdIndex = Union[IxZero, IxOdd, IxEven]
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    elem: Any
-    left: "BraunTree"
-    right: "BraunTree"
+class Node(Record):
+    """One tree node: an element and its two subtrees."""
 
+    __slots__ = ("elem", "left", "right")
+
+    def __init__(self, elem: Any, left: BraunTree, right: BraunTree) -> None:
+        _set_node_elem(self, elem)
+        _set_node_left(self, left)
+        _set_node_right(self, right)
+
+
+_set_node_elem = Node.elem.__set__
+_set_node_left = Node.left.__set__
+_set_node_right = Node.right.__set__
 
 BraunTree = Optional[Node]  # None is the empty tree
 
 
-@dataclass(frozen=True, slots=True)
-class BraunSeq:
+class BraunSeq(Record):
     """A sequence stored as a Braun tree plus its cached length."""
 
-    length: int
-    tree: BraunTree
+    __slots__ = ("length", "tree")
+
+    def __init__(self, length: int, tree: BraunTree) -> None:
+        _set_seq_length(self, length)
+        _set_seq_tree(self, tree)
 
     def __len__(self) -> int:
         return self.length
+
+
+_set_seq_length = BraunSeq.length.__set__
+_set_seq_tree = BraunSeq.tree.__set__
 
 
 EMPTY = BraunSeq(0, None)

@@ -9,22 +9,32 @@ draw from a seeded generator so runs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import binary, braun, costmeter, listlab, twoscomp, unary
+from .binary import Record
 
 DEFAULT_SEED = 12345
 
 CheckFn = Callable[[random.Random], Optional[str]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    """Outcome of one property check; detail says why it failed."""
+
+    __slots__ = ("suite", "name", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = "") -> None:
+        _set_result_suite(self, suite)
+        _set_result_name(self, name)
+        _set_result_passed(self, passed)
+        _set_result_detail(self, detail)
+
+
+_set_result_suite = CheckResult.suite.__set__
+_set_result_name = CheckResult.name.__set__
+_set_result_passed = CheckResult.passed.__set__
+_set_result_detail = CheckResult.detail.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,11 @@ def _cmd_braun(args) -> int:
     return 0
 
 
+# max_naive makes 2^n - 1 metered calls, about 0.6 us each: n = 20 takes
+# under a second, and every size above doubles it
+_MAX_NAIVE_SIZE = 20
+
+
 def _cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
@@ -121,6 +126,10 @@ def _cmd_bench(args) -> int:
         raise _UsageError(f"--sizes must be comma-separated integers: {args.sizes!r}") from None
     if any(n < 0 for n in sizes):
         raise _UsageError(f"--sizes must not be negative: {args.sizes!r}")
+    if args.op == "max_naive" and max(sizes) > _MAX_NAIVE_SIZE:
+        raise _UsageError(
+            f"--sizes above {_MAX_NAIVE_SIZE} would take 2^n - 1 max_naive calls: {args.sizes!r}"
+        )
     rows = costmeter.measure_schedule(args.op, sizes)
     sys.stdout.write(numio.csv_emit(rows))
     return 0

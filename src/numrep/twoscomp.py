@@ -18,7 +18,6 @@ complemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import binary
@@ -32,9 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class MinusOne(Numeral):
     """The integer -1: an infinite tail of 1 bits."""
+
+    __slots__ = ()
 
 
 TcInt = Union[Zero, MinusOne, Even, Odd]

@@ -4,27 +4,33 @@ A value with n ``Succ`` layers denotes n.  This is the deliberately
 wasteful baseline the binary representations improve on; its arithmetic
 is written clause by clause so the recursion shapes stay visible.  All
 values are immutable and compare structurally, at any height: ``==``,
-``hash`` and ``repr`` come from :class:`numrep.binary.Numeral`.
+``hash`` and ``repr`` come from :class:`numrep.binary.Numeral`, and
+assigning to a field raises AttributeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .binary import Numeral
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zero(Numeral):
     """The natural number 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
 class Succ(Numeral):
     """The successor of ``pred``."""
 
-    pred: "UnaryNat"
+    __slots__ = ("pred",)
+
+    def __init__(self, pred: UnaryNat) -> None:
+        _set_succ_pred(self, pred)
+
+
+_set_succ_pred = Succ.pred.__set__
 
 
 UnaryNat = Union[Zero, Succ]

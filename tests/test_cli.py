@@ -196,6 +196,17 @@ def test_bench_max_naive(capsys):
     assert out == "n,steps\n8,255\n10,1023\n"
 
 
+def test_bench_max_naive_refuses_sizes_above_20_before_measuring(capsys, monkeypatch):
+    measured = []
+    monkeypatch.setattr(cli.costmeter, "measure_schedule", lambda op, sizes: measured.append(sizes) or [])
+    code, out, err = run(capsys, ["bench", "--op", "max_naive", "--sizes", "1,8,64,512"])
+    assert (code, out, measured) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, ["bench", "--op", "max_naive", "--sizes", "20"])[0] == 0
+    assert run(capsys, ["bench", "--op", "sumlist", "--sizes", "64,512"])[0] == 0
+    assert measured == [[20], [64, 512]]
+
+
 def test_bench_access_logarithmic(capsys):
     code, out, _ = run(capsys, ["bench", "--op", "bs_access", "--sizes", "1,1000"])
     assert code == 0
