@@ -35,11 +35,14 @@ class Record:
     """Base of the package's immutable values.
 
     A subclass names its own fields in ``__slots__``, after any it
-    inherits, and has an ``__init__`` with one parameter per field, which
-    stores each through the slot's own setter, bound once after the class
-    as ``_set_x = Cls.x.__set__``: calling the member descriptor directly
-    is the cheapest way to fill a slot that ``__setattr__`` refuses.
-    Afterwards, assigning or deleting an attribute raises AttributeError.
+    inherits, and gets a generated ``__init__`` with one parameter per
+    field, named after it, which stores each through the slot's own
+    setter (``Cls.x.__set__``, bound once when the class is created):
+    calling the member descriptor directly is the cheapest way to fill a
+    slot that ``__setattr__`` refuses.  Keywords of the class statement
+    give field defaults, as in ``class C(Record, x=""):``.  A subclass
+    that adds no fields keeps its parent's ``__init__``.  Afterwards,
+    assigning or deleting an attribute raises AttributeError.
     ``__match_args__`` are the field names, equality is type-exact over
     the tuple of field values, ``hash`` is the hash of that tuple,
     ``repr`` reads ``Cls(field=value, ...)``, and pickle and copy rebuild
@@ -49,9 +52,12 @@ class Record:
     __slots__ = ()
     __match_args__: Tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.__match_args__ += tuple(cls.__dict__.get("__slots__", ()))
+    def __init_subclass__(cls, **defaults: Any) -> None:
+        own = tuple(cls.__dict__.get("__slots__", ()))
+        super().__init_subclass__(**{k: v for k, v in defaults.items() if k not in own})
+        cls.__match_args__ += own
+        if own:
+            cls.__init__ = _constructor(cls, defaults)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -79,16 +85,31 @@ def _values(r: Record) -> tuple:
     return tuple([getattr(r, f) for f in r.__match_args__])
 
 
+def _constructor(cls: type, defaults: dict) -> Any:
+    """Compile ``cls.__init__`` from its fields, as namedtuple compiles ``__new__``."""
+    fields = cls.__match_args__
+    params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+    body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+    namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+    namespace["_defaults"] = defaults
+    exec(f"def __init__(self{params}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 class Numeral(Record):
     """Base of the numeral constructors: a chain of one-slot wrappers ending
     in a nullary constructor.
 
-    Equality, hashing and ``repr`` walk the chain in a loop, so values of
-    any length compare, hash and print at any recursion limit.  Equality is
-    structural and type-exact; ``repr`` is the keyword form, such as
-    ``Odd(rest=Zero())``.  A subclass's ``__slots__`` name its child, if
-    any; a child that is not a numeral ends the chain and is compared,
-    hashed and printed as itself.
+    Equality, hashing, ``repr`` and pickling walk the chain in a loop, so
+    values of any length compare, hash, print, pickle and deep-copy at any
+    recursion limit.  Equality is structural and type-exact; ``repr`` is
+    the keyword form, such as ``Odd(rest=Zero())``; a value reduces to the
+    flat tuple of its wrapper classes plus its tail.  A subclass's
+    ``__slots__`` name its child, if any; a child that is not a numeral
+    ends the chain and is compared, hashed, printed and pickled as itself.
     """
 
     __slots__ = ()
@@ -130,6 +151,22 @@ class Numeral(Record):
             parts.append(repr(x))
         return "".join(parts) + ")" * (len(parts) - 1)
 
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        classes, x = [], self
+        while isinstance(x, Numeral) and x.__slots__:
+            classes.append(type(x))
+            x = getattr(x, x.__slots__[0])
+        if not classes:
+            return super().__reduce__()
+        return _rebuild, (tuple(classes), x)
+
+
+def _rebuild(classes: Tuple[type, ...], tail: Any) -> Any:
+    """Inverse of :meth:`Numeral.__reduce__`: wrap classes, outermost first, onto tail."""
+    for cls in reversed(classes):
+        tail = cls(tail)
+    return tail
+
 
 class Zero(Numeral):
     """The empty digit string: 0."""
@@ -142,21 +179,12 @@ class Even(Numeral):
 
     __slots__ = ("rest",)
 
-    def __init__(self, rest: BinNat) -> None:
-        _set_even_rest(self, rest)
-
 
 class Odd(Numeral):
     """Digit constructor for 2n+1: appends a 1 bit."""
 
     __slots__ = ("rest",)
 
-    def __init__(self, rest: BinNat) -> None:
-        _set_odd_rest(self, rest)
-
-
-_set_even_rest = Even.rest.__set__
-_set_odd_rest = Odd.rest.__set__
 
 BinNat = Union[Zero, Even, Odd]
 

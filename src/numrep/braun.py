@@ -53,21 +53,12 @@ class IxOdd(Numeral):
 
     __slots__ = ("rest",)
 
-    def __init__(self, rest: CdIndex) -> None:
-        _set_ixodd_rest(self, rest)
-
 
 class IxEven(Numeral):
     """Index digit for 2n+2."""
 
     __slots__ = ("rest",)
 
-    def __init__(self, rest: CdIndex) -> None:
-        _set_ixeven_rest(self, rest)
-
-
-_set_ixodd_rest = IxOdd.rest.__set__
-_set_ixeven_rest = IxEven.rest.__set__
 
 CdIndex = Union[IxZero, IxOdd, IxEven]
 
@@ -77,15 +68,6 @@ class Node(Record):
 
     __slots__ = ("elem", "left", "right")
 
-    def __init__(self, elem: Any, left: BraunTree, right: BraunTree) -> None:
-        _set_node_elem(self, elem)
-        _set_node_left(self, left)
-        _set_node_right(self, right)
-
-
-_set_node_elem = Node.elem.__set__
-_set_node_left = Node.left.__set__
-_set_node_right = Node.right.__set__
 
 BraunTree = Optional[Node]  # None is the empty tree
 
@@ -95,16 +77,8 @@ class BraunSeq(Record):
 
     __slots__ = ("length", "tree")
 
-    def __init__(self, length: int, tree: BraunTree) -> None:
-        _set_seq_length(self, length)
-        _set_seq_tree(self, tree)
-
     def __len__(self) -> int:
         return self.length
-
-
-_set_seq_length = BraunSeq.length.__set__
-_set_seq_tree = BraunSeq.tree.__set__
 
 
 EMPTY = BraunSeq(0, None)

@@ -19,22 +19,10 @@ DEFAULT_SEED = 12345
 CheckFn = Callable[[random.Random], Optional[str]]
 
 
-class CheckResult(Record):
+class CheckResult(Record, detail=""):
     """Outcome of one property check; detail says why it failed."""
 
     __slots__ = ("suite", "name", "passed", "detail")
-
-    def __init__(self, suite: str, name: str, passed: bool, detail: str = "") -> None:
-        _set_result_suite(self, suite)
-        _set_result_name(self, name)
-        _set_result_passed(self, passed)
-        _set_result_detail(self, detail)
-
-
-_set_result_suite = CheckResult.suite.__set__
-_set_result_name = CheckResult.name.__set__
-_set_result_passed = CheckResult.passed.__set__
-_set_result_detail = CheckResult.detail.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -201,30 +201,6 @@ class CostReport(Record):
 
     __slots__ = ("op_id", "samples", "bound", "k", "passed", "worst_ratio")
 
-    def __init__(
-        self,
-        op_id: str,
-        samples: Tuple[Tuple[int, int], ...],
-        bound: str,
-        k: int,
-        passed: bool,
-        worst_ratio: float,
-    ) -> None:
-        _set_report_op_id(self, op_id)
-        _set_report_samples(self, samples)
-        _set_report_bound(self, bound)
-        _set_report_k(self, k)
-        _set_report_passed(self, passed)
-        _set_report_worst_ratio(self, worst_ratio)
-
-
-_set_report_op_id = CostReport.op_id.__set__
-_set_report_samples = CostReport.samples.__set__
-_set_report_bound = CostReport.bound.__set__
-_set_report_k = CostReport.k.__set__
-_set_report_passed = CostReport.passed.__set__
-_set_report_worst_ratio = CostReport.worst_ratio.__set__
-
 
 _BOUND_FORMS: Dict[str, Callable[[int], int]] = {
     "linear": lambda n: n,

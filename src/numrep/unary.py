@@ -26,12 +26,6 @@ class Succ(Numeral):
 
     __slots__ = ("pred",)
 
-    def __init__(self, pred: UnaryNat) -> None:
-        _set_succ_pred(self, pred)
-
-
-_set_succ_pred = Succ.pred.__set__
-
 
 UnaryNat = Union[Zero, Succ]
 

@@ -1,6 +1,8 @@
-"""Equality, hashing and repr of the numeral constructors at any length."""
+"""Equality, hashing, repr, pickle and deepcopy of the numeral constructors at any length."""
 
 import contextlib
+import copy
+import pickle
 
 import pytest
 
@@ -34,6 +36,46 @@ def test_long_values_compare_hash_and_print(kind, context):
     # one constructor and its ")" per link, the innermost spelled "()"
     assert text.count(")") == text.count("(")
     assert text.count("(") > DIGITS
+
+
+ROUND_TRIPS = {
+    **{f"pickle{p}": lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+@pytest.mark.parametrize("kind", LONG_VALUES)
+def test_long_values_pickle_and_deepcopy(kind, how):
+    x = LONG_VALUES[kind]()
+    try:
+        again = ROUND_TRIPS[how](x)
+    except RecursionError:
+        # without the traceback: pytest's report of a RecursionError compares
+        # the locals of its ~1000 frames, here values of 100,000 digits
+        raise AssertionError(f"{how} of a {DIGITS}-digit {kind} value hit the recursion limit") from None
+    assert type(again) is type(x)
+    assert again == x
+
+
+# protocol 2 pickle of SMALL_VALUES in the nested (cls, (child,)) form that
+# numerals had before they reduced to a flat tuple of classes plus a tail
+NESTED_PICKLE = (
+    b"\x80\x02(cnumrep.binary\nEven\nq\x00cnumrep.binary\nOdd\nq\x01h\x01cnumrep.binary\nZero"
+    b"\nq\x02)Rq\x03\x85q\x04Rq\x05\x85q\x06Rq\x07\x85q\x08Rq\th\x01h\x00cnumrep.twoscomp\n"
+    b"MinusOne\nq\n)Rq\x0b\x85q\x0cRq\r\x85q\x0eRq\x0fcnumrep.unary\nSucc\nq\x10h\x10cnumrep."
+    b"unary\nZero\nq\x11)Rq\x12\x85q\x13Rq\x14\x85q\x15Rq\x16cnumrep.braun\nIxOdd\nq\x17cnum"
+    b"rep.braun\nIxEven\nq\x18cnumrep.braun\nIxZero\nq\x19)Rq\x1a\x85q\x1bRq\x1c\x85q\x1dRq"
+    b"\x1etq\x1f."
+)
+SMALL_VALUES = (
+    binary.from_int(6), twoscomp.from_int(-3), unary.from_int(2), braun.cd_from_int(5),
+)
+
+
+def test_pickles_in_the_nested_form_still_load():
+    assert pickle.loads(NESTED_PICKLE) == SMALL_VALUES
 
 
 def test_long_values_differing_next_to_the_innermost_digit_are_unequal():

@@ -6,15 +6,25 @@ deletion, survives pickle and copy, and matches on its field names.
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import numrep
 from numrep import binary, braun, checks, costmeter, twoscomp, unary
+
+
+class Pair(binary.Record, second=0):
+    """A record defined outside the package: its constructor is generated too."""
+
+    __slots__ = ("first", "second")
+
 
 # class -> (field names, one value per field)
 SAMPLES = {
@@ -34,6 +44,7 @@ SAMPLES = {
         ("op_id", "samples", "bound", "k", "passed", "worst_ratio"),
         ("b_add_v2", ((1, 2), (2, 3)), "linear", 1, True, 1.5),
     ),
+    Pair: (("first", "second"), (1, Pair("x", None))),
 }
 
 # the text of the dataclass repr these classes had, kept byte for byte
@@ -76,6 +87,30 @@ def test_wrong_argument_count_is_a_type_error(cls):
 
 def test_check_result_detail_defaults_to_empty():
     assert checks.CheckResult("unary", "laws", True).detail == ""
+
+
+def test_generated_constructor_default_and_argument_errors():
+    assert Pair(1) == Pair(first=1) == Pair(1, 0)
+    with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) missing 1 required positional argument"):
+        Pair()
+    with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) takes from 2 to 3 positional arguments"):
+        Pair(1, 2, 3)
+    with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) got an unexpected keyword argument 'third'"):
+        Pair(1, third=3)
+
+
+def test_a_class_keyword_that_names_no_field_is_a_type_error():
+    with pytest.raises(TypeError):
+        class Bad(binary.Record, third=0):
+            __slots__ = ("first",)
+
+
+def test_a_subclass_without_fields_keeps_the_constructor_and_its_default():
+    class Named(checks.CheckResult):
+        __slots__ = ()
+
+    assert Named.__init__ is checks.CheckResult.__init__
+    assert Named("unary", "laws", True).detail == ""
 
 
 @classes
@@ -159,3 +194,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_no_module_binds_slot_setters():
+    for info in pkgutil.iter_modules(numrep.__path__):
+        module = importlib.import_module(f"numrep.{info.name}")
+        assert [n for n in vars(module) if n.startswith("_set_")] == [], module.__name__
