@@ -3,36 +3,39 @@ deliberately exponential maximum.
 
 Each function keeps its clause shape on purpose: the cost meter counts
 entries into these bodies, so "obvious" rewrites would change the measured
-complexity class.  Lists are plain Python lists; recursion depth therefore
-caps practical lengths near Python's recursion limit (the meter raises the
+complexity class.  The functions take any sequence, not only lists:
+``xs[1:]`` stands for the rest of a cons list, which a ``range`` slices in
+O(1) but a Python list copies, so the meter and ``numrep bench`` pass
+``range`` inputs (to all but ``max_naive``).  Recursion depth caps
+practical lengths near Python's recursion limit (the meter raises the
 limit while measuring).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 
-def sumlist(xs: List[int]) -> int:
+def sumlist(xs: Sequence[int]) -> int:
     """Structurally recursive sum: head plus sum of the rest."""
     if not xs:
         return 0
     return xs[0] + sumlist(xs[1:])
 
 
-def sumh(xs: List[int], acc: int) -> int:
+def sumh(xs: Sequence[int], acc: int) -> int:
     """Accumulating sum helper; returns acc plus the sum of xs."""
     if not xs:
         return acc
     return sumh(xs[1:], xs[0] + acc)
 
 
-def sumlist2(xs: List[int]) -> int:
+def sumlist2(xs: Sequence[int]) -> int:
     """Sum via the accumulator, seeded with 0."""
     return sumh(xs, 0)
 
 
-def filter_keep(p: Callable[[int], bool], xs: List[int]) -> List[int]:
+def filter_keep(p: Callable[[int], bool], xs: Sequence[int]) -> List[int]:
     """Keep the elements satisfying p, preserving order."""
     if not xs:
         return []
@@ -42,7 +45,7 @@ def filter_keep(p: Callable[[int], bool], xs: List[int]) -> List[int]:
     return filter_keep(p, rest)
 
 
-def max_naive(xs: List[int]) -> int:
+def max_naive(xs: Sequence[int]) -> int:
     """Maximum of a nonempty list, with the recursive result recomputed.
 
     WARNING: do not "fix" this function.  The recursive maximum is
@@ -61,7 +64,7 @@ def max_naive(xs: List[int]) -> int:
     return max_naive(rest)
 
 
-def max_fast(xs: List[int]) -> int:
+def max_fast(xs: Sequence[int]) -> int:
     """Maximum of a nonempty list, one recursive call per element."""
     if not xs:
         raise ValueError("max of an empty list")

@@ -71,14 +71,18 @@ def test_convert_bad_int_is_usage_failure(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("module", ["numrep", "numrep.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def run_module(module, argv):
+    """Run the CLI as ``python -m module`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", ["numrep", "numrep.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = run_module(module, ["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"])
     assert proc.returncode == 0
     assert proc.stdout == "A(A(B(Z)))\n"
 
@@ -205,6 +209,19 @@ def test_bench_max_naive_refuses_sizes_above_20_before_measuring(capsys, monkeyp
     assert run(capsys, ["bench", "--op", "max_naive", "--sizes", "20"])[0] == 0
     assert run(capsys, ["bench", "--op", "sumlist", "--sizes", "64,512"])[0] == 0
     assert measured == [[20], [64, 512]]
+
+
+# each in a fresh interpreter: they recurse 30,000 and 50,000 frames deep, which
+# on 3.10 also takes C stack and could crash the whole test run
+def test_bench_sumlist_on_a_long_list():
+    proc = run_module("numrep", ["bench", "--op", "sumlist", "--sizes", "30000"])
+    assert (proc.returncode, proc.stdout) == (0, "n,steps\n30000,30001\n")
+
+
+def test_bench_sumlist_beyond_the_recursion_limit_is_one_error_line():
+    proc = run_module("numrep", ["bench", "--op", "sumlist", "--sizes", "60000"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_bench_access_logarithmic(capsys):

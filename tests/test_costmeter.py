@@ -2,6 +2,7 @@ import cProfile
 import json
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,43 @@ def test_ledger_covers_every_op_id():
 def test_schedule_matches_the_ledger(op_id):
     want = [tuple(sample) for sample in LEDGER[op_id]]
     assert costmeter.measure_schedule(op_id, [n for n, _ in want]) == want
+
+
+# --- list-op inputs --------------------------------------------------------------
+
+RANGE_OPS = ("sumlist", "sumlist2", "filter_keep", "max_fast")
+
+
+def plain_list(op_id, n):
+    """The list op's worst-case input as a plain list."""
+    return list(range(1, n + 1)) if op_id.startswith("max") else list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 4096])
+@pytest.mark.parametrize("op_id", RANGE_OPS + ("max_naive",))
+def test_list_op_inputs_hold_the_plain_list(op_id, n):
+    assert list(costmeter.worst_case_args(op_id, n)[-1]) == plain_list(op_id, n)
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+@pytest.mark.parametrize("op_id", RANGE_OPS)
+def test_list_op_measures_the_same_on_the_plain_list(op_id, n):
+    args = costmeter.worst_case_args(op_id, n)
+    plain = args[:-1] + (plain_list(op_id, n),)
+    assert costmeter.measured(op_id, *args) == costmeter.measured(op_id, *plain)
+
+
+@pytest.mark.parametrize("op_id", RANGE_OPS)
+def test_list_op_schedule_does_not_copy_its_input(op_id):
+    # a list's xs[1:] in every frame would peak at 16 MB here, and grows as n**2
+    # (keep n small: tracemalloc makes this run's time grow as n**2 too)
+    tracemalloc.start()
+    try:
+        costmeter.measure_schedule(op_id, [2000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # --- the profile hook -------------------------------------------------------------

@@ -23,11 +23,22 @@ LONG_VALUES = {
 CONTEXTS = {"default limit": contextlib.nullcontext, "deep_recursion": costmeter.deep_recursion}
 
 
+@contextlib.contextmanager
+def within_the_recursion_limit(what):
+    """Fail with one line if the block hits the recursion limit."""
+    try:
+        yield
+    except RecursionError:
+        # without the traceback: pytest's report of a RecursionError compares
+        # the locals of its ~1000 frames, here values of 100,000 digits
+        raise AssertionError(f"{what} hit the recursion limit") from None
+
+
 @pytest.mark.parametrize("context", CONTEXTS)
 @pytest.mark.parametrize("kind", LONG_VALUES)
 def test_long_values_compare_hash_and_print(kind, context):
     x, y = LONG_VALUES[kind](), LONG_VALUES[kind]()
-    with CONTEXTS[context]():
+    with CONTEXTS[context](), within_the_recursion_limit(f"==, hash or repr of a {DIGITS}-digit {kind} value"):
         assert x == y
         assert not x != y
         assert hash(x) == hash(y)
@@ -49,12 +60,8 @@ ROUND_TRIPS = {
 @pytest.mark.parametrize("kind", LONG_VALUES)
 def test_long_values_pickle_and_deepcopy(kind, how):
     x = LONG_VALUES[kind]()
-    try:
+    with within_the_recursion_limit(f"{how} of a {DIGITS}-digit {kind} value"):
         again = ROUND_TRIPS[how](x)
-    except RecursionError:
-        # without the traceback: pytest's report of a RecursionError compares
-        # the locals of its ~1000 frames, here values of 100,000 digits
-        raise AssertionError(f"{how} of a {DIGITS}-digit {kind} value hit the recursion limit") from None
     assert type(again) is type(x)
     assert again == x
 
@@ -81,8 +88,9 @@ def test_pickles_in_the_nested_form_still_load():
 def test_long_values_differing_next_to_the_innermost_digit_are_unequal():
     x = binary.from_int(2**DIGITS - 1)
     y = binary.from_int(2**DIGITS - 1 - 2 ** (DIGITS - 2))
-    assert x != y
-    assert not x == y
+    with within_the_recursion_limit(f"== or != of two {DIGITS}-digit binary values"):
+        assert x != y
+        assert not x == y
 
 
 @pytest.mark.parametrize("value, text", [
