@@ -53,8 +53,6 @@ lists.  A ``range`` slice is O(1) where a list slice copies the rest,
 so the ``xs[1:]`` in each frame no longer makes a run O(n^2) in time and
 memory; and its indexing, ``len`` and truth test are C calls, which the
 hook does not see, so the step counts are the lists' exactly.
-``max_naive`` keeps a list: its sizes stay at or below 20, where a list
-indexes several times faster than a ``range`` and its copies are short.
 """
 
 from __future__ import annotations
@@ -173,10 +171,8 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
         return (range(n),)
     if op_id == "filter_keep":
         return ((lambda v: v % 2 == 0), range(n))
-    if op_id == "max_fast":
-        return (range(1, n + 1),)
-    if op_id == "max_naive":  # a list: at its small sizes a list indexes faster
-        return (list(range(1, n + 1)),)  # ascending: the guard always fails
+    if op_id in ("max_naive", "max_fast"):
+        return (range(1, n + 1),)  # ascending: the guard always fails
     if op_id == "b_add1":
         return (binary.from_int((1 << n) - 1),)  # n one-digits: full carry chain
     if op_id in ("b_add_v1", "b_add_v2", "b_mult"):

@@ -3,12 +3,9 @@ deliberately exponential maximum.
 
 Each function keeps its clause shape on purpose: the cost meter counts
 entries into these bodies, so "obvious" rewrites would change the measured
-complexity class.  The functions take any sequence, not only lists:
-``xs[1:]`` stands for the rest of a cons list, which a ``range`` slices in
-O(1) but a Python list copies, so the meter and ``numrep bench`` pass
-``range`` inputs (to all but ``max_naive``).  Recursion depth caps
-practical lengths near Python's recursion limit (the meter raises the
-limit while measuring).
+complexity class.  The functions take any sequence; ``xs[1:]`` stands for
+the rest of a cons list.  Recursion depth caps practical lengths near
+Python's recursion limit (the meter raises the limit while measuring).
 """
 
 from __future__ import annotations

@@ -211,13 +211,20 @@ def test_bench_max_naive_refuses_sizes_above_20_before_measuring(capsys, monkeyp
     assert measured == [[20], [64, 512]]
 
 
-# each in a fresh interpreter: they recurse 30,000 and 50,000 frames deep, which
-# on 3.10 also takes C stack and could crash the whole test run
+# Each runs in a fresh interpreter and recurses 30,000 or 50,000 frames deep.
+# Before 3.11 every Python call also takes C stack, which that depth can overflow.
+deep_python_frames = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="Python frames use the C stack before 3.11",
+)
+
+
+@deep_python_frames
 def test_bench_sumlist_on_a_long_list():
     proc = run_module("numrep", ["bench", "--op", "sumlist", "--sizes", "30000"])
     assert (proc.returncode, proc.stdout) == (0, "n,steps\n30000,30001\n")
 
 
+@deep_python_frames
 def test_bench_sumlist_beyond_the_recursion_limit_is_one_error_line():
     proc = run_module("numrep", ["bench", "--op", "sumlist", "--sizes", "60000"])
     assert (proc.returncode, proc.stdout) == (1, "")

@@ -260,7 +260,7 @@ def test_schedule_matches_the_ledger(op_id):
 
 # --- list-op inputs --------------------------------------------------------------
 
-RANGE_OPS = ("sumlist", "sumlist2", "filter_keep", "max_fast")
+LIST_OPS = ("sumlist", "sumlist2", "filter_keep", "max_naive", "max_fast")
 
 
 def plain_list(op_id, n):
@@ -269,20 +269,22 @@ def plain_list(op_id, n):
 
 
 @pytest.mark.parametrize("n", [0, 1, 10, 4096])
-@pytest.mark.parametrize("op_id", RANGE_OPS + ("max_naive",))
+@pytest.mark.parametrize("op_id", LIST_OPS)
 def test_list_op_inputs_hold_the_plain_list(op_id, n):
     assert list(costmeter.worst_case_args(op_id, n)[-1]) == plain_list(op_id, n)
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000])
-@pytest.mark.parametrize("op_id", RANGE_OPS)
+@pytest.mark.parametrize("op_id", LIST_OPS)
 def test_list_op_measures_the_same_on_the_plain_list(op_id, n):
+    if op_id == "max_naive":
+        n = min(n, 16)  # 2^n - 1 calls
     args = costmeter.worst_case_args(op_id, n)
     plain = args[:-1] + (plain_list(op_id, n),)
     assert costmeter.measured(op_id, *args) == costmeter.measured(op_id, *plain)
 
 
-@pytest.mark.parametrize("op_id", RANGE_OPS)
+@pytest.mark.parametrize("op_id", [op for op in LIST_OPS if op != "max_naive"])  # 2^n - 1 calls
 def test_list_op_schedule_does_not_copy_its_input(op_id):
     # a list's xs[1:] in every frame would peak at 16 MB here, and grows as n**2
     # (keep n small: tracemalloc makes this run's time grow as n**2 too)
