@@ -1,5 +1,9 @@
 """Command-line front door: convert, eval, braun, bench, check.
 
+``bench`` and ``check`` import :mod:`numrep.costmeter` and
+:mod:`numrep.checks` when they are parsed or run, so a ``convert``,
+``eval`` or ``braun`` process compiles neither.
+
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
 negative unary value, non-canonical literal, failed check suite) and for
 inputs too deep for the recursion limit or too large for memory, 2 for
@@ -13,7 +17,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import binary, braun, checks, costmeter, numio, twoscomp, unary
+from . import binary, braun, numio, twoscomp, unary
 from .numio import ParseError
 
 
@@ -59,6 +63,19 @@ def _parse_int(text: str, what: str) -> int:
 def _cmd_convert(args) -> int:
     if ("bits" in (args.src, args.dst)) and args.kind != "twoscomp":
         raise _UsageError("bit-string form is only available for --kind twoscomp")
+    # Python (3.10.7 on) refuses int/str conversions past 4300 digits; Linux
+    # caps one argv string at 128 KiB, so the decimal stays bounded without it
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _convert(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _convert(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _convert(args) -> int:
     if args.src == "int":
         value = _FROM_INT[args.kind](_parse_int(args.value, "value"))
     elif args.src == "literal":
@@ -130,12 +147,16 @@ def _cmd_bench(args) -> int:
         raise _UsageError(
             f"--sizes above {_MAX_NAIVE_SIZE} would take 2^n - 1 max_naive calls: {args.sizes!r}"
         )
+    from . import costmeter
+
     rows = costmeter.measure_schedule(args.op, sizes)
     sys.stdout.write(numio.csv_emit(rows))
     return 0
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+
     results = checks.run_suite(args.suite, seed=args.seed)
     failed = 0
     for r in results:
@@ -148,12 +169,46 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that can add its arguments when it first parses.
+
+    ``add_arguments(parser)`` runs once, before the first parse, so a
+    subcommand whose choices come from a layer imports that layer only
+    when the subcommand is used (``bench --help`` included).
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _bench_arguments(n: argparse.ArgumentParser) -> None:
+    from . import costmeter
+
+    n.add_argument("--op", required=True, choices=sorted(costmeter.METERED))
+    n.add_argument("--sizes", required=True, help="comma-separated input sizes")
+
+
+def _check_arguments(k: argparse.ArgumentParser) -> None:
+    from . import checks
+
+    k.add_argument("--suite", required=True, choices=checks.SUITE_NAMES)
+    k.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="numrep",
         description="Inductive number representations and Braun-tree sequences.",
     )
-    sub = p.add_subparsers(dest="command", required=True, metavar="command")
+    sub = p.add_subparsers(dest="command", required=True, metavar="command",
+                           parser_class=_SubcommandParser)
 
     c = sub.add_parser("convert", help="convert a value between int, literal and bit-string forms")
     c.add_argument("--kind", required=True, choices=numio.KINDS)
@@ -172,14 +227,12 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--init", default="", help="comma-separated initial elements (default: empty)")
     b.set_defaults(handler=_cmd_braun)
 
-    n = sub.add_parser("bench", help="measure step counts on worst-case inputs, CSV to stdout")
-    n.add_argument("--op", required=True, choices=sorted(costmeter.METERED))
-    n.add_argument("--sizes", required=True, help="comma-separated input sizes")
+    n = sub.add_parser("bench", help="measure step counts on worst-case inputs, CSV to stdout",
+                       add_arguments=_bench_arguments)
     n.set_defaults(handler=_cmd_bench)
 
-    k = sub.add_parser("check", help="run property suites; nonzero exit on any failure")
-    k.add_argument("--suite", required=True, choices=checks.SUITE_NAMES)
-    k.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    k = sub.add_parser("check", help="run property suites; nonzero exit on any failure",
+                       add_arguments=_check_arguments)
     k.set_defaults(handler=_cmd_check)
 
     return p

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from numrep import binary, cli, numio
+import numrep
+from numrep import binary, cli, costmeter, numio
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -71,6 +73,52 @@ def test_convert_bad_int_is_usage_failure(capsys):
     assert code == 2
 
 
+@contextlib.contextmanager
+def any_int_digits():
+    """Lift Python's int/str digit limit (3.10.7 on) for the oracle's own str()."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_convert_decimals_past_pythons_int_str_digit_limit(capsys):
+    literal = "B(" * 15000 + "Z" + ")" * 15000
+    with any_int_digits():
+        decimal = str(2**15000 - 1)  # 4516 digits; Python's default limit is 4300
+    assert run(capsys, ["convert", "--kind", "binary", "--from", "literal", "--to", "int", literal]) \
+        == (0, decimal + "\n", "")
+    assert run(capsys, ["convert", "--kind", "binary", "--from", "int", "--to", "literal", decimal]) \
+        == (0, literal + "\n", "")
+    negative = "B(" + "A(" * 14999 + "N" + ")" * 15000  # 1 - 2**15000
+    assert run(capsys, ["convert", "--kind", "twoscomp", "--from", "int", "--to", "literal", "-" + decimal]) \
+        == (0, negative + "\n", "")
+    assert run(capsys, ["convert", "--kind", "twoscomp", "--from", "literal", "--to", "int", negative]) \
+        == (0, "-" + decimal + "\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7")
+@pytest.mark.parametrize("argv, code", [
+    (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"], 0),
+    (["convert", "--kind", "unary", "--from", "int", "--to", "literal", "-1"], 1),
+    (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "four"], 2),
+])
+def test_convert_restores_the_int_str_digit_limit(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        result = cli.main(argv)
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (result, after) == (code, 5000)
+
+
 def run_module(module, argv):
     """Run the CLI as ``python -m module`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -85,6 +133,46 @@ def test_python_dash_m_runs_the_cli(module):
     proc = run_module(module, ["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"])
     assert proc.returncode == 0
     assert proc.stdout == "A(A(B(Z)))\n"
+
+
+def tooling_layers_loaded_by(code, stdin=""):
+    """Run code in a fresh ``python -S`` with src on sys.path; the tooling layers it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
+            "print(sorted(m for m in ('numrep.checks', 'numrep.costmeter') if m in sys.modules))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], []),
+    (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"], []),
+    (["eval", "--kind", "twoscomp", "--op", "add", "N", "N"], []),
+    (["braun", "--init", "a,b"], []),
+    (["bench", "--help"], ["numrep.costmeter"]),
+    (["bench", "--op", "sumlist", "--sizes", "10"], ["numrep.costmeter"]),
+    (["check", "--suite", "listlab"], ["numrep.checks", "numrep.costmeter"]),
+])
+def test_each_command_loads_only_the_tooling_layers_it_runs(argv, loaded):
+    code = f"import numrep.cli; numrep.cli.main({argv!r})"
+    assert tooling_layers_loaded_by(code, stdin="access 0\n") == repr(loaded)
+
+
+def test_the_package_loads_its_tooling_layers_on_first_use():
+    assert tooling_layers_loaded_by("import numrep; assert set(numrep.__all__) <= set(dir(numrep))") == "[]"
+    assert tooling_layers_loaded_by("import numrep; assert 'sumlist' in numrep.costmeter.METERED") \
+        == "['numrep.costmeter']"
+    assert tooling_layers_loaded_by("from numrep import checks; assert 'all' in checks.SUITE_NAMES") \
+        == "['numrep.checks', 'numrep.costmeter']"
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        numrep.nope
 
 
 # --- eval ----------------------------------------------------------------------
@@ -202,7 +290,7 @@ def test_bench_max_naive(capsys):
 
 def test_bench_max_naive_refuses_sizes_above_20_before_measuring(capsys, monkeypatch):
     measured = []
-    monkeypatch.setattr(cli.costmeter, "measure_schedule", lambda op, sizes: measured.append(sizes) or [])
+    monkeypatch.setattr(costmeter, "measure_schedule", lambda op, sizes: measured.append(sizes) or [])
     code, out, err = run(capsys, ["bench", "--op", "max_naive", "--sizes", "1,8,64,512"])
     assert (code, out, measured) == (2, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -297,3 +385,64 @@ def test_unknown_subcommand(capsys):
 
 def test_missing_required_flag(capsys):
     assert cli.main(["convert", "--kind", "binary", "--from", "int", "4"]) == 2
+
+
+# --- help and usage text -----------------------------------------------------------
+
+# Captured from a parser that added every subcommand's arguments when it was
+# built; bench and check add theirs when they first parse, to the same bytes.
+OPS = ("{b_add1,b_add_v1,b_add_v2,b_mult,bs_access,bs_cons,bs_rest,filter_keep,i_add,"
+       "max_fast,max_naive,sumlist,sumlist2,u_add,u_plus}")
+BENCH_USAGE = f"""\
+usage: numrep bench [-h] --op
+                    {OPS}
+                    --sizes SIZES
+"""
+CHECK_USAGE = """\
+usage: numrep check [-h] --suite {unary,listlab,binary,twoscomp,braun,all}
+                    [--seed SEED]
+"""
+GOLDEN = {
+    "--help": (0, """\
+usage: numrep [-h] command ...
+
+Inductive number representations and Braun-tree sequences.
+
+positional arguments:
+  command
+    convert   convert a value between int, literal and bit-string forms
+    eval      apply an arithmetic operation to numeral literals
+    braun     run a sequence script (access/first/cons/rest/update) from stdin
+    bench     measure step counts on worst-case inputs, CSV to stdout
+    check     run property suites; nonzero exit on any failure
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    "bench --help": (0, BENCH_USAGE + f"""\
+
+options:
+  -h, --help            show this help message and exit
+  --op {OPS}
+  --sizes SIZES         comma-separated input sizes
+""", ""),
+    "check --help": (0, CHECK_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --suite {unary,listlab,binary,twoscomp,braun,all}
+  --seed SEED
+""", ""),
+    "bench --op frobnicate --sizes 4": (2, "", BENCH_USAGE + (
+        "numrep bench: error: argument --op: invalid choice: 'frobnicate' (choose from "
+        "'b_add1', 'b_add_v1', 'b_add_v2', 'b_mult', 'bs_access', 'bs_cons', 'bs_rest', "
+        "'filter_keep', 'i_add', 'max_fast', 'max_naive', 'sumlist', 'sumlist2', 'u_add', 'u_plus')\n"
+    )),
+    "check": (2, "", CHECK_USAGE + "numrep check: error: the following arguments are required: --suite\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_help_and_usage_text_is_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, argv.split()) == GOLDEN[argv]
