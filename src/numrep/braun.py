@@ -125,10 +125,20 @@ def to_list(s: BraunSeq) -> List[Any]:
     return [n.elem for row in _rows(s.tree) for n in row]
 
 
+# an index past 100 digits is named by its size: its decimal would make an
+# unbounded message, and past 4300 digits Python refuses to print it
+_SHOWN_INDEX = 10**100
+
+
+def _out_of_range(i: int, length: int) -> IndexError:
+    shown = i if -_SHOWN_INDEX < i < _SHOWN_INDEX else f"of {abs(i).bit_length()} bits"
+    return IndexError(f"index {shown} out of range for length {length}")
+
+
 def access(s: BraunSeq, i: int) -> Any:
     """Element at index i, by descending along i's digits."""
     if not 0 <= i < s.length:
-        raise IndexError(f"index {i} out of range for length {s.length}")
+        raise _out_of_range(i, s.length)
     node = s.tree
     while i:
         if i & 1:
@@ -163,7 +173,7 @@ def access_cd(s: BraunSeq, ix: CdIndex) -> Any:
 def update(s: BraunSeq, i: int, v: Any) -> BraunSeq:
     """Copy of s with element i replaced by v; only the path is copied."""
     if not 0 <= i < s.length:
-        raise IndexError(f"index {i} out of range for length {s.length}")
+        raise _out_of_range(i, s.length)
 
     def upd(node: Node, j: int) -> Node:
         if j == 0:

@@ -1,13 +1,16 @@
-"""Step counts for the recursive operations, taken from the plain functions.
+"""Step counts for the recursive operations, taken from their own definitions.
 
-A measurement runs the plain function itself with a ``sys.setprofile``
-hook and counts every ``call`` event whose code belongs to the functions
-listed for its operation id, recursive entries and base clauses
-included.  Each operation has one definition: the hook is installed only
-inside :func:`measured`, so a call made anywhere else pays nothing for
-the meter.  Helper bodies count toward their caller's total (add_v1
-includes its increments, add_v2 its carry helper, mult its additions);
-smart constructors such as ``even`` and ``odd`` are not steps.
+A measurement counts every entry into the functions listed for its
+operation id, recursive entries and base clauses included, by running
+twins: copies compiled from their own source with a first statement
+``_steps[0] += 1``, in a copy of the module's namespace, so that their
+calls and an uncounted entry's (``braun.cons``) reach the twins.  A twin
+adds no frame, and the plain functions pay nothing for the meter.  Each
+thread builds its own twins on first use, seeing the module's globals
+as they were then; without the source, :func:`measured` raises
+``RuntimeError``.  Helper bodies count toward their caller's total
+(add_v1 includes its increments, add_v2 its carry helper, mult its
+additions); smart constructors such as ``even`` and ``odd`` are not steps.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -34,34 +37,22 @@ bijective base-2 numeral, ``(i + 1).bit_length() - 1``, which is the
 number of nodes the loop descends through.  ``bs_cons`` and ``bs_rest``
 stay within depth + 1.
 
-A ``sys.setprofile`` hook belongs to the calling thread on every
-supported Python, so threads measure at the same time without seeing
-each other's calls; a test that measures from two threads at once guards
-this.  Whatever profiler the caller had running is active again when
-:func:`measured` returns: a ``sys.setprofile`` hook is put back, and an
-enabled ``cProfile.Profile`` (which the hook displaces on 3.11 and
-earlier; from 3.12 on it runs on ``sys.monitoring`` and is left alone)
-is enabled again.
-
 Benchmark sizes mean, per operation: the denoted value for the unary
 ops, the list length for the list ops, the digit count of an all-ones
 operand for the binary and signed ops (the worst carry chains), and the
 sequence length for the Braun ops (which access their last index).
 
-The list ops' worst-case inputs are ascending ``range`` objects, not
-lists.  A ``range`` slice is O(1) where a list slice copies the rest,
-so the ``xs[1:]`` in each frame no longer makes a run O(n^2) in time and
-memory; and its indexing, ``len`` and truth test are C calls, which the
-hook does not see, so the step counts are the lists' exactly.
+The list ops' worst-case inputs are ascending ``range`` objects, whose
+slices cost O(1) where a list's copy the rest, so ``xs[1:]`` does not
+make a run O(n^2) in time and memory; the steps are the lists' exactly.
 """
 
 from __future__ import annotations
 
-import _lsprof
 import contextlib
 import sys
 import threading
-from types import CodeType
+import types
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from . import binary, braun, listlab, twoscomp, unary
@@ -124,43 +115,51 @@ _OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {
 }
 
 METERED: Dict[str, Callable[..., Any]] = {op_id: fn for op_id, (fn, _) in _OPS.items()}
-_COUNTED: Dict[str, Tuple[CodeType, ...]] = {
-    op_id: tuple(f.__code__ for f in fns) for op_id, (_, fns) in _OPS.items()
-}
+_twins = threading.local()  # per thread: op id -> (entry, steps)
+_building = threading.Lock()  # ast.parse and compile() of an AST can fail in two threads at once
+
+
+def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
+    """The operation's entry in its twins' namespace, and their step counter."""
+    cache = vars(_twins)
+    if op_id not in cache:  # parse the module once and build all its ops
+        import ast  # only a process that measures pays for it
+        module = _OPS[op_id][0].__globals__
+        source = b""  # read as bytes: a loader's get_source imports tokenize to decode it
+        with contextlib.suppress(AttributeError, KeyError, OSError):
+            source = module["__loader__"].get_data(module["__file__"])
+        with _building:
+            defs = {}
+            for node in ast.parse(source).body:
+                if isinstance(node, ast.FunctionDef):  # the count goes after the docstring
+                    count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], node.lineno - 1)
+                    node.body.insert(ast.get_docstring(node, clean=False) is not None, count)
+                    defs[node.lineno, node.name] = node
+            for op, (entry, counted) in _OPS.items():
+                if entry.__globals__ is not module:
+                    continue
+                twins = [defs.get((fn.__code__.co_firstlineno, fn.__name__)) for fn in counted]
+                if None in twins:
+                    raise RuntimeError(f"cannot meter {op_id!r}: the source of {entry.__module__} is not available")
+                namespace = dict(module, _steps=[0])
+                exec(compile(ast.Module(twins, []), entry.__code__.co_filename, "exec"), namespace)
+                if entry not in counted:
+                    namespace[entry.__name__] = types.FunctionType(entry.__code__, namespace)
+                cache[op] = namespace[entry.__name__], namespace["_steps"]
+    return cache[op_id]
 
 
 def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
-    """Run the plain operation and count its steps; return (result, steps)."""
-    try:
-        fn = METERED[op_id]
-    except KeyError:
-        raise KeyError(f"unknown operation id: {op_id!r}") from None
+    """Run the operation's twins and count its steps; return (result, steps)."""
+    if op_id not in METERED:
+        raise KeyError(f"unknown operation id: {op_id!r}")
     if op_id == "bs_access":  # a loop: one step per index digit
-        return fn(*args), (args[1] + 1).bit_length() - 1
-    counted = _COUNTED[op_id]
-    steps = 0
-
-    def count(frame, event, arg):
-        nonlocal steps
-        if event == "call" and frame.f_code in counted:
-            steps += 1
-
-    outer = sys.getprofile()
+        return METERED[op_id](*args), (args[1] + 1).bit_length() - 1
+    entry, steps = _twin(op_id)
+    steps[0] = 0
     with deep_recursion():
-        sys.setprofile(count)
-        try:
-            result = fn(*args)
-        finally:
-            # an enabled cProfile.Profile is displaced by setprofile on 3.11
-            # and earlier and must be re-enabled, not passed to setprofile
-            # (_lsprof is its builtin core; importing cProfile would slow
-            # CLI start-up).  Inline, not a helper: an outer cProfile would
-            # see the helper's return but not its call.
-            if isinstance(outer, _lsprof.Profiler):
-                outer.enable()
-            else:
-                sys.setprofile(outer)
-    return result, steps
+        result = entry(*args)
+    return result, steps[0]
 
 
 def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:

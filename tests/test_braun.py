@@ -149,6 +149,15 @@ def test_access_out_of_range():
             braun.access(s, i)
 
 
+@pytest.mark.parametrize("i", [10**5000, -10**5000], ids=["positive", "negative"])
+def test_a_huge_index_is_out_of_range_in_a_short_message(i):
+    # past 4300 digits Python refuses to print the index
+    s = braun.from_list([1, 2, 3])
+    for call in (lambda: braun.access(s, i), lambda: braun.update(s, i, 9)):
+        with pytest.raises(IndexError, match=r"^index of 16610 bits out of range for length 3$"):
+            call()
+
+
 def test_access_cd_matches_access():
     s = braun.from_list([10 * k for k in range(37)])
     for i in (0, 3, 17, 36):

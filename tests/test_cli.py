@@ -119,13 +119,12 @@ def test_convert_restores_the_int_str_digit_limit(capsys, argv, code):
     assert (result, after) == (code, 5000)
 
 
-def run_module(module, argv):
+def run_module(module, argv, **kwargs):
     """Run the CLI as ``python -m module`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60,
-    )
+    kwargs = {"capture_output": True, "text": True, **kwargs}
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, timeout=60, **kwargs)
 
 
 @pytest.mark.parametrize("module", ["numrep", "numrep.cli"])
@@ -133,6 +132,17 @@ def test_python_dash_m_runs_the_cli(module):
     proc = run_module(module, ["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"])
     assert proc.returncode == 0
     assert proc.stdout == "A(A(B(Z)))\n"
+
+
+def test_a_reader_that_closed_the_pipe_gets_exit_1_and_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = run_module("numrep", ["check", "--suite", "listlab"], capture_output=False,
+                          stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def tooling_layers_loaded_by(code, stdin=""):
@@ -160,6 +170,12 @@ def tooling_layers_loaded_by(code, stdin=""):
 def test_each_command_loads_only_the_tooling_layers_it_runs(argv, loaded):
     code = f"import numrep.cli; numrep.cli.main({argv!r})"
     assert tooling_layers_loaded_by(code, stdin="access 0\n") == repr(loaded)
+
+
+def test_measuring_does_not_import_inspect():
+    # the meter builds its twins with ast, whose cleaned docstrings would import inspect (~7 ms)
+    code = "import numrep.cli; numrep.cli.main(['bench', '--op', 'sumlist', '--sizes', '10']); assert 'inspect' not in sys.modules"
+    assert tooling_layers_loaded_by(code) == "['numrep.costmeter']"
 
 
 def test_the_package_loads_its_tooling_layers_on_first_use():
@@ -266,6 +282,24 @@ def test_braun_update_script(capsys, monkeypatch):
 def test_braun_access_out_of_range(capsys, monkeypatch):
     code, _, _ = run(capsys, ["braun", "--init", "a"], stdin="access 3\n", monkeypatch=monkeypatch)
     assert code == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("access 3", "index 3 out of range for length 1"),
+    ("update -1 v", "index -1 out of range for length 1"),
+    ("access 1" + "0" * 4999, "index of 16607 bits out of range for length 1"),
+    ("update 1" + "0" * 4999 + " v", "index of 16607 bits out of range for length 1"),
+], ids=["access", "update", "access-5000-digits", "update-5000-digits"])
+def test_braun_index_out_of_range_is_one_short_line(capsys, monkeypatch, line, message):
+    # the 5000-digit index is past Python's int/str digit limit
+    code, _, err = run(capsys, ["braun", "--init", "a"], stdin=line + "\n", monkeypatch=monkeypatch)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert len(err.encode()) <= 200
+
+
+def test_braun_index_not_an_integer_echoes_a_bounded_prefix(capsys, monkeypatch):
+    code, _, err = run(capsys, ["braun", "--init", "a"], stdin="access " + "x" * 5000 + "\n", monkeypatch=monkeypatch)
+    assert (code, err) == (2, "error: index is not an integer: '" + "x" * 60 + "...'\n")
 
 
 def test_braun_bad_script_line(capsys, monkeypatch):

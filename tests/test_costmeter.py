@@ -1,4 +1,5 @@
 import cProfile
+import gc
 import json
 import sys
 import threading
@@ -297,7 +298,7 @@ def test_list_op_schedule_does_not_copy_its_input(op_id):
     assert peak < 4 * 2**20
 
 
-# --- the profile hook -------------------------------------------------------------
+# --- profilers, threads and the source ---------------------------------------------
 
 def test_no_hook_left_behind():
     assert sys.getprofile() is None
@@ -312,7 +313,8 @@ def test_python_profile_hook_is_restored():
     events = []
 
     def hook(frame, event, arg):
-        events.append(frame.f_code.co_name)
+        if event == "call":
+            events.append(frame.f_code.co_name)
 
     def after():
         pass
@@ -327,7 +329,7 @@ def test_python_profile_hook_is_restored():
     assert steps == 2 ** 8 - 1
     assert restored is hook
     assert "after" in events
-    assert "max_naive" not in events
+    assert events.count("max_naive") == 2 ** 8 - 1
 
 
 def test_outer_cprofile_is_enabled_again():
@@ -347,6 +349,45 @@ def test_outer_cprofile_is_enabled_again():
     assert restored is before
     calls = {e.code: e.callcount for e in outer.getstats()}
     assert calls.get(after.__code__) == 1
+    assert sum(n for code, n in calls.items() if getattr(code, "co_name", None) == "max_naive") == 2 ** 8 - 1
+
+
+def test_measured_installs_no_profile_hook(monkeypatch):
+    def refuse(hook):
+        raise AssertionError("measured installed a profile hook")
+
+    monkeypatch.setattr(sys, "setprofile", refuse)
+    assert costmeter.measured("max_naive", list(range(1, 9))) == (8, 2 ** 8 - 1)
+
+
+class NoSource:
+    def get_data(self, path):
+        raise FileNotFoundError(path)
+
+
+class ChangedSource:
+    def get_data(self, path):
+        return b"def add1(x):\n    return x\n"  # not the def the loaded code came from
+
+
+@pytest.mark.parametrize("loader", [NoSource(), ChangedSource(), object()], ids=["missing", "changed", "no-get-data"])
+def test_missing_source_is_one_clear_error(monkeypatch, loader):
+    monkeypatch.setattr(binary, "__loader__", loader)
+    raised = []
+
+    def measure():  # a fresh thread has built no twins yet
+        try:
+            costmeter.measured("b_add1", binary.from_int(7))
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=measure)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert [(type(exc), str(exc)) for exc in raised] == [
+        (RuntimeError, "cannot meter 'b_add1': the source of numrep.binary is not available")
+    ]
 
 
 def test_measurements_in_two_threads_at_once():
@@ -377,6 +418,43 @@ def test_measurements_in_two_threads_at_once():
     assert not any(t.is_alive() for t in threads)
     assert results == {"naive": [2 ** 12 - 1] * 20, "add": [301] * 20}
     assert final_limit == old_limit
+
+
+class CyclicGarbage:
+    def __del__(self):
+        sum(range(50))  # Python code in a collection lets another thread run
+
+
+def test_threads_building_their_twins_at_once():
+    # on 3.11, two threads converting ASTs at once could fail with
+    # "SystemError: AST constructor recursion depth mismatch"
+    errors = []
+
+    def build():
+        try:
+            for _ in range(500):
+                junk = CyclicGarbage()
+                junk.cycle = junk
+            for op_id in ("b_add1", "i_add", "bs_cons", "sumlist", "u_plus"):
+                costmeter.measured(op_id, *costmeter.worst_case_args(op_id, 4))
+        except Exception as exc:
+            errors.append(exc)
+
+    old_threshold, old_interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.set_threshold(50)
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+        gc.set_threshold(*old_threshold)
+    assert errors == []
 
 
 def test_deep_recursion_overlapping_in_two_threads():
