@@ -6,7 +6,8 @@
 
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
 negative unary value, non-canonical literal, failed check suite), for
-inputs too deep for the recursion limit or too large for memory and for
+inputs too deep for the recursion limit or too large for memory, for a
+meter that cannot read a module's source (``bench``, ``check``) and for
 a reader that closed stdout early, 2 for usage and syntax errors
 (bad flags, malformed literals or numbers, unknown operation ids).
 """
@@ -54,12 +55,16 @@ _EVAL_OPS = {
 }
 
 
+def _shown(text: str) -> str:
+    """text as an error message quotes it: its first 60 characters at most."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = text if len(text) <= 60 else text[:60] + "..."
-        raise _UsageError(f"{what} is not an integer: {shown!r}") from None
+        raise _UsageError(f"{what} is not an integer: {_shown(text)!r}") from None
 
 
 def _any_int_digits(handler):
@@ -139,7 +144,7 @@ def _cmd_braun(args) -> int:
         elif cmd == "update" and len(rest_args) == 2:
             seq = braun.update(seq, _parse_int(rest_args[0], "index"), rest_args[1])
         else:
-            raise _UsageError(f"bad script line: {line!r}")
+            raise _UsageError(f"bad script line: {_shown(line)!r}")
     return 0
 
 
@@ -264,8 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, RecursionError, MemoryError) as exc:
-        # a MemoryError usually has no message
+    except (ValueError, IndexError, RuntimeError, MemoryError) as exc:
+        # RuntimeError: a RecursionError, or a meter that cannot read a
+        # module's source; a MemoryError usually has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,8 @@
 
 Literals are fully parenthesized constructor applications, one letter per
 constructor, such as ``S(S(Z))`` or ``B(A(N))``.  Whitespace is ignored
-everywhere.  Each numeral kind has its own alphabet:
+everywhere: the parser removes it once and reads the rest.  Each numeral
+kind has its own alphabet:
 
     unary     Z | S(x)
     binary    Z | A(x) | B(x)        A never directly on Z
@@ -12,12 +13,18 @@ everywhere.  Each numeral kind has its own alphabet:
 Parsing rejects non-canonical binary and twoscomp literals; that failure
 is a :class:`CanonicalityError`, distinct from a :class:`ParseError`,
 which reports the character position of a syntax problem.  Each kind's
-grammar is one regular expression, built from pieces; a literal that does
-not match it is positioned by matching the same pieces as far as they go.
+grammar is one regular expression over the whitespace-free text, built
+from pieces; a literal that does not match it is positioned by matching
+the same pieces as far as they go, and that position is mapped back to
+the original text (the index of the same non-whitespace character, or
+the end of the text).  Canonicality is tested once, by the layer's own
+``is_canonical``, on the innermost wrapper: every other wrapper in a
+literal wraps a digit.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Any, List, Tuple
 
@@ -58,20 +65,30 @@ _LETTERS = {k: c for alphabet in _ALPHABETS.values() for c, k in alphabet.items(
 _CHILD_FIELD = {k: k.__slots__[0] for k in _LETTERS if k.__slots__}
 
 
-# each kind's literal grammar as regex pieces: the wrapper and nullary
-# letter classes, the openings (wrapper letters each followed by "(") and
-# the closer; \s and str.isspace, which str.split uses, agree on every
-# code point
+# each kind's literal grammar over its whitespace-free text, as regex
+# pieces: the wrapper and nullary letter classes, the openings (wrapper
+# letters each followed by "(") and the closer
 _CLASSES = {
     kind: (f"[{''.join(_WRAPPERS[kind])}]", f"[{''.join(_NULLARIES[kind])}]")
     for kind in KINDS
 }
-_OPENINGS = r"\s*((?:{}\s*\(\s*)*)"
-_CLOSER = r"\s*\)"
+_OPENINGS = r"((?:{}\()*)"
+_CLOSER = r"\)"
 # the shape: the openings, one nullary letter, then the closers
 _SHAPES = {
-    kind: re.compile(_OPENINGS.format(wrapper) + rf"({nullary})((?:{_CLOSER})*)\s*")
+    kind: re.compile(_OPENINGS.format(wrapper) + rf"({nullary})((?:{_CLOSER})*)")
     for kind, (wrapper, nullary) in _CLASSES.items()
+}
+
+# the layer's canonicality test and its message, per kind that has one; in
+# a literal only the innermost wrapper can break it, as every other wraps
+# a digit
+_CANONICAL = {
+    "binary": (binary.is_canonical, "non-canonical literal: A applied directly to Z"),
+    "twoscomp": (
+        twoscomp.is_canonical,
+        "non-canonical literal: A applied directly to Z, or B directly to N",
+    ),
 }
 
 
@@ -79,49 +96,47 @@ def parse_numeral(text: str, kind: str) -> Any:
     """Parse a literal of the given kind; whitespace-insensitive."""
     if kind not in KINDS:
         raise ValueError(f"unknown numeral kind: {kind!r}")
-    wrappers = _WRAPPERS[kind]
-    m = _SHAPES[kind].fullmatch(text)
-    if m is None:
-        raise _syntax_error(text, kind)
-    opening, nullary, closing = m.groups()
-    # "A ( B(" -> "A(B(" -> "AB": every other character is a letter
-    letters = "".join(opening.split())[::2]
-    if closing.count(")") != len(letters):
-        raise _syntax_error(text, kind)
-
-    value = _NULLARIES[kind][nullary]()
-    for c in reversed(letters):
-        value = wrappers[c](value)
-
-    if kind == "binary" and not binary.is_canonical(value):
-        raise CanonicalityError("non-canonical literal: A applied directly to Z")
-    if kind == "twoscomp" and not twoscomp.is_canonical(value):
-        raise CanonicalityError(
-            "non-canonical literal: A applied directly to Z, or B directly to N"
-        )
+    compact = "".join(text.split())
+    m = _SHAPES[kind].fullmatch(compact)
+    if m is None or 2 * len(m[3]) != len(m[1]):  # one closer per opening
+        raise _syntax_error(text, compact, kind)
+    letters = m[1][-2::-2]  # "A(B(" -> "BA": the wrapper letters, innermost first
+    value = _NULLARIES[kind][m[2]]()
+    if letters:
+        wrappers = _WRAPPERS[kind]
+        value = wrappers[letters[0]](value)
+        canonical = _CANONICAL.get(kind)
+        if canonical is not None and not canonical[0](value):
+            raise CanonicalityError(canonical[1])
+        for c in letters[1:]:
+            value = wrappers[c](value)
     return value
 
 
-def _syntax_error(text: str, kind: str) -> ParseError:
-    """The positioned error for a literal that does not have the shape: the
-    openings, then a wrapper letter with no "(", the nullary letter or
-    neither, then at most one closer per opening, as far as they match."""
+def _syntax_error(text: str, compact: str, kind: str) -> ParseError:
+    """The positioned error for a literal whose whitespace-free text does not
+    have the shape: the openings, then a wrapper letter with no "(", the
+    nullary letter or neither, then at most one closer per opening, as far
+    as they match.  The position found there is mapped back to the text."""
     wrapper, nullary = _CLASSES[kind]
-    stop = re.compile(_OPENINGS.format(wrapper) + rf"(?:({wrapper})\s*|({nullary}))?").match(text)
+    stop = re.compile(_OPENINGS.format(wrapper) + rf"(?:({wrapper})|({nullary}))?").match(compact)
     opened, unopened, last = stop.groups()
     i = stop.end()
     if unopened:
-        return ParseError(f"expected '(' after {unopened!r}", i)
-    if not last and i == len(text):
-        return ParseError("unexpected end of input, expected a constructor", i)
-    if not last:
-        return ParseError(f"unexpected character {text[i]!r}", i)
-    depth = opened.count("(")
-    closers = re.compile(rf"((?:{_CLOSER}){{0,{depth}}})\s*").match(text, i)
-    i = closers.end()
-    if closers.group(1).count(")") < depth:
-        return ParseError("expected ')'", i)
-    return ParseError(f"trailing input {text[i]!r}", i)
+        message = f"expected '(' after {unopened!r}"
+    elif not last and i == len(compact):
+        message = "unexpected end of input, expected a constructor"
+    elif not last:
+        message = f"unexpected character {compact[i]!r}"
+    else:
+        depth = opened.count("(")
+        closers = re.compile(rf"(?:{_CLOSER}){{0,{depth}}}").match(compact, i)
+        short = closers.end() - i < depth
+        i = closers.end()
+        message = "expected ')'" if short else f"trailing input {compact[i]!r}"
+    # the index of text's i-th non-whitespace character, or its end
+    solid = (j for j, c in enumerate(text) if not c.isspace())
+    return ParseError(message, next(itertools.islice(solid, i, None), len(text)))
 
 
 def print_numeral(value: Any) -> str:

@@ -3,12 +3,13 @@ import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import numrep
-from numrep import binary, cli, costmeter, numio
+from numrep import binary, cli, costmeter, listlab, numio
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -308,6 +309,18 @@ def test_braun_bad_script_line(capsys, monkeypatch):
     assert "script" in err
 
 
+@pytest.mark.parametrize("line, shown", [
+    ("swizzle 3", "'swizzle 3'"),
+    ("access 1 2", "'access 1 2'"),
+    ("swizzle " + "x" * 52, "'swizzle " + "x" * 52 + "'"),  # 60 characters: shown whole
+    ("swizzle " + "x" * 5000, "'swizzle " + "x" * 52 + "...'"),
+], ids=["short", "wrong-arity", "60-characters", "5008-characters"])
+def test_braun_bad_script_line_echoes_a_bounded_prefix(capsys, monkeypatch, line, shown):
+    code, out, err = run(capsys, ["braun", "--init", "a"], stdin=line + "\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: bad script line: {shown}\n")
+    assert len(err.encode()) <= 200
+
+
 # --- bench ---------------------------------------------------------------------
 
 def test_bench_sumlist(capsys):
@@ -379,6 +392,29 @@ def test_bench_negative_size_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class NoSource:
+    def get_data(self, path):
+        raise FileNotFoundError(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--op", "sumlist", "--sizes", "10"],
+    ["check", "--suite", "listlab"],
+], ids=["bench", "check"])
+def test_meter_without_the_source_is_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(listlab, "__loader__", NoSource())
+    results = []
+    # twins are built per thread, so a fresh thread reads the source anew
+    thread = threading.Thread(target=lambda: results.append(run(capsys, argv)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    [(code, out, err)] = results
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot meter ") and err.count("\n") == 1
+    assert err.endswith(": the source of numrep.listlab is not available\n")
 
 
 # --- check ---------------------------------------------------------------------

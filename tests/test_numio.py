@@ -1,6 +1,10 @@
+import ast
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numrep import binary, braun, numio, twoscomp, unary
 from numrep.numio import CanonicalityError, ParseError
@@ -112,6 +116,11 @@ PARSE_ERRORS = [
                  "trailing input ')' (at position 30001)", 30001, id="10000-deep-one-closer-over"),
     (" A ( Z ) ", "binary", CanonicalityError,
      "non-canonical literal: A applied directly to Z", None),
+    pytest.param("B(" * 9999 + "A(Z" + ")" * 10000, "binary", CanonicalityError,
+                 "non-canonical literal: A applied directly to Z", None, id="10000-deep-A-on-Z"),
+    pytest.param("A(" * 9999 + "B(N" + ")" * 10000, "twoscomp", CanonicalityError,
+                 "non-canonical literal: A applied directly to Z, or B directly to N", None,
+                 id="10000-deep-B-on-N"),
     ("B(N)", "twoscomp", CanonicalityError,
      "non-canonical literal: A applied directly to Z, or B directly to N", None),
 ]
@@ -124,6 +133,53 @@ def test_parse_error_contract(text, kind, error, message, position):
     assert type(err.value) is error
     assert str(err.value) == message
     assert getattr(err.value, "position", None) == position
+
+
+# a value of each kind, and whitespace to put between the tokens of its literal
+VALUES = st.one_of(
+    st.tuples(st.just("unary"), st.integers(0, 60).map(unary.from_int)),
+    st.tuples(st.just("binary"), st.integers(0, 2 ** 64).map(binary.from_int)),
+    st.tuples(st.just("twoscomp"), st.integers(-(2 ** 64), 2 ** 64).map(twoscomp.from_int)),
+    st.tuples(st.just("cd"), st.integers(0, 2 ** 64).map(braun.cd_from_int)),
+)
+SPACE = st.text(st.sampled_from(" \t\n\r\u2003\u3000\x85"), max_size=2)
+
+
+def spaced(data, compact):
+    """compact with drawn whitespace before, between and after its tokens."""
+    gaps = data.draw(st.lists(SPACE, min_size=len(compact) + 1, max_size=len(compact) + 1))
+    return "".join(gap + c for gap, c in zip(gaps, compact)) + gaps[-1]
+
+
+@given(VALUES, st.data())
+@settings(max_examples=200, deadline=None)
+def test_whitespace_between_tokens_does_not_change_the_value(kind_value, data):
+    kind, value = kind_value
+    compact = numio.print_numeral(value)
+    assert numio.parse_numeral(spaced(data, compact), kind) == value
+    assert numio.parse_numeral(compact, kind) == value
+
+
+@given(VALUES, st.data())
+@settings(max_examples=300, deadline=None)
+def test_error_positions_point_at_what_the_message_names(kind_value, data):
+    kind, value = kind_value
+    text = list(spaced(data, numio.print_numeral(value)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        removed = data.draw(st.integers(0, 1))  # insert, replace or delete one character
+        text[i:i + removed] = data.draw(st.text(st.sampled_from("ZSABNCD()xb \u2003\x85"), max_size=1))
+    text = "".join(text)
+    try:
+        numio.parse_numeral(text, kind)
+    except ParseError as exc:
+        p = exc.position
+        assert p == len(text) or (0 <= p < len(text) and not text[p].isspace())
+        quoted = re.fullmatch(r"(?:unexpected character|trailing input) (.+) \(at position \d+\)", str(exc))
+        if quoted:
+            assert ast.literal_eval(quoted[1]) == text[p]
+    except CanonicalityError:
+        pass
 
 
 def test_unicode_whitespace_between_tokens():
@@ -176,6 +232,8 @@ def test_parse_print_roundtrip_500_random_values_per_kind():
     (binary, "binary", int("1011" * 2500, 2)),
     (twoscomp, "twoscomp", -int("1011" * 2500, 2)),
     (twoscomp, "twoscomp", int("1011" * 2500, 2)),
+    (binary, "binary", 2 ** 9999),  # A(...B(Z)...): A on every digit but the innermost
+    (twoscomp, "twoscomp", 2 ** 9999),
 ])
 def test_parse_print_roundtrip_10000_digits(module, kind, n):
     text = numio.print_numeral(module.from_int(n))
