@@ -39,10 +39,9 @@ class Record:
     field, named after it, which stores each through the slot's own
     setter (``Cls.x.__set__``, bound once when the class is created):
     calling the member descriptor directly is the cheapest way to fill a
-    slot that ``__setattr__`` refuses.  Keywords of the class statement
-    give field defaults, as in ``class C(Record, x=""):``.  A subclass
-    that adds no fields keeps its parent's ``__init__``.  Afterwards,
-    assigning or deleting an attribute raises AttributeError.
+    slot that ``__setattr__`` refuses.  A subclass that adds no fields
+    keeps its parent's ``__init__``.  Afterwards, assigning or deleting
+    an attribute raises AttributeError.
     ``__match_args__`` are the field names, equality is type-exact over
     the tuple of field values, ``hash`` is the hash of that tuple,
     ``repr`` reads ``Cls(field=value, ...)``, and pickle and copy rebuild
@@ -52,12 +51,11 @@ class Record:
     __slots__ = ()
     __match_args__: Tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **defaults: Any) -> None:
+    def __init_subclass__(cls) -> None:
         own = tuple(cls.__dict__.get("__slots__", ()))
-        super().__init_subclass__(**{k: v for k, v in defaults.items() if k not in own})
         cls.__match_args__ += own
         if own:
-            cls.__init__ = _constructor(cls, defaults)
+            cls.__init__ = _constructor(cls)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -85,13 +83,12 @@ def _values(r: Record) -> tuple:
     return tuple([getattr(r, f) for f in r.__match_args__])
 
 
-def _constructor(cls: type, defaults: dict) -> Any:
+def _constructor(cls: type) -> Any:
     """Compile ``cls.__init__`` from its fields, as namedtuple compiles ``__new__``."""
     fields = cls.__match_args__
-    params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+    params = "".join(f", {f}" for f in fields)
     body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
     namespace = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-    namespace["_defaults"] = defaults
     exec(f"def __init__(self{params}):{body}", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -19,7 +19,7 @@ DEFAULT_SEED = 12345
 CheckFn = Callable[[random.Random], Optional[str]]
 
 
-class CheckResult(Record, detail=""):
+class CheckResult(Record):
     """Outcome of one property check; detail says why it failed."""
 
     __slots__ = ("suite", "name", "passed", "detail")
@@ -378,7 +378,7 @@ def _br_access_cost(rng):
         for i in {0, length - 1, rng.randrange(length)}:
             _, steps = costmeter.measured("bs_access", s, i)
             if steps != _digit_count(i):
-                return f"access({i}) reported {steps} steps, digits {_digit_count(i)}"
+                return f"access({i}) visited {steps} nodes, digits {_digit_count(i)}"
     return None
 
 

@@ -9,7 +9,8 @@ negative unary value, non-canonical literal, failed check suite), for
 inputs too deep for the recursion limit or too large for memory, for a
 meter that cannot read a module's source (``bench``, ``check``) and for
 a reader that closed stdout early, 2 for usage and syntax errors
-(bad flags, malformed literals or numbers, unknown operation ids).
+(bad flags, malformed literals or numbers, numbers longer than 131072
+characters, unknown operation ids).
 """
 
 from __future__ import annotations
@@ -60,7 +61,14 @@ def _shown(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
+# Linux's cap on one command-line argument; a longer script token is refused
+# before int(), whose time is quadratic in the digit count
+_MAX_INT_CHARS = 131072
+
+
 def _parse_int(text: str, what: str) -> int:
+    if len(text) > _MAX_INT_CHARS:
+        raise _UsageError(f"{what} is longer than {_MAX_INT_CHARS} characters: {_shown(text)!r}")
     try:
         return int(text)
     except ValueError:
@@ -72,7 +80,8 @@ def _any_int_digits(handler):
 
     Python (3.10.7 on) refuses int/str conversions past 4300 digits, which
     bounds the quadratic cost of parsing untrusted text; here the text is
-    the user's own argument (at most 128 KiB on Linux) or script line.
+    the user's own argument or script token, which :func:`_parse_int`
+    bounds to 131072 characters.
     """
 
     def lifted(args) -> int:
@@ -265,9 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.handler(args)
     except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, RuntimeError, MemoryError) as exc:
         # RuntimeError: a RecursionError, or a meter that cannot read a

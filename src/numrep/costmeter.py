@@ -2,15 +2,17 @@
 
 A measurement counts every entry into the functions listed for its
 operation id, recursive entries and base clauses included, by running
-twins: copies compiled from their own source with a first statement
-``_steps[0] += 1``, in a copy of the module's namespace, so that their
-calls and an uncounted entry's (``braun.cons``) reach the twins.  A twin
-adds no frame, and the plain functions pay nothing for the meter.  Each
-thread builds its own twins on first use, seeing the module's globals
-as they were then; without the source, :func:`measured` raises
-``RuntimeError``.  Helper bodies count toward their caller's total
-(add_v1 includes its increments, add_v2 its carry helper, mult its
-additions); smart constructors such as ``even`` and ``odd`` are not steps.
+twins: copies compiled from their own source with ``_steps[0] += 1``
+first in the body that repeats (the function's own, or that of its
+top-level ``while`` if it descends in a loop), in a copy of the module's
+namespace, so that their calls and an uncounted entry's (``braun.cons``)
+reach the twins.  A twin adds no frame, and the plain functions pay
+nothing for the meter.  Each thread builds its own twins on first use,
+seeing the module's globals as they were then; without the source,
+:func:`measured` raises ``RuntimeError``.  Helper bodies count toward
+their caller's total (add_v1 includes its increments, add_v2 its carry
+helper, mult its additions); smart constructors such as ``even`` and
+``odd`` are not steps.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -28,14 +30,7 @@ additions); smart constructors such as ``even`` and ``odd`` are not steps.
     i_add        twoscomp.add, twoscomp.add_plus1
     bs_cons      braun._push (one entry per spine node built)
     bs_rest      braun._untop (one entry per spine node inspected)
-    bs_access    closed form, see below
-
-``braun.access`` is a loop, not a recursion, so there are no entries to
-count, and ``bs_access`` observes no traversal: it runs the plain
-function and reports, by definition, the digit count of the index's
-bijective base-2 numeral, ``(i + 1).bit_length() - 1``, which is the
-number of nodes the loop descends through.  ``bs_cons`` and ``bs_rest``
-stay within depth + 1.
+    bs_access    braun.access (one per child descent)
 
 Benchmark sizes mean, per operation: the denoted value for the unary
 ops, the list length for the list ops, the digit count of an all-ones
@@ -94,8 +89,7 @@ def deep_recursion(limit: int = 50_000):
                 sys.setrecursionlimit(_depth_saved)
 
 
-# op id -> (plain entry function, functions whose entries are its steps);
-# bs_access is a loop and counts none
+# op id -> (plain entry function, functions whose entries are its steps)
 _OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {
     "u_plus": (unary.plus, (unary.plus,)),
     "u_add": (unary.add, (unary.add,)),
@@ -109,7 +103,7 @@ _OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {
     "b_add_v2": (binary.add_v2, (binary.add_v2, binary.add_plus1)),
     "b_mult": (binary.mult, (binary.mult, binary.add_v2, binary.add_plus1)),
     "i_add": (twoscomp.add, (twoscomp.add, twoscomp.add_plus1)),
-    "bs_access": (braun.access, ()),
+    "bs_access": (braun.access, (braun.access,)),
     "bs_cons": (braun.cons, (braun._push,)),
     "bs_rest": (braun.rest, (braun._untop,)),
 }
@@ -131,9 +125,10 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
         with _building:
             defs = {}
             for node in ast.parse(source).body:
-                if isinstance(node, ast.FunctionDef):  # the count goes after the docstring
-                    count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], node.lineno - 1)
-                    node.body.insert(ast.get_docstring(node, clean=False) is not None, count)
+                if isinstance(node, ast.FunctionDef):  # the count opens the repeating body
+                    host = next((s for s in node.body if isinstance(s, ast.While)), node)
+                    count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
+                    host.body.insert(host is node and ast.get_docstring(node, clean=False) is not None, count)
                     defs[node.lineno, node.name] = node
             for op, (entry, counted) in _OPS.items():
                 if entry.__globals__ is not module:
@@ -153,8 +148,6 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     """Run the operation's twins and count its steps; return (result, steps)."""
     if op_id not in METERED:
         raise KeyError(f"unknown operation id: {op_id!r}")
-    if op_id == "bs_access":  # a loop: one step per index digit
-        return METERED[op_id](*args), (args[1] + 1).bit_length() - 1
     entry, steps = _twin(op_id)
     steps[0] = 0
     with deep_recursion():
@@ -178,7 +171,7 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
         return (binary.from_int((1 << n) - 1), binary.from_int((1 << n) - 1))
     if op_id == "i_add":
         return (twoscomp.from_int((1 << n) - 1), twoscomp.from_int((1 << n) - 1))
-    if op_id == "bs_access":  # a loop: one step per index digit
+    if op_id == "bs_access":
         return (braun.from_list(range(n)), n - 1)
     if op_id == "bs_cons":
         return ("x", braun.from_list(range(n)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,18 @@ def test_braun_index_out_of_range_is_one_short_line(capsys, monkeypatch, line, m
 def test_braun_index_not_an_integer_echoes_a_bounded_prefix(capsys, monkeypatch):
     code, _, err = run(capsys, ["braun", "--init", "a"], stdin="access " + "x" * 5000 + "\n", monkeypatch=monkeypatch)
     assert (code, err) == (2, "error: index is not an integer: '" + "x" * 60 + "...'\n")
+
+
+@pytest.mark.parametrize("digits, code", [(131072, 1), (131073, 2), (1_000_000, 2)])
+def test_braun_index_past_the_argument_cap_is_refused_before_parsing(capsys, monkeypatch, digits, code):
+    # int() is quadratic: a million digits took about 10 s to parse
+    line = "access 1" + "0" * (digits - 1) + "\n"
+    start = time.perf_counter()
+    got, _, err = run(capsys, ["braun", "--init", "a"], stdin=line, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 1
+    assert got == code and err.count("\n") == 1 and len(err.encode()) <= 200
+    if code == 2:
+        assert err == "error: index is longer than 131072 characters: '1" + "0" * 59 + "...'\n"
 
 
 def test_braun_bad_script_line(capsys, monkeypatch):

@@ -370,14 +370,23 @@ class ChangedSource:
         return b"def add1(x):\n    return x\n"  # not the def the loaded code came from
 
 
-@pytest.mark.parametrize("loader", [NoSource(), ChangedSource(), object()], ids=["missing", "changed", "no-get-data"])
-def test_missing_source_is_one_clear_error(monkeypatch, loader):
-    monkeypatch.setattr(binary, "__loader__", loader)
+LOADERS = {"missing": NoSource(), "changed": ChangedSource(), "no-get-data": object()}
+
+
+@pytest.mark.parametrize("module, op_id, args, loader", [
+    pytest.param(binary, "b_add1", (binary.from_int(7),), loader, id=name)
+    for name, loader in LOADERS.items()
+] + [
+    pytest.param(braun, "bs_access", (braun.from_list("abc"), 2), loader, id=f"bs_access-{name}")
+    for name, loader in LOADERS.items()
+])
+def test_missing_source_is_one_clear_error(monkeypatch, module, op_id, args, loader):
+    monkeypatch.setattr(module, "__loader__", loader)
     raised = []
 
     def measure():  # a fresh thread has built no twins yet
         try:
-            costmeter.measured("b_add1", binary.from_int(7))
+            costmeter.measured(op_id, *args)
         except Exception as exc:
             raised.append(exc)
 
@@ -386,7 +395,7 @@ def test_missing_source_is_one_clear_error(monkeypatch, loader):
     thread.join(timeout=30)
     assert not thread.is_alive()
     assert [(type(exc), str(exc)) for exc in raised] == [
-        (RuntimeError, "cannot meter 'b_add1': the source of numrep.binary is not available")
+        (RuntimeError, f"cannot meter {op_id!r}: the source of {module.__name__} is not available")
     ]
 
 

@@ -20,7 +20,7 @@ import numrep
 from numrep import binary, braun, checks, costmeter, twoscomp, unary
 
 
-class Pair(binary.Record, second=0):
+class Pair(binary.Record):
     """A record defined outside the package: its constructor is generated too."""
 
     __slots__ = ("first", "second")
@@ -85,15 +85,10 @@ def test_wrong_argument_count_is_a_type_error(cls):
             cls()
 
 
-def test_check_result_detail_defaults_to_empty():
-    assert checks.CheckResult("unary", "laws", True).detail == ""
-
-
-def test_generated_constructor_default_and_argument_errors():
-    assert Pair(1) == Pair(first=1) == Pair(1, 0)
+def test_generated_constructor_argument_errors():
     with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) missing 1 required positional argument"):
-        Pair()
-    with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) takes from 2 to 3 positional arguments"):
+        Pair(1)
+    with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) takes 3 positional arguments"):
         Pair(1, 2, 3)
     with pytest.raises(TypeError, match=r"^Pair\.__init__\(\) got an unexpected keyword argument 'third'"):
         Pair(1, third=3)
@@ -105,12 +100,11 @@ def test_a_class_keyword_that_names_no_field_is_a_type_error():
             __slots__ = ("first",)
 
 
-def test_a_subclass_without_fields_keeps_the_constructor_and_its_default():
+def test_a_subclass_without_fields_keeps_the_constructor():
     class Named(checks.CheckResult):
         __slots__ = ()
 
     assert Named.__init__ is checks.CheckResult.__init__
-    assert Named("unary", "laws", True).detail == ""
 
 
 @classes
