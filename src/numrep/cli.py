@@ -175,6 +175,11 @@ def _cmd_bench(args) -> int:
         )
     from . import costmeter
 
+    if 0 in sizes:
+        try:
+            costmeter.worst_case_args(args.op, 0)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     rows = costmeter.measure_schedule(args.op, sizes)
     sys.stdout.write(numio.csv_emit(rows))
     return 0

@@ -155,8 +155,17 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     return result, steps[0]
 
 
+# a maximum, a last index and a rest need at least one element
+_NONEMPTY = ("max_naive", "max_fast", "bs_access", "bs_rest")
+
+
 def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
-    """Canonical worst-case input of size n for an operation id."""
+    """Canonical worst-case input of size n for an operation id.
+
+    Raises ValueError for size 0 of an op whose input needs an element.
+    """
+    if n == 0 and op_id in _NONEMPTY:
+        raise ValueError(f"{op_id} has no worst-case input of size 0")
     if op_id in ("u_plus", "u_add"):
         return (unary.from_int(n), unary.from_int(n))
     if op_id in ("sumlist", "sumlist2"):

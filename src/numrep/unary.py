@@ -6,11 +6,20 @@ is written clause by clause so the recursion shapes stay visible.  All
 values are immutable and compare structurally, at any height: ``==``,
 ``hash`` and ``repr`` come from :class:`numrep.binary.Numeral`, and
 assigning to a field raises AttributeError.
+
+Like Haskell's ``iterate Succ Zero``, the values :func:`from_int` returns
+share one tower of nodes: for m < n <= 2**16 the numeral for m is the
+very node inside the numeral for n, so each height is built once per
+process, and the tower keeps at most 2**16 + 1 nodes (about 3 MB).  A
+larger numeral is built fresh above the tower's top.  Whether two results
+are the same object is not part of the API; compare values with ``==``.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import operator
+import threading
+from typing import List, Union
 
 from .binary import Numeral
 
@@ -30,6 +39,14 @@ class Succ(Numeral):
 UnaryNat = Union[Zero, Succ]
 
 
+# _tower[k] denotes k.  It grows on demand, up to a height of _TOWER_CAP,
+# under _tower_lock: two threads appending at once could store a height at
+# the wrong index.  Heights above the cap are built fresh and not kept.
+_TOWER_CAP = 2 ** 16
+_tower: List[UnaryNat] = [Zero()]
+_tower_lock = threading.Lock()
+
+
 def from_int(n: int) -> UnaryNat:
     """Wrap ``Zero`` in n layers of ``Succ``.
 
@@ -37,8 +54,16 @@ def from_int(n: int) -> UnaryNat:
     """
     if n < 0:
         raise ValueError(f"cannot represent {n} as a unary natural")
-    value: UnaryNat = Zero()
-    for _ in range(n):
+    n = operator.index(n)  # a float raises TypeError before the tower grows
+    tower = _tower
+    if n < len(tower):
+        return tower[n]
+    top = min(n, _TOWER_CAP)
+    with _tower_lock:
+        while len(tower) <= top:
+            tower.append(Succ(tower[-1]))
+    value = tower[top]
+    for _ in range(n - top):
         value = Succ(value)
     return value
 

@@ -359,6 +359,15 @@ def test_bench_max_naive_refuses_sizes_above_20_before_measuring(capsys, monkeyp
     assert measured == [[20], [64, 512]]
 
 
+@pytest.mark.parametrize("op", ["bs_access", "bs_rest", "max_naive", "max_fast"])
+def test_bench_refuses_size_0_of_an_op_that_needs_an_element(capsys, monkeypatch, op):
+    measured = []
+    monkeypatch.setattr(costmeter, "measure_schedule", lambda op, sizes: measured.append(sizes) or [])
+    code, out, err = run(capsys, ["bench", "--op", op, "--sizes", "4,0"])
+    assert (code, out, measured) == (2, "", [])
+    assert err == f"error: {op} has no worst-case input of size 0\n"
+
+
 # Each runs in a fresh interpreter and recurses 30,000 or 50,000 frames deep.
 # Before 3.11 every Python call also takes C stack, which that depth can overflow.
 deep_python_frames = pytest.mark.skipif(

@@ -187,6 +187,12 @@ def test_unknown_operation_id():
         costmeter.worst_case_args("no_such_op", 4)
 
 
+@pytest.mark.parametrize("op_id", ["bs_access", "bs_rest", "max_naive", "max_fast"])
+def test_no_worst_case_input_of_size_0(op_id):
+    with pytest.raises(ValueError, match=f"^{op_id} has no worst-case input of size 0$"):
+        costmeter.worst_case_args(op_id, 0)
+
+
 # --- schedules and bound checking ----------------------------------------------
 
 def test_measure_schedule_sorts_and_dedupes():
@@ -269,8 +275,11 @@ def plain_list(op_id, n):
     return list(range(1, n + 1)) if op_id.startswith("max") else list(range(n))
 
 
-@pytest.mark.parametrize("n", [0, 1, 10, 4096])
-@pytest.mark.parametrize("op_id", LIST_OPS)
+# a maximum has no input of size 0: see test_no_worst_case_input_of_size_0
+@pytest.mark.parametrize("op_id, n", [
+    (op_id, n) for op_id in LIST_OPS for n in (0, 1, 10, 4096)
+    if n or not op_id.startswith("max")
+])
 def test_list_op_inputs_hold_the_plain_list(op_id, n):
     assert list(costmeter.worst_case_args(op_id, n)[-1]) == plain_list(op_id, n)
 

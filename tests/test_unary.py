@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +32,66 @@ def test_from_int_layer_count():
 def test_from_int_rejects_negative():
     with pytest.raises(ValueError):
         unary.from_int(-1)
+
+
+@pytest.mark.parametrize("n", [2.0, "3"])
+def test_from_int_rejects_non_integers(n):
+    with pytest.raises(TypeError):
+        unary.from_int(n)
+
+
+# --- the shared tower ---------------------------------------------------------
+
+CAP = unary._TOWER_CAP
+
+
+@given(st.integers(0, CAP), st.integers(0, CAP))
+def test_smaller_numerals_are_inside_larger_ones(a, b):
+    m, n = sorted((a, b))
+    x = unary.from_int(n)
+    for _ in range(n - m):
+        x = x.pred
+    assert x is unary.from_int(m)
+
+
+def test_tower_holds_at_most_the_cap(monkeypatch):
+    monkeypatch.setattr(unary, "_tower", [Zero()])
+    for k in (CAP - 1, CAP, CAP + 1, CAP + 1000):
+        assert unary.to_int(unary.from_int(k)) == k
+        assert len(unary._tower) <= CAP + 1
+    assert len(unary._tower) == CAP + 1
+    x = unary.from_int(CAP + 3)  # built on the tower's top
+    assert x.pred.pred.pred is unary.from_int(CAP)
+
+
+def test_two_threads_growing_the_tower_at_once(monkeypatch):
+    monkeypatch.setattr(unary, "_tower", [Zero()])
+    top = 5000
+    started = []
+    seen = {}
+
+    def grow(name):
+        # spin, not block, so that both threads are running when they grow
+        started.append(name)
+        deadline = time.monotonic() + 30
+        while len(started) < 2 and time.monotonic() < deadline:
+            pass
+        unary.from_int(top)
+        seen[name] = [unary.to_int(unary.from_int(n)) for n in range(top + 1)]
+
+    threads = [threading.Thread(target=grow, args=(name,)) for name in ("a", "b")]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {"a": list(range(top + 1)), "b": list(range(top + 1))}
+    assert len(unary._tower) == top + 1
 
 
 def test_to_int_small_values():
