@@ -16,10 +16,12 @@ Conversions to and from machine integers go through Python's base-2
 text, ``bin(n)`` and ``int(bits, 2)``: one builder wraps a
 most-significant-first ``"0"``/``"1"`` string onto a tail, one walker
 reads it back off, and :mod:`numrep.twoscomp` and :mod:`numrep.braun`
-convert through the same pair.  Every numeral constructor in the
-package derives from :class:`Numeral`, defined here next to that pair,
-and every immutable value in the package, numerals included, from
-:class:`Record`.
+convert through the same pair.  ``to_int`` makes that one walk and tests
+canonicality on what it read: a chain ends at its tail, so only the
+innermost digit or a foreign tail can break the rule.  Every numeral
+constructor in the package derives from :class:`Numeral`, defined here
+next to that pair, and every immutable value in the package, numerals
+included, from :class:`Record`.
 """
 
 from __future__ import annotations
@@ -204,9 +206,10 @@ def from_int(n: int) -> BinNat:
 
 def to_int(x: BinNat) -> int:
     """Inverse of :func:`from_int`; rejects non-canonical input."""
-    if not is_canonical(x):
+    bits, tail = _bits(x)
+    if not _canonical(bits[:1], tail):
         raise CanonicalityError(f"non-canonical binary natural: {x!r}")
-    return int(_bits(x)[0] or "0", 2)
+    return int(bits or "0", 2)
 
 
 def _from_bits(bits: str, tail: Any, zero: type = Even, one: type = Odd) -> Any:
@@ -227,15 +230,26 @@ def _bits(x: Any, zero: type = Even, one: type = Odd) -> Tuple[str, Any]:
     return "".join(reversed(digits)), x
 
 
+def _lead(x: Any) -> Tuple[str, Any]:
+    """(innermost digit of x as "0"/"1", or "" if it has none; tail): the
+    first character of :func:`_bits`'s string, without building the rest."""
+    inner, tx = None, type(x)
+    while tx is Even or tx is Odd:
+        inner, x = tx, x.rest
+        tx = type(x)
+    return ("" if inner is None else "1" if inner is Odd else "0"), x
+
+
 def is_canonical(x: BinNat) -> bool:
     """True iff no ``Even`` is applied directly to ``Zero`` anywhere."""
-    tx = type(x)
-    while tx is Even or tx is Odd:
-        x = x.rest
-        if tx is Even and type(x) is Zero:
-            return False
-        tx = type(x)
-    return tx is Zero
+    return _canonical(*_lead(x))
+
+
+def _canonical(lead: str, tail: Any) -> bool:
+    """The rule over a digit chain's innermost digit and its tail: the chain
+    ends in ``Zero``, and its innermost digit, the only one that can wrap
+    the tail, is not an ``Even``."""
+    return type(tail) is Zero and lead != "0"
 
 
 def size(x: BinNat) -> int:

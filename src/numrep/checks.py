@@ -3,7 +3,9 @@
 Each check compares library operations against an independent oracle
 (machine integers, plain Python lists) or verifies a structural
 invariant, and returns a failure detail or None.  Randomized checks
-draw from a seeded generator so runs are reproducible.
+draw from a seeded generator so runs are reproducible.  A check converts
+each distinct operand once, into a table it frees when it returns, and
+takes the numerals for a pair from it.
 """
 
 from __future__ import annotations
@@ -131,12 +133,17 @@ def _l_step_counts(rng):
 # ---------------------------------------------------------------------------
 # binary
 
-def _pairs(rng, full: int, lo: int, hi: int, extra: int):
+def _pairs(rng, convert, full: int, lo: int, hi: int, extra: int):
+    """(a, b, x, y) with x, y the numerals convert gives for a, b: every pair
+    in 0..full, then extra random pairs in lo..hi.  Each value in lo..hi,
+    which holds 0..full, is converted once, into a table the generator frees."""
+    table = {v: convert(v) for v in range(lo, hi + 1)}
     for a in range(full + 1):
         for b in range(full + 1):
-            yield a, b
+            yield a, b, table[a], table[b]
     for _ in range(extra):
-        yield rng.randint(lo, hi), rng.randint(lo, hi)
+        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+        yield a, b, table[a], table[b]
 
 
 def _b_shapes(rng):
@@ -154,8 +161,7 @@ def _b_shapes(rng):
 
 
 def _b_add_oracle(rng):
-    for a, b in _pairs(rng, 96, 0, 512, 400):
-        x, y = binary.from_int(a), binary.from_int(b)
+    for a, b, x, y in _pairs(rng, binary.from_int, 96, 0, 512, 400):
         if binary.to_int(binary.add_v1(x, y)) != a + b:
             return f"add_v1({a},{b}) != {a + b}"
         if binary.to_int(binary.add_v2(x, y)) != a + b:
@@ -164,23 +170,21 @@ def _b_add_oracle(rng):
 
 
 def _b_add_structural(rng):
-    for a, b in _pairs(rng, 96, 0, 512, 400):
-        x, y = binary.from_int(a), binary.from_int(b)
+    for a, b, x, y in _pairs(rng, binary.from_int, 96, 0, 512, 400):
         if binary.add_v1(x, y) != binary.add_v2(x, y):
             return f"addition algorithms disagree structurally at ({a},{b})"
     return None
 
 
 def _b_mult_oracle(rng):
-    for a, b in _pairs(rng, 48, 0, 128, 200):
-        if binary.to_int(binary.mult(binary.from_int(a), binary.from_int(b))) != a * b:
+    for a, b, x, y in _pairs(rng, binary.from_int, 48, 0, 128, 200):
+        if binary.to_int(binary.mult(x, y)) != a * b:
             return f"mult({a},{b}) != {a * b}"
     return None
 
 
 def _b_canonical(rng):
-    for a, b in _pairs(rng, 48, 0, 512, 200):
-        x, y = binary.from_int(a), binary.from_int(b)
+    for a, b, x, y in _pairs(rng, binary.from_int, 48, 0, 512, 200):
         for v in (binary.add_v1(x, y), binary.add_v2(x, y), binary.add1(x), binary.mult(x, y)):
             if not binary.is_canonical(v):
                 return f"non-canonical output for ({a},{b})"
@@ -223,26 +227,26 @@ def _t_roundtrip(rng):
 
 
 def _t_arith_oracle(rng):
+    ints = {n: twoscomp.from_int(n) for n in range(-256, 257)}
     for a in range(-64, 65):
+        x = ints[a]
         for b in range(-64, 65):
-            x, y = twoscomp.from_int(a), twoscomp.from_int(b)
+            y = ints[b]
             if twoscomp.to_int(twoscomp.add(x, y)) != a + b:
                 return f"add({a},{b}) != {a + b}"
             if twoscomp.to_int(twoscomp.sub(x, y)) != a - b:
                 return f"sub({a},{b}) != {a - b}"
-        if twoscomp.to_int(twoscomp.neg(twoscomp.from_int(a))) != -a:
+        if twoscomp.to_int(twoscomp.neg(x)) != -a:
             return f"neg({a}) != {-a}"
     for _ in range(300):
         a, b = rng.randint(-256, 256), rng.randint(-256, 256)
-        got = twoscomp.to_int(twoscomp.add(twoscomp.from_int(a), twoscomp.from_int(b)))
-        if got != a + b:
+        if twoscomp.to_int(twoscomp.add(ints[a], ints[b])) != a + b:
             return f"add({a},{b}) != {a + b}"
     return None
 
 
 def _t_conservative(rng):
-    for a, b in _pairs(rng, 64, 0, 256, 300):
-        x, y = binary.from_int(a), binary.from_int(b)
+    for a, b, x, y in _pairs(rng, binary.from_int, 64, 0, 256, 300):
         if twoscomp.add(x, y) != binary.add_v2(x, y):
             return f"signed add deviates from binary add at ({a},{b})"
     return None
@@ -280,8 +284,7 @@ def _t_involutions(rng):
 
 
 def _t_canonical(rng):
-    for a, b in _pairs(rng, 48, -256, 256, 200):
-        x, y = twoscomp.from_int(a), twoscomp.from_int(b)
+    for a, b, x, y in _pairs(rng, twoscomp.from_int, 48, -256, 256, 200):
         for v in (twoscomp.add(x, y), twoscomp.sub(x, y), twoscomp.neg(x),
                   twoscomp.add1(x), twoscomp.sub1(x), twoscomp.complement(x)):
             if not twoscomp.is_canonical(v):

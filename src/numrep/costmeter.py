@@ -162,8 +162,13 @@ _NONEMPTY = ("max_naive", "max_fast", "bs_access", "bs_rest")
 def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
     """Canonical worst-case input of size n for an operation id.
 
-    Raises ValueError for size 0 of an op whose input needs an element.
+    Raises KeyError for an unknown op id, and ValueError for a negative
+    size and for size 0 of an op whose input needs an element.
     """
+    if op_id not in METERED:
+        raise KeyError(f"unknown operation id: {op_id!r}")
+    if n < 0:
+        raise ValueError(f"{op_id} has no worst-case input of negative size {n}")
     if n == 0 and op_id in _NONEMPTY:
         raise ValueError(f"{op_id} has no worst-case input of size 0")
     if op_id in ("u_plus", "u_add"):
@@ -184,9 +189,7 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
         return (braun.from_list(range(n)), n - 1)
     if op_id == "bs_cons":
         return ("x", braun.from_list(range(n)))
-    if op_id == "bs_rest":
-        return (braun.from_list(range(n)),)
-    raise KeyError(f"unknown operation id: {op_id!r}")
+    return (braun.from_list(range(n)),)  # bs_rest
 
 
 def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:

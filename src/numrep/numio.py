@@ -19,7 +19,9 @@ the same pieces as far as they go, and that position is mapped back to
 the original text (the index of the same non-whitespace character, or
 the end of the text).  Canonicality is tested once, by the layer's own
 ``is_canonical``, on the innermost wrapper: every other wrapper in a
-literal wraps a digit.
+literal wraps a digit.  A unary literal, once its shape matches, is the
+numeral ``unary.from_int(n)`` for its n ``S``: it parses onto the shared
+tower of :mod:`numrep.unary` instead of building n fresh nodes.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def parse_numeral(text: str, kind: str) -> Any:
     m = _SHAPES[kind].fullmatch(compact)
     if m is None or 2 * len(m[3]) != len(m[1]):  # one closer per opening
         raise _syntax_error(text, compact, kind)
+    if kind == "unary":  # n openings are all S: the numeral n, off the shared tower
+        return unary.from_int(len(m[3]))
     letters = m[1][-2::-2]  # "A(B(" -> "BA": the wrapper letters, innermost first
     value = _NULLARIES[kind][m[2]]()
     if letters:

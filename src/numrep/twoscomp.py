@@ -18,10 +18,10 @@ complemented.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Any, Union
 
 from . import binary
-from .binary import CanonicalityError, Even, Numeral, Odd, Zero, _bits, _from_bits, even
+from .binary import CanonicalityError, Even, Numeral, Odd, Zero, _bits, _from_bits, _lead, even
 
 __all__ = [
     "MinusOne", "TcInt", "CanonicalityError", "Even", "Odd", "Zero",
@@ -57,9 +57,9 @@ def from_int(n: int) -> TcInt:
 
 def to_int(x: TcInt) -> int:
     """Inverse of :func:`from_int`; rejects non-canonical input."""
-    if not is_canonical(x):
-        raise CanonicalityError(f"non-canonical two's-complement value: {x!r}")
     bits, tail = _bits(x)
+    if not _canonical(bits[:1], tail):
+        raise CanonicalityError(f"non-canonical two's-complement value: {x!r}")
     if type(tail) is MinusOne:
         return ~int(bits.translate(_FLIP) or "0", 2)
     return int(bits or "0", 2)
@@ -67,15 +67,17 @@ def to_int(x: TcInt) -> int:
 
 def is_canonical(x: TcInt) -> bool:
     """No ``Even`` directly on ``Zero``, no ``Odd`` directly on ``MinusOne``."""
-    tx = type(x)
-    while tx is Even or tx is Odd:
-        x = x.rest
-        if tx is Even and type(x) is Zero:
-            return False
-        if tx is Odd and type(x) is MinusOne:
-            return False
-        tx = type(x)
-    return tx is Zero or tx is MinusOne
+    return _canonical(*_lead(x))
+
+
+def _canonical(lead: str, tail: Any) -> bool:
+    """The rules over a digit chain's innermost digit and its tail: the chain
+    ends in ``Zero`` or ``MinusOne``, and its innermost digit, the only one
+    that can wrap the tail, does not repeat the tail's bit."""
+    tt = type(tail)
+    if tt is Zero:
+        return lead != "0"
+    return tt is MinusOne and lead != "1"
 
 
 def complement(x: TcInt) -> TcInt:

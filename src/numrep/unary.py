@@ -11,8 +11,10 @@ Like Haskell's ``iterate Succ Zero``, the values :func:`from_int` returns
 share one tower of nodes: for m < n <= 2**16 the numeral for m is the
 very node inside the numeral for n, so each height is built once per
 process, and the tower keeps at most 2**16 + 1 nodes (about 3 MB).  A
-larger numeral is built fresh above the tower's top.  Whether two results
-are the same object is not part of the API; compare values with ``==``.
+larger numeral is built fresh above the tower's top.  A unary literal
+parsed by :func:`numrep.numio.parse_numeral` comes from :func:`from_int`
+too, so it lands on the same tower.  Whether two results are the same
+object is not part of the API; compare values with ``==``.
 """
 
 from __future__ import annotations

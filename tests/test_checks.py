@@ -1,0 +1,112 @@
+"""The pair-sweeping property checks name the pair a wrong operation fails on.
+
+Each case replaces one operation with a mutant that is wrong on one fixed
+tuple of operands only, then runs the checks that sweep operand pairs.
+An "off" mutant returns the next value there (canonical, wrong value); a
+"padded" one returns the right value with a redundant innermost digit (not
+canonical).  The checks that catch it must report that pair, an oracle
+check that meets the padded value raises CanonicalityError from
+``to_int``, and the other checks that can call the operation must still
+hold.
+"""
+
+import random
+
+import pytest
+
+from numrep import binary, checks, twoscomp
+from numrep.binary import CanonicalityError, Even, Odd, Zero
+from numrep.twoscomp import MinusOne
+
+# the pair-sweeping checks that can call each module's operations
+SWEEPS = {
+    binary: [checks._b_add_oracle, checks._b_add_structural, checks._b_mult_oracle,
+             checks._b_canonical, checks._t_conservative],
+    twoscomp: [checks._t_arith_oracle, checks._t_conservative, checks._t_canonical],
+}
+
+
+def padded(v):
+    """v with one redundant digit inside its innermost: same value, not canonical."""
+    tv = type(v)
+    if tv is Zero:
+        return Even(Zero())
+    if tv is MinusOne:
+        return Odd(MinusOne())
+    return tv(padded(v.rest))
+
+
+MUTANTS = {"off": twoscomp.add1, "padded": padded}
+
+CASES = [
+    (binary, "add_v2", (37, 41), "off", {
+        "_b_add_oracle": "add_v2(37,41) != 78",
+        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+        "_t_conservative": "signed add deviates from binary add at (37,41)",
+    }),
+    (binary, "add_v2", (37, 41), "padded", {
+        "_b_add_oracle": CanonicalityError,
+        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+        "_b_canonical": "non-canonical output for (37,41)",
+        "_t_conservative": "signed add deviates from binary add at (37,41)",
+    }),
+    (binary, "add_v1", (37, 41), "off", {
+        "_b_add_oracle": "add_v1(37,41) != 78",
+        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+    }),
+    (binary, "add_v1", (37, 41), "padded", {
+        "_b_add_oracle": CanonicalityError,
+        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+        "_b_canonical": "non-canonical output for (37,41)",
+    }),
+    (binary, "mult", (6, 7), "off", {"_b_mult_oracle": "mult(6,7) != 42"}),
+    (binary, "mult", (6, 7), "padded", {
+        "_b_mult_oracle": CanonicalityError,
+        "_b_canonical": "non-canonical output for (6,7)",
+    }),
+    # sub(a, b) is add(a, neg(b)), and the arithmetic oracle checks add(a, b)
+    # before sub(a, -b) only when b <= 0; the conservative check needs b >= 0
+    (twoscomp, "add", (9, 0), "off", {
+        "_t_arith_oracle": "add(9,0) != 9",
+        "_t_conservative": "signed add deviates from binary add at (9,0)",
+    }),
+    (twoscomp, "add", (9, 0), "padded", {
+        "_t_arith_oracle": CanonicalityError,
+        "_t_conservative": "signed add deviates from binary add at (9,0)",
+        "_t_canonical": "non-canonical output for (9,0)",
+    }),
+    (twoscomp, "sub", (5, 3), "off", {"_t_arith_oracle": "sub(5,3) != 2"}),
+    (twoscomp, "sub", (5, 3), "padded", {
+        "_t_arith_oracle": CanonicalityError,
+        "_t_canonical": "non-canonical output for (5,3)",
+    }),
+    # sub negates its second operand, so a wrong neg(7) shows first in sub(a, 7)
+    (twoscomp, "neg", (7,), "off", {"_t_arith_oracle": "sub(-64,7) != -71"}),
+    (twoscomp, "neg", (7,), "padded", {
+        "_t_arith_oracle": CanonicalityError,
+        "_t_canonical": "non-canonical output for (0,7)",
+    }),
+]
+
+
+def outcome(check):
+    try:
+        return check(random.Random(checks.DEFAULT_SEED))
+    except CanonicalityError:
+        return CanonicalityError
+
+
+@pytest.mark.parametrize(
+    "module, name, operands, mutant, caught", CASES,
+    ids=[f"{m.__name__.split('.')[-1]}.{n}-{k}" for m, n, _, k, _ in CASES])
+def test_checks_name_the_pair_a_wrong_operation_fails_on(monkeypatch, module, name, operands, mutant, caught):
+    real, wrong = getattr(module, name), MUTANTS[mutant]
+    at = tuple(twoscomp.from_int(v) for v in operands)
+
+    def wrong_at_operands(*args):
+        result = real(*args)
+        return wrong(result) if args == at else result
+
+    monkeypatch.setattr(module, name, wrong_at_operands)
+    got = {check.__name__: outcome(check) for check in SWEEPS[module]}
+    assert got == {check.__name__: caught.get(check.__name__) for check in SWEEPS[module]}

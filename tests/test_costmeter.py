@@ -193,6 +193,15 @@ def test_no_worst_case_input_of_size_0(op_id):
         costmeter.worst_case_args(op_id, 0)
 
 
+@pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
+def test_no_worst_case_input_of_negative_size(op_id):
+    message = f"^{op_id} has no worst-case input of negative size -3$"
+    with pytest.raises(ValueError, match=message):
+        costmeter.worst_case_args(op_id, -3)
+    with pytest.raises(ValueError, match=message):
+        costmeter.measure_schedule(op_id, [4, -3])
+
+
 # --- schedules and bound checking ----------------------------------------------
 
 def test_measure_schedule_sorts_and_dedupes():

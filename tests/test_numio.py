@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numrep import binary, braun, numio, twoscomp, unary
@@ -262,6 +262,39 @@ def test_index_and_bit_string_conversions_10000_digits():
         parsed = twoscomp.parse_bits(bits)
         assert twoscomp.to_int(parsed) == n
         assert numio.print_numeral(parsed) == numio.print_numeral(value)
+
+
+def unary_literal(n):
+    return "S(" * n + "Z" + ")" * n
+
+
+@given(st.integers(0, 2 ** 16))
+@example(2 ** 16)
+def test_unary_literals_parse_onto_the_shared_tower(n):
+    value = numio.parse_numeral(unary_literal(n), "unary")
+    assert value is unary.from_int(n)
+    assert unary.to_int(value) == n
+
+
+def test_unary_literal_past_the_tower_cap():
+    text = unary_literal(70_000)
+    value = numio.parse_numeral(text, "unary")
+    assert value == unary.from_int(70_000)
+    assert unary.to_int(value) == 70_000
+    assert numio.print_numeral(value) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("S(" * 70_000 + "Z" + ")" * 69_999, "expected ')' (at position 210000)"),
+    ("S(" * 70_000 + "Z" + ")" * 70_001, "trailing input ')' (at position 210001)"),
+    ("S(" * 70_000 + "X" + ")" * 70_000, "unexpected character 'X' (at position 140000)"),
+    ("S(" * 70_000 + "S)" + ")" * 70_000, "expected '(' after 'S' (at position 140001)"),
+    (" S (" * 70_000 + " Z" + " )" * 69_999 + " ", "expected ')' (at position 420001)"),
+], ids=["short", "trailing", "character", "unopened", "spaced"])
+def test_unary_errors_past_the_tower_cap(text, message):
+    with pytest.raises(ParseError) as info:
+        numio.parse_numeral(text, "unary")
+    assert str(info.value) == message
 
 
 def test_print_of_parse_gives_canonical_text():

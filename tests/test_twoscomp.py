@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from numrep import binary, twoscomp
+from numrep import binary, twoscomp, unary
 from numrep.twoscomp import CanonicalityError, Even, MinusOne, Odd, Zero
 
 
@@ -50,6 +50,70 @@ def test_to_int_rejects_non_canonical():
         v = Even(v)
     with pytest.raises(CanonicalityError):
         twoscomp.to_int(v)
+
+
+# each layer's rules checked at every digit, not only the innermost: no
+# banned (digit, child) pair anywhere, and the chain ends in a tail
+RULES = {
+    binary: ({(Even, Zero)}, {Zero}),
+    twoscomp: ({(Even, Zero), (Odd, MinusOne)}, {Zero, MinusOne}),
+}
+LAYERS = pytest.mark.parametrize("layer", RULES, ids=["binary", "twoscomp"])
+TAILS = [Zero(), MinusOne(), unary.Zero(), unary.Succ(unary.Zero()), 0, 5, "x", None]
+
+
+def canonical_by_the_rules(layer, v):
+    banned, tails = RULES[layer]
+    while type(v) in (Even, Odd):
+        if (type(v), type(v.rest)) in banned:
+            return False
+        v = v.rest
+    return type(v) in tails
+
+
+def chain(digits, tail):
+    """digits[0] outermost, wrapped onto tail."""
+    for d in reversed(digits):
+        tail = d(tail)
+    return tail
+
+
+def chain_value(digits, tail):
+    """digit i weighs 2**i, and a MinusOne tail -2**len(digits)."""
+    value = int("".join("1" if d is Odd else "0" for d in reversed(digits)) or "0", 2)
+    return value - (1 << len(digits)) if type(tail) is MinusOne else value
+
+
+@LAYERS
+@given(st.lists(st.sampled_from([Even, Odd]), max_size=12), st.sampled_from(TAILS))
+@example([Odd, Even], Zero())
+@example([Even, Odd], MinusOne())
+@example([Odd], unary.Zero())
+@example([], 5)
+def test_to_int_raises_exactly_when_not_canonical(layer, digits, tail):
+    v = chain(digits, tail)
+    assert layer.is_canonical(v) == canonical_by_the_rules(layer, v)
+    if layer.is_canonical(v):
+        assert layer.to_int(v) == chain_value(digits, tail)
+    else:
+        with pytest.raises(CanonicalityError):
+            layer.to_int(v)
+
+
+@LAYERS
+@pytest.mark.parametrize("inner, tail", [
+    (Odd, Zero()), (Even, Zero()), (Even, MinusOne()), (Odd, MinusOne()), (Odd, unary.Zero()),
+])
+def test_to_int_at_100000_digits(layer, inner, tail):
+    digits = [Odd, Even] * 49_999 + [Even, inner]
+    v = chain(digits, tail)
+    if canonical_by_the_rules(layer, v):
+        assert layer.is_canonical(v)
+        assert layer.to_int(v) == chain_value(digits, tail)
+    else:
+        assert not layer.is_canonical(v)
+        with pytest.raises(CanonicalityError):
+            layer.to_int(v)
 
 
 def test_complement_small():
