@@ -3,9 +3,9 @@
 Each check compares library operations against an independent oracle
 (machine integers, plain Python lists) or verifies a structural
 invariant, and returns a failure detail or None.  Randomized checks
-draw from a seeded generator so runs are reproducible.  A check converts
-each distinct operand once, into a table it frees when it returns, and
-takes the numerals for a pair from it.
+draw from a seeded generator so runs are reproducible.  Pair sweeps take
+their pairs from :func:`_pairs`, and ``to_int`` oracles read results
+through :func:`_oracle`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import binary, braun, costmeter, listlab, twoscomp, unary
-from .binary import Record
+from .binary import CanonicalityError, Record
+from .numio import _shown
 
 DEFAULT_SEED = 12345
 
@@ -25,6 +26,33 @@ class CheckResult(Record):
     """Outcome of one property check; detail says why it failed."""
 
     __slots__ = ("suite", "name", "passed", "detail")
+
+
+def _pairs(rng, convert, grid: range, lo: int, hi: int, extra: int):
+    """(a, b, x, y) with x, y the numerals convert gives for a, b: every pair
+    in the grid, then extra random pairs in lo..hi.  Each value in lo..hi,
+    which holds the grid, is converted once, into a table the generator frees."""
+    table = {v: convert(v) for v in range(lo, hi + 1)}
+    for a in grid:
+        for b in grid:
+            yield a, b, table[a], table[b]
+    for _ in range(extra):
+        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+        yield a, b, table[a], table[b]
+
+
+def _oracle(to_int, rows):
+    """The first row (name, operands, result, expected) whose result to_int
+    does not read as expected or as canonical, named with its operands."""
+    for name, operands, result, want in rows:
+        try:
+            if to_int(result) == want:
+                continue
+            wrong = f"!= {want}"
+        except CanonicalityError:
+            wrong = "is not canonical"
+        return f"{name}({','.join(map(str, operands))}) {wrong}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -38,25 +66,21 @@ def _u_roundtrip(rng):
 
 
 def _u_oracle(rng):
-    for a in range(61):
-        for b in range(61):
-            x, y = unary.from_int(a), unary.from_int(b)
-            p, q = unary.plus(x, y), unary.add(x, y)
-            if unary.to_int(p) != a + b:
-                return f"plus({a},{b}) != {a + b}"
-            if unary.to_int(q) != a + b:
-                return f"add({a},{b}) != {a + b}"
-            if p != q:
-                return f"plus and add disagree structurally at ({a},{b})"
+    for a, b, x, y in _pairs(rng, unary.from_int, range(61), 0, 60, 0):
+        p, q = unary.plus(x, y), unary.add(x, y)
+        if unary.to_int(p) != a + b:
+            return f"plus({a},{b}) != {a + b}"
+        if unary.to_int(q) != a + b:
+            return f"add({a},{b}) != {a + b}"
+        if p != q:
+            return f"plus and add disagree structurally at ({a},{b})"
     return None
 
 
 def _u_laws(rng):
-    for a in range(26):
-        for b in range(26):
-            x, y = unary.from_int(a), unary.from_int(b)
-            if unary.to_int(unary.plus(x, y)) != unary.to_int(unary.plus(y, x)):
-                return f"commutativity failed at ({a},{b})"
+    for a, b, x, y in _pairs(rng, unary.from_int, range(26), 0, 25, 0):
+        if unary.to_int(unary.plus(x, y)) != unary.to_int(unary.plus(y, x)):
+            return f"commutativity failed at ({a},{b})"
     for _ in range(300):
         a, b, c = (rng.randint(0, 25) for _ in range(3))
         x, y, z = (unary.from_int(v) for v in (a, b, c))
@@ -133,19 +157,6 @@ def _l_step_counts(rng):
 # ---------------------------------------------------------------------------
 # binary
 
-def _pairs(rng, convert, full: int, lo: int, hi: int, extra: int):
-    """(a, b, x, y) with x, y the numerals convert gives for a, b: every pair
-    in 0..full, then extra random pairs in lo..hi.  Each value in lo..hi,
-    which holds 0..full, is converted once, into a table the generator frees."""
-    table = {v: convert(v) for v in range(lo, hi + 1)}
-    for a in range(full + 1):
-        for b in range(full + 1):
-            yield a, b, table[a], table[b]
-    for _ in range(extra):
-        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
-        yield a, b, table[a], table[b]
-
-
 def _b_shapes(rng):
     Z, E, O = binary.Zero, binary.Even, binary.Odd
     expected = {0: Z(), 1: O(Z()), 2: E(O(Z())), 3: O(O(Z())), 4: E(E(O(Z()))), 5: O(E(O(Z())))}
@@ -161,30 +172,27 @@ def _b_shapes(rng):
 
 
 def _b_add_oracle(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, 96, 0, 512, 400):
-        if binary.to_int(binary.add_v1(x, y)) != a + b:
-            return f"add_v1({a},{b}) != {a + b}"
-        if binary.to_int(binary.add_v2(x, y)) != a + b:
-            return f"add_v2({a},{b}) != {a + b}"
-    return None
+    return _oracle(binary.to_int, (
+        (name, (a, b), op(x, y), a + b)
+        for a, b, x, y in _pairs(rng, binary.from_int, range(97), 0, 512, 400)
+        for name, op in (("add_v1", binary.add_v1), ("add_v2", binary.add_v2))))
 
 
 def _b_add_structural(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, 96, 0, 512, 400):
+    for a, b, x, y in _pairs(rng, binary.from_int, range(97), 0, 512, 400):
         if binary.add_v1(x, y) != binary.add_v2(x, y):
             return f"addition algorithms disagree structurally at ({a},{b})"
     return None
 
 
 def _b_mult_oracle(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, 48, 0, 128, 200):
-        if binary.to_int(binary.mult(x, y)) != a * b:
-            return f"mult({a},{b}) != {a * b}"
-    return None
+    return _oracle(binary.to_int, (
+        ("mult", (a, b), binary.mult(x, y), a * b)
+        for a, b, x, y in _pairs(rng, binary.from_int, range(49), 0, 128, 200)))
 
 
 def _b_canonical(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, 48, 0, 512, 200):
+    for a, b, x, y in _pairs(rng, binary.from_int, range(49), 0, 512, 200):
         for v in (binary.add_v1(x, y), binary.add_v2(x, y), binary.add1(x), binary.mult(x, y)):
             if not binary.is_canonical(v):
                 return f"non-canonical output for ({a},{b})"
@@ -227,26 +235,16 @@ def _t_roundtrip(rng):
 
 
 def _t_arith_oracle(rng):
-    ints = {n: twoscomp.from_int(n) for n in range(-256, 257)}
-    for a in range(-64, 65):
-        x = ints[a]
-        for b in range(-64, 65):
-            y = ints[b]
-            if twoscomp.to_int(twoscomp.add(x, y)) != a + b:
-                return f"add({a},{b}) != {a + b}"
-            if twoscomp.to_int(twoscomp.sub(x, y)) != a - b:
-                return f"sub({a},{b}) != {a - b}"
-        if twoscomp.to_int(twoscomp.neg(x)) != -a:
-            return f"neg({a}) != {-a}"
-    for _ in range(300):
-        a, b = rng.randint(-256, 256), rng.randint(-256, 256)
-        if twoscomp.to_int(twoscomp.add(ints[a], ints[b])) != a + b:
-            return f"add({a},{b}) != {a + b}"
-    return None
+    # neg first: sub(a, b) is add(a, neg(b)), so a wrong neg is named as itself
+    negs = (("neg", (a,), twoscomp.neg(twoscomp.from_int(a)), -a) for a in range(-64, 65))
+    return _oracle(twoscomp.to_int, negs) or _oracle(twoscomp.to_int, (
+        (name, (a, b), op(x, y), want)
+        for a, b, x, y in _pairs(rng, twoscomp.from_int, range(-64, 65), -256, 256, 300)
+        for name, op, want in (("add", twoscomp.add, a + b), ("sub", twoscomp.sub, a - b))))
 
 
 def _t_conservative(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, 64, 0, 256, 300):
+    for a, b, x, y in _pairs(rng, binary.from_int, range(65), 0, 256, 300):
         if twoscomp.add(x, y) != binary.add_v2(x, y):
             return f"signed add deviates from binary add at ({a},{b})"
     return None
@@ -284,7 +282,7 @@ def _t_involutions(rng):
 
 
 def _t_canonical(rng):
-    for a, b, x, y in _pairs(rng, twoscomp.from_int, 48, -256, 256, 200):
+    for a, b, x, y in _pairs(rng, twoscomp.from_int, range(49), -256, 256, 200):
         for v in (twoscomp.add(x, y), twoscomp.sub(x, y), twoscomp.neg(x),
                   twoscomp.add1(x), twoscomp.sub1(x), twoscomp.complement(x)):
             if not twoscomp.is_canonical(v):
@@ -468,11 +466,21 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Run one suite (or "all"); each check gets a fresh seeded generator."""
+    """Run one suite (or "all"); each check gets a fresh seeded generator.
+
+    A check that raises fails with the exception's type and message as
+    detail, except for a plain RuntimeError, the meter's when it cannot
+    read a module's source, which stops the run as it stops ``bench``.
+    """
     names = list(SUITES) if suite == "all" else [suite]
     results = []
     for name in names:
         for check_name, fn in SUITES[name]:
-            detail = fn(random.Random(seed))
+            try:
+                detail = fn(random.Random(seed))
+            except Exception as exc:
+                if type(exc) is RuntimeError:
+                    raise
+                detail = f"{type(exc).__name__}: {_shown(str(exc))!r}"
             results.append(CheckResult(name, check_name, detail is None, detail or ""))
     return results

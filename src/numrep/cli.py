@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional
 
 from . import binary, braun, numio, twoscomp, unary
-from .numio import ParseError
+from .numio import ParseError, _shown
 
 
 class _UsageError(Exception):
@@ -54,11 +54,6 @@ _EVAL_OPS = {
     ("twoscomp", "neg"): (twoscomp.neg, 1),
     ("twoscomp", "sub"): (twoscomp.sub, 2),
 }
-
-
-def _shown(text: str) -> str:
-    """text as an error message quotes it: its first 60 characters at most."""
-    return text if len(text) <= 60 else text[:60] + "..."
 
 
 # Linux's cap on one command-line argument; a longer script token is refused
@@ -167,19 +162,17 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers: {args.sizes!r}") from None
-    if any(n < 0 for n in sizes):
-        raise _UsageError(f"--sizes must not be negative: {args.sizes!r}")
+    from . import costmeter
+
+    if min(sizes) <= 0:  # the meter refuses a size that has no worst-case input
+        try:
+            costmeter.worst_case_args(args.op, min(sizes))
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     if args.op == "max_naive" and max(sizes) > _MAX_NAIVE_SIZE:
         raise _UsageError(
             f"--sizes above {_MAX_NAIVE_SIZE} would take 2^n - 1 max_naive calls: {args.sizes!r}"
         )
-    from . import costmeter
-
-    if 0 in sizes:
-        try:
-            costmeter.worst_case_args(args.op, 0)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
     rows = costmeter.measure_schedule(args.op, sizes)
     sys.stdout.write(numio.csv_emit(rows))
     return 0

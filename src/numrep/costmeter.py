@@ -32,14 +32,18 @@ helper, mult its additions); smart constructors such as ``even`` and
     bs_rest      braun._untop (one entry per spine node inspected)
     bs_access    braun.access (one per child descent)
 
-Benchmark sizes mean, per operation: the denoted value for the unary
-ops, the list length for the list ops, the digit count of an all-ones
-operand for the binary and signed ops (the worst carry chains), and the
-sequence length for the Braun ops (which access their last index).
+Each op id's row in ``_OPS`` also builds its worst-case input of size n.
+Sizes mean, per operation: the denoted value for the unary ops, the list
+length for the list ops, the digit count of an all-ones operand for the
+binary and signed ops (the worst carry chains), and the sequence length
+for the Braun ops (which access their last index).
 
 The list ops' worst-case inputs are ascending ``range`` objects, whose
 slices cost O(1) where a list's copy the rest, so ``xs[1:]`` does not
 make a run O(n^2) in time and memory; the steps are the lists' exactly.
+
+A measurement runs inside :func:`deep_recursion`, which raises the
+recursion limit to at least 50,000 frames.
 """
 
 from __future__ import annotations
@@ -71,12 +75,12 @@ _depth_saved = 0
 
 
 @contextlib.contextmanager
-def deep_recursion(limit: int = 50_000):
-    """Temporarily raise the interpreter recursion limit for a measurement."""
+def deep_recursion():
+    """Raise the interpreter recursion limit to at least 50,000 while inside."""
     global _depth_entries, _depth_saved
     with _depth_lock:
         old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, limit))
+        sys.setrecursionlimit(max(old, 50_000))
         if _depth_entries == 0:
             _depth_saved = old
         _depth_entries += 1
@@ -89,26 +93,35 @@ def deep_recursion(limit: int = 50_000):
                 sys.setrecursionlimit(_depth_saved)
 
 
-# op id -> (plain entry function, functions whose entries are its steps)
-_OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {
-    "u_plus": (unary.plus, (unary.plus,)),
-    "u_add": (unary.add, (unary.add,)),
-    "sumlist": (listlab.sumlist, (listlab.sumlist,)),
-    "sumlist2": (listlab.sumlist2, (listlab.sumlist2, listlab.sumh)),
-    "filter_keep": (listlab.filter_keep, (listlab.filter_keep,)),
-    "max_naive": (listlab.max_naive, (listlab.max_naive,)),
-    "max_fast": (listlab.max_fast, (listlab.max_fast,)),
-    "b_add1": (binary.add1, (binary.add1,)),
-    "b_add_v1": (binary.add_v1, (binary.add_v1, binary.add1)),
-    "b_add_v2": (binary.add_v2, (binary.add_v2, binary.add_plus1)),
-    "b_mult": (binary.mult, (binary.mult, binary.add_v2, binary.add_plus1)),
-    "i_add": (twoscomp.add, (twoscomp.add, twoscomp.add_plus1)),
-    "bs_access": (braun.access, (braun.access,)),
-    "bs_cons": (braun.cons, (braun._push,)),
-    "bs_rest": (braun.rest, (braun._untop,)),
+def _all_ones(module):
+    """Two operands of n one-digits each, the full carry chain, from n."""
+    return lambda n: (module.from_int((1 << n) - 1), module.from_int((1 << n) - 1))
+
+
+# op id -> (plain entry function, functions whose entries are its steps,
+#           its worst-case input of size n: the maxima's lists ascend, so
+#           their guard always fails)
+_OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...],
+                      Callable[[int], Tuple[Any, ...]]]] = {
+    "u_plus": (unary.plus, (unary.plus,), lambda n: (unary.from_int(n), unary.from_int(n))),
+    "u_add": (unary.add, (unary.add,), lambda n: (unary.from_int(n), unary.from_int(n))),
+    "sumlist": (listlab.sumlist, (listlab.sumlist,), lambda n: (range(n),)),
+    "sumlist2": (listlab.sumlist2, (listlab.sumlist2, listlab.sumh), lambda n: (range(n),)),
+    "filter_keep": (listlab.filter_keep, (listlab.filter_keep,),
+                    lambda n: ((lambda v: v % 2 == 0), range(n))),
+    "max_naive": (listlab.max_naive, (listlab.max_naive,), lambda n: (range(1, n + 1),)),
+    "max_fast": (listlab.max_fast, (listlab.max_fast,), lambda n: (range(1, n + 1),)),
+    "b_add1": (binary.add1, (binary.add1,), lambda n: (binary.from_int((1 << n) - 1),)),
+    "b_add_v1": (binary.add_v1, (binary.add_v1, binary.add1), _all_ones(binary)),
+    "b_add_v2": (binary.add_v2, (binary.add_v2, binary.add_plus1), _all_ones(binary)),
+    "b_mult": (binary.mult, (binary.mult, binary.add_v2, binary.add_plus1), _all_ones(binary)),
+    "i_add": (twoscomp.add, (twoscomp.add, twoscomp.add_plus1), _all_ones(twoscomp)),
+    "bs_access": (braun.access, (braun.access,), lambda n: (braun.from_list(range(n)), n - 1)),
+    "bs_cons": (braun.cons, (braun._push,), lambda n: ("x", braun.from_list(range(n)))),
+    "bs_rest": (braun.rest, (braun._untop,), lambda n: (braun.from_list(range(n)),)),
 }
 
-METERED: Dict[str, Callable[..., Any]] = {op_id: fn for op_id, (fn, _) in _OPS.items()}
+METERED: Dict[str, Callable[..., Any]] = {op_id: row[0] for op_id, row in _OPS.items()}
 _twins = threading.local()  # per thread: op id -> (entry, steps)
 _building = threading.Lock()  # ast.parse and compile() of an AST can fail in two threads at once
 
@@ -130,7 +143,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
                     count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
                     host.body.insert(host is node and ast.get_docstring(node, clean=False) is not None, count)
                     defs[node.lineno, node.name] = node
-            for op, (entry, counted) in _OPS.items():
+            for op, (entry, counted, _) in _OPS.items():
                 if entry.__globals__ is not module:
                     continue
                 twins = [defs.get((fn.__code__.co_firstlineno, fn.__name__)) for fn in counted]
@@ -171,25 +184,7 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
         raise ValueError(f"{op_id} has no worst-case input of negative size {n}")
     if n == 0 and op_id in _NONEMPTY:
         raise ValueError(f"{op_id} has no worst-case input of size 0")
-    if op_id in ("u_plus", "u_add"):
-        return (unary.from_int(n), unary.from_int(n))
-    if op_id in ("sumlist", "sumlist2"):
-        return (range(n),)
-    if op_id == "filter_keep":
-        return ((lambda v: v % 2 == 0), range(n))
-    if op_id in ("max_naive", "max_fast"):
-        return (range(1, n + 1),)  # ascending: the guard always fails
-    if op_id == "b_add1":
-        return (binary.from_int((1 << n) - 1),)  # n one-digits: full carry chain
-    if op_id in ("b_add_v1", "b_add_v2", "b_mult"):
-        return (binary.from_int((1 << n) - 1), binary.from_int((1 << n) - 1))
-    if op_id == "i_add":
-        return (twoscomp.from_int((1 << n) - 1), twoscomp.from_int((1 << n) - 1))
-    if op_id == "bs_access":
-        return (braun.from_list(range(n)), n - 1)
-    if op_id == "bs_cons":
-        return ("x", braun.from_list(range(n)))
-    return (braun.from_list(range(n)),)  # bs_rest
+    return _OPS[op_id][2](n)
 
 
 def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:

@@ -163,3 +163,8 @@ def csv_emit(rows: List[Tuple[int, int]]) -> str:
     lines = ["n,steps"]
     lines.extend(f"{n},{steps}" for n, steps in rows)
     return "\n".join(lines) + "\n"
+
+
+def _shown(text: str) -> str:
+    """text as an error message quotes it: its first 60 characters at most."""
+    return text if len(text) <= 60 else text[:60] + "..."

@@ -180,6 +180,17 @@ def test_identical_inputs_yield_identical_counts():
     assert first == second
 
 
+def test_docstring_table_names_each_op_ids_counted_functions():
+    header = "    op id        counted functions\n    -----------  " + "-" * 48 + "\n"
+    table = costmeter.__doc__.split(header)[1].split("\n\n")[0]
+    stated = {}
+    for line in table.splitlines():
+        op_id, counted = line.split(None, 1)
+        names = counted.split(" (")[0].split(", ")  # a parenthesis only comments
+        stated[op_id] = tuple(getattr(globals()[module], fn) for module, fn in (n.split(".") for n in names))
+    assert stated == {op_id: row[1] for op_id, row in costmeter._OPS.items()}
+
+
 def test_unknown_operation_id():
     with pytest.raises(KeyError):
         costmeter.measured("no_such_op", 1)
