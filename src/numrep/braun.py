@@ -27,7 +27,12 @@ a numeral has (i + 1).bit_length() - 1 digits.
 The tree is built and read by rows, in loops (Okasaki again): row k
 holds the elements 2^k - 1 to 2^(k+1) - 2, node j of a row w wide has
 children j and j + w of the row below, and so the row below is the left
-children of the row followed by its right children.
+children of the row followed by its right children.  That is Okasaki's
+``fromList``; his ``copy`` is :func:`replicate`, n copies of one element
+in O(log n) nodes.  A tree's shape depends only on its size, so the two
+subtrees of a tree of size 2m+1 are one tree of size m, and those of a
+tree of size 2m+2 are trees of sizes m+1 and m: building the pair (size
+m+1, size m) up along n's index digits shares every equal subtree.
 
 Sequences are persistent: every operation returns a new value and never
 touches the old one, sharing untouched subtrees.  ``BraunSeq`` carries
@@ -109,6 +114,19 @@ def from_list(xs: Iterable[Any]) -> BraunSeq:
         row = items[w - 1 : 2 * w - 1]
         below = [Node(x, below[j], below[j + w]) for j, x in enumerate(row)]
     return BraunSeq(len(items), below[0] if below else None)
+
+
+def replicate(n: int, v: Any) -> BraunSeq:
+    """n copies of v, from at most 2 * n.bit_length() shared nodes."""
+    if n < 0:
+        raise ValueError(f"cannot replicate an element {n} times")
+    big, small = Node(v, None, None), None  # the trees of sizes m + 1 and m
+    for bit in bin(n + 1)[3:]:  # n's index digits, innermost first: m -> 2m+1 on 0, 2m+2 on 1
+        if bit == "0":
+            big, small = Node(v, big, small), Node(v, small, small)
+        else:
+            big, small = Node(v, big, big), Node(v, big, small)
+    return BraunSeq(n, small)
 
 
 def _rows(tree: BraunTree) -> Iterator[List[Node]]:

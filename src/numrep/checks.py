@@ -4,8 +4,9 @@ Each check compares library operations against an independent oracle
 (machine integers, plain Python lists) or verifies a structural
 invariant, and returns a failure detail or None.  Randomized checks
 draw from a seeded generator so runs are reproducible.  Pair sweeps take
-their pairs from :func:`_pairs`, and ``to_int`` oracles read results
-through :func:`_oracle`.
+their pairs from :func:`_pairs`; ``to_int`` oracles read results through
+:func:`_oracle`, and canonicality checks through :func:`_not_canonical`,
+both of which name the operation and its operands.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def _pairs(rng, convert, grid: range, lo: int, hi: int, extra: int):
         yield a, b, table[a], table[b]
 
 
+def _named(name, operands) -> str:
+    return f"{name}({','.join(map(str, operands))})"
+
+
 def _oracle(to_int, rows):
     """The first row (name, operands, result, expected) whose result to_int
     does not read as expected or as canonical, named with its operands."""
@@ -51,7 +56,16 @@ def _oracle(to_int, rows):
             wrong = f"!= {want}"
         except CanonicalityError:
             wrong = "is not canonical"
-        return f"{name}({','.join(map(str, operands))}) {wrong}"
+        return f"{_named(name, operands)} {wrong}"
+    return None
+
+
+def _not_canonical(is_canonical, rows):
+    """The first row (name, operands, result) whose result is not canonical,
+    named with its operands."""
+    for name, operands, result in rows:
+        if not is_canonical(result):
+            return f"{_named(name, operands)} is not canonical"
     return None
 
 
@@ -192,11 +206,12 @@ def _b_mult_oracle(rng):
 
 
 def _b_canonical(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, range(49), 0, 512, 200):
-        for v in (binary.add_v1(x, y), binary.add_v2(x, y), binary.add1(x), binary.mult(x, y)):
-            if not binary.is_canonical(v):
-                return f"non-canonical output for ({a},{b})"
-    return None
+    # the one-operand op on every value in the pairs' range, then the pair ops
+    ones = (("add1", (a,), binary.add1(binary.from_int(a))) for a in range(513))
+    return _not_canonical(binary.is_canonical, ones) or _not_canonical(binary.is_canonical, (
+        (name, (a, b), op(x, y))
+        for a, b, x, y in _pairs(rng, binary.from_int, range(49), 0, 512, 200)
+        for name, op in (("add_v1", binary.add_v1), ("add_v2", binary.add_v2), ("mult", binary.mult))))
 
 
 def _b_size_law(rng):
@@ -282,12 +297,15 @@ def _t_involutions(rng):
 
 
 def _t_canonical(rng):
-    for a, b, x, y in _pairs(rng, twoscomp.from_int, range(49), -256, 256, 200):
-        for v in (twoscomp.add(x, y), twoscomp.sub(x, y), twoscomp.neg(x),
-                  twoscomp.add1(x), twoscomp.sub1(x), twoscomp.complement(x)):
-            if not twoscomp.is_canonical(v):
-                return f"non-canonical output for ({a},{b})"
-    return None
+    # the one-operand ops on every value in the pairs' range, then the pair ops
+    values = {a: twoscomp.from_int(a) for a in range(-256, 257)}
+    ones = ((name, (a,), op(x)) for a, x in values.items()
+            for name, op in (("neg", twoscomp.neg), ("add1", twoscomp.add1),
+                             ("sub1", twoscomp.sub1), ("complement", twoscomp.complement)))
+    return _not_canonical(twoscomp.is_canonical, ones) or _not_canonical(twoscomp.is_canonical, (
+        (name, (a, b), op(x, y))
+        for a, b, x, y in _pairs(rng, twoscomp.from_int, range(49), -256, 256, 200)
+        for name, op in (("add", twoscomp.add), ("sub", twoscomp.sub))))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +487,8 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Run one suite (or "all"); each check gets a fresh seeded generator.
 
     A check that raises fails with the exception's type and message as
-    detail, except for a plain RuntimeError, the meter's when it cannot
-    read a module's source, which stops the run as it stops ``bench``.
+    detail, except for the meter's :class:`costmeter.SourceUnavailable`,
+    which stops the run as it stops ``bench``.
     """
     names = list(SUITES) if suite == "all" else [suite]
     results = []
@@ -478,9 +496,9 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
         for check_name, fn in SUITES[name]:
             try:
                 detail = fn(random.Random(seed))
+            except costmeter.SourceUnavailable:
+                raise
             except Exception as exc:
-                if type(exc) is RuntimeError:
-                    raise
                 detail = f"{type(exc).__name__}: {_shown(str(exc))!r}"
             results.append(CheckResult(name, check_name, detail is None, detail or ""))
     return results

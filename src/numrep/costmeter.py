@@ -9,10 +9,10 @@ namespace, so that their calls and an uncounted entry's (``braun.cons``)
 reach the twins.  A twin adds no frame, and the plain functions pay
 nothing for the meter.  Each thread builds its own twins on first use,
 seeing the module's globals as they were then; without the source,
-:func:`measured` raises ``RuntimeError``.  Helper bodies count toward
-their caller's total (add_v1 includes its increments, add_v2 its carry
-helper, mult its additions); smart constructors such as ``even`` and
-``odd`` are not steps.
+:func:`measured` raises :class:`SourceUnavailable`, a ``RuntimeError``.
+Helper bodies count toward their caller's total (add_v1 includes its
+increments, add_v2 its carry helper, mult its additions); smart
+constructors such as ``even`` and ``odd`` are not steps.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -35,12 +35,16 @@ helper, mult its additions); smart constructors such as ``even`` and
 Each op id's row in ``_OPS`` also builds its worst-case input of size n.
 Sizes mean, per operation: the denoted value for the unary ops, the list
 length for the list ops, the digit count of an all-ones operand for the
-binary and signed ops (the worst carry chains), and the sequence length
-for the Braun ops (which access their last index).
+binary and signed ops (the worst carry chains, one operand passed
+twice), and the sequence length for the Braun ops (which access their
+last index).
 
 The list ops' worst-case inputs are ascending ``range`` objects, whose
 slices cost O(1) where a list's copy the rest, so ``xs[1:]`` does not
 make a run O(n^2) in time and memory; the steps are the lists' exactly.
+Likewise the Braun ops' inputs are n copies of one element built by
+:func:`braun.replicate` in O(log n) shared nodes, not n nodes: a Braun
+tree's shape, and so each step count, depends on its size alone.
 
 A measurement runs inside :func:`deep_recursion`, which raises the
 recursion limit to at least 50,000 frames.
@@ -94,8 +98,9 @@ def deep_recursion():
 
 
 def _all_ones(module):
-    """Two operands of n one-digits each, the full carry chain, from n."""
-    return lambda n: (module.from_int((1 << n) - 1), module.from_int((1 << n) - 1))
+    """Two operands of n one-digits each, the full carry chain, from n:
+    one value, built once and passed twice."""
+    return lambda n: (module.from_int((1 << n) - 1),) * 2
 
 
 # op id -> (plain entry function, functions whose entries are its steps,
@@ -116,14 +121,18 @@ _OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...],
     "b_add_v2": (binary.add_v2, (binary.add_v2, binary.add_plus1), _all_ones(binary)),
     "b_mult": (binary.mult, (binary.mult, binary.add_v2, binary.add_plus1), _all_ones(binary)),
     "i_add": (twoscomp.add, (twoscomp.add, twoscomp.add_plus1), _all_ones(twoscomp)),
-    "bs_access": (braun.access, (braun.access,), lambda n: (braun.from_list(range(n)), n - 1)),
-    "bs_cons": (braun.cons, (braun._push,), lambda n: ("x", braun.from_list(range(n)))),
-    "bs_rest": (braun.rest, (braun._untop,), lambda n: (braun.from_list(range(n)),)),
+    "bs_access": (braun.access, (braun.access,), lambda n: (braun.replicate(n, 0), n - 1)),
+    "bs_cons": (braun.cons, (braun._push,), lambda n: ("x", braun.replicate(n, 0))),
+    "bs_rest": (braun.rest, (braun._untop,), lambda n: (braun.replicate(n, 0),)),
 }
 
 METERED: Dict[str, Callable[..., Any]] = {op_id: row[0] for op_id, row in _OPS.items()}
 _twins = threading.local()  # per thread: op id -> (entry, steps)
 _building = threading.Lock()  # ast.parse and compile() of an AST can fail in two threads at once
+
+
+class SourceUnavailable(RuntimeError):
+    """The meter cannot read the source of a counted module to build its twins."""
 
 
 def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
@@ -148,7 +157,8 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
                     continue
                 twins = [defs.get((fn.__code__.co_firstlineno, fn.__name__)) for fn in counted]
                 if None in twins:
-                    raise RuntimeError(f"cannot meter {op_id!r}: the source of {entry.__module__} is not available")
+                    raise SourceUnavailable(
+                        f"cannot meter {op_id!r}: the source of {entry.__module__} is not available")
                 namespace = dict(module, _steps=[0])
                 exec(compile(ast.Module(twins, []), entry.__code__.co_filename, "exec"), namespace)
                 if entry not in counted:

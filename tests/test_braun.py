@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +179,91 @@ def test_access_cd_rejects_foreign_indices():
     for ix in (1, "1", None, IxOdd(1), IxEven(IxOdd(None))):
         with pytest.raises(TypeError):
             braun.access_cd(s, ix)
+
+
+# --- replicate -----------------------------------------------------------------
+
+SHAPES = {}  # (left shape, right shape) -> shape number; 0 is the empty tree
+
+
+def shape_of(node, memo):
+    # the tree's shape number, one visit per distinct node (memo: id -> number)
+    if node is None:
+        return 0
+    if id(node) not in memo:
+        pair = (shape_of(node.left, memo), shape_of(node.right, memo))
+        memo[id(node)] = SHAPES.setdefault(pair, len(SHAPES) + 1)
+    return memo[id(node)]
+
+
+@functools.cache
+def braun_shape(n):
+    # oracle: the one Braun shape of size n, left subtree the ceiling half
+    if n == 0:
+        return 0
+    return SHAPES.setdefault((braun_shape(n // 2), braun_shape((n - 1) // 2)), len(SHAPES) + 1)
+
+
+def distinct_nodes(node):
+    seen, stack = {}, [node]
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen[id(node)] = node
+            stack += [node.left, node.right]
+    return len(seen)
+
+
+def test_replicate_has_the_shape_of_from_list():
+    for n in [*range(601), 4095, 4096, 4097, 16384]:
+        r, s = braun.replicate(n, "v"), braun.from_list(range(n))
+        assert shape_of(r.tree, {}) == shape_of(s.tree, {}) == braun_shape(n)
+        assert braun.to_list(r) == ["v"] * n
+
+
+def test_replicate_shape_and_node_count_at_every_size():
+    for n in range(4097):
+        r = braun.replicate(n, "v")
+        assert (len(r), shape_of(r.tree, {})) == (n, braun_shape(n))
+        assert distinct_nodes(r.tree) <= 2 * n.bit_length()
+
+
+def test_replicate_a_huge_sequence_from_few_nodes():
+    n = 10**18
+    r = braun.replicate(n, "v")
+    assert len(r) == n
+    assert distinct_nodes(r.tree) <= 2 * n.bit_length()
+    assert [braun.access(r, i) for i in (0, n // 3, n - 1)] == ["v"] * 3
+    assert braun.access(braun.update(r, n - 1, "z"), n - 1) == "z"
+    assert braun.access(r, n - 1) == "v"
+
+
+def test_replicate_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        braun.replicate(-1, "v")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 1000])
+def test_operations_on_a_replicated_sequence_match_the_list_oracle(n):
+    r = braun.replicate(n, "v")
+    for i in sorted({0, 1 % n, n // 2, n - 1}):
+        u = braun.update(r, i, "z")
+        assert braun.to_list(u) == ["v"] * i + ["z"] + ["v"] * (n - i - 1)
+        assert_valid(u)
+    assert braun.to_list(braun.cons("z", r)) == ["z"] + ["v"] * n
+    assert braun.to_list(braun.rest(r)) == ["v"] * (n - 1)
+    assert_valid(braun.cons("z", r))
+    assert_valid(braun.rest(r))
+    assert braun.to_list(r) == ["v"] * n
+
+
+def test_updating_every_index_unshares_the_replicated_nodes():
+    for n in range(70):
+        r = t = braun.replicate(n, None)
+        for i in range(n):
+            t = braun.update(t, i, i)
+        assert braun.to_list(t) == list(range(n))
+        assert braun.to_list(r) == [None] * n
 
 
 # --- update ------------------------------------------------------------------

@@ -4,10 +4,11 @@ Each case replaces one operation with a mutant that is wrong on one fixed
 tuple of operands only, then runs the checks that sweep operand pairs.
 An "off" mutant returns the next value there (canonical, wrong value); a
 "padded" one returns the right value with a redundant innermost digit (not
-canonical).  The checks that catch it must report that pair, an oracle
-check that meets the padded value must name it as not canonical, and the
-other checks that can call the operation must still hold.  ``numrep
-check`` must print every check's row whatever a check does.
+canonical).  The checks that catch it must report that pair, the oracle
+and canonicality checks with the operation's name; an oracle check that
+meets the padded value must name it as not canonical, and the other
+checks that can call the operation must still hold.  ``numrep check``
+must print every check's row whatever a check does.
 """
 
 import random
@@ -47,7 +48,7 @@ CASES = [
     (binary, "add_v2", (37, 41), "padded", {
         "_b_add_oracle": "add_v2(37,41) is not canonical",
         "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
-        "_b_canonical": "non-canonical output for (37,41)",
+        "_b_canonical": "add_v2(37,41) is not canonical",
         "_t_conservative": "signed add deviates from binary add at (37,41)",
     }),
     (binary, "add_v1", (37, 41), "off", {
@@ -57,12 +58,12 @@ CASES = [
     (binary, "add_v1", (37, 41), "padded", {
         "_b_add_oracle": "add_v1(37,41) is not canonical",
         "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
-        "_b_canonical": "non-canonical output for (37,41)",
+        "_b_canonical": "add_v1(37,41) is not canonical",
     }),
     (binary, "mult", (6, 7), "off", {"_b_mult_oracle": "mult(6,7) != 42"}),
     (binary, "mult", (6, 7), "padded", {
         "_b_mult_oracle": "mult(6,7) is not canonical",
-        "_b_canonical": "non-canonical output for (6,7)",
+        "_b_canonical": "mult(6,7) is not canonical",
     }),
     # sub(a, b) is add(a, neg(b)), and the arithmetic oracle checks add(a, b)
     # before sub(a, -b) only when b <= 0; the conservative check needs b >= 0
@@ -73,18 +74,18 @@ CASES = [
     (twoscomp, "add", (9, 0), "padded", {
         "_t_arith_oracle": "add(9,0) is not canonical",
         "_t_conservative": "signed add deviates from binary add at (9,0)",
-        "_t_canonical": "non-canonical output for (9,0)",
+        "_t_canonical": "add(9,0) is not canonical",
     }),
     (twoscomp, "sub", (5, 3), "off", {"_t_arith_oracle": "sub(5,3) != 2"}),
     (twoscomp, "sub", (5, 3), "padded", {
         "_t_arith_oracle": "sub(5,3) is not canonical",
-        "_t_canonical": "non-canonical output for (5,3)",
+        "_t_canonical": "sub(5,3) is not canonical",
     }),
     # sub negates its second operand, so the neg rows come first
     (twoscomp, "neg", (7,), "off", {"_t_arith_oracle": "neg(7) != -7"}),
     (twoscomp, "neg", (7,), "padded", {
         "_t_arith_oracle": "neg(7) is not canonical",
-        "_t_canonical": "non-canonical output for (0,7)",
+        "_t_canonical": "neg(7) is not canonical",
     }),
 ]
 
@@ -124,16 +125,20 @@ def test_checks_name_the_pair_a_wrong_operation_fails_on(monkeypatch, capsys, mo
 
 
 def test_a_check_that_raises_is_one_failed_row(monkeypatch, capsys):
-    def raises(rng):
-        raise ZeroDivisionError("x" * 100)
+    # a plain RuntimeError too: only the meter's SourceUnavailable stops the run
+    for error in (ZeroDivisionError, RuntimeError):
+        def raises(rng):
+            raise error("x" * 100)
 
-    monkeypatch.setitem(checks.SUITES, "binary", [
-        (check_name, raises if fn is checks._b_add_oracle else fn) for check_name, fn in checks.SUITES["binary"]])
-    assert cli.main(["check", "--suite", "all"]) == 1
-    out, err = capsys.readouterr()
-    detail = "ZeroDivisionError: '" + "x" * 60 + "...'"
-    expected = "".join(
-        report(suite, [(check_name, detail if fn is raises else None) for check_name, fn in entries])
-        for suite, entries in checks.SUITES.items())
-    assert (out, err) == (expected + "30/31 properties held\n", "")
-    assert len(out.splitlines()) == 32 and out.count("FAIL") == 1
+        monkeypatch.setitem(checks.SUITES, "binary", [
+            (check_name, raises if fn is checks._b_add_oracle else fn)
+            for check_name, fn in checks.SUITES["binary"]])
+        assert cli.main(["check", "--suite", "all"]) == 1
+        out, err = capsys.readouterr()
+        detail = f"{error.__name__}: '" + "x" * 60 + "...'"
+        expected = "".join(
+            report(suite, [(check_name, detail if fn is raises else None) for check_name, fn in entries])
+            for suite, entries in checks.SUITES.items())
+        assert (out, err) == (expected + "30/31 properties held\n", "")
+        assert len(out.splitlines()) == 32 and out.count("FAIL") == 1
+        monkeypatch.undo()

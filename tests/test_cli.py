@@ -399,6 +399,13 @@ def test_bench_access_logarithmic(capsys):
     assert out == "n,steps\n1,0\n1000,9\n"
 
 
+def test_bench_braun_ops_at_a_size_no_n_node_tree_could_hold(capsys):
+    code, out, err = run(capsys, ["bench", "--op", "bs_access", "--sizes", "1,1000,1000000000000000000"])
+    assert (code, out, err) == (0, "n,steps\n1,0\n1000,9\n1000000000000000000,59\n", "")
+    code, out, err = run(capsys, ["bench", "--op", "bs_rest", "--sizes", "1,1000,1000000000000000000"])
+    assert (code, out, err) == (0, "n,steps\n1,1\n1000,10\n1000000000000000000,60\n", "")
+
+
 def test_bench_unknown_op_is_usage_error(capsys):
     code, _, _ = run(capsys, ["bench", "--op", "frobnicate", "--sizes", "4"])
     assert code == 2

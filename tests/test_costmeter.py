@@ -327,6 +327,22 @@ def test_list_op_schedule_does_not_copy_its_input(op_id):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("op_id", ["bs_access", "bs_cons", "bs_rest"])
+def test_braun_op_schedule_builds_no_n_node_tree(op_id):
+    # a tree of 2**60 nodes fits in no memory; 2**60 copies of one element
+    # take at most 2 * 61 distinct nodes
+    n = 2**60
+    tracemalloc.start()
+    try:
+        [(size, steps)] = costmeter.measure_schedule(op_id, [n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert size == n
+    assert steps == digit_count(n - 1) if op_id == "bs_access" else steps <= n.bit_length() + 1
+
+
 # --- profilers, threads and the source ---------------------------------------------
 
 def test_no_hook_left_behind():
@@ -424,7 +440,7 @@ def test_missing_source_is_one_clear_error(monkeypatch, module, op_id, args, loa
     thread.join(timeout=30)
     assert not thread.is_alive()
     assert [(type(exc), str(exc)) for exc in raised] == [
-        (RuntimeError, f"cannot meter {op_id!r}: the source of {module.__name__} is not available")
+        (costmeter.SourceUnavailable, f"cannot meter {op_id!r}: the source of {module.__name__} is not available")
     ]
 
 
