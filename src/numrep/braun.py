@@ -42,7 +42,7 @@ nodes themselves store no sizes.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Union
+from typing import Any, Iterable, List, Optional, Union
 
 from .binary import Numeral, Record, _bits, _from_bits
 
@@ -129,18 +129,15 @@ def replicate(n: int, v: Any) -> BraunSeq:
     return BraunSeq(n, small)
 
 
-def _rows(tree: BraunTree) -> Iterator[List[Node]]:
-    # the tree's rows top down, each in index order
-    row = [] if tree is None else [tree]
-    while row:
-        yield row
-        lefts = [n.left for n in row if n.left is not None]
-        row = lefts + [n.right for n in row if n.right is not None]
-
-
 def to_list(s: BraunSeq) -> List[Any]:
     """Enumerate elements in index order; inverse of :func:`from_list`."""
-    return [n.elem for row in _rows(s.tree) for n in row]
+    out: List[Any] = []
+    row = [] if s.tree is None else [s.tree]  # the tree's rows top down, each in index order
+    while row:
+        out += [n.elem for n in row]
+        lefts = [n.left for n in row if n.left is not None]
+        row = lefts + [n.right for n in row if n.right is not None]
+    return out
 
 
 # an index past 100 digits is named by its size: its decimal would make an
@@ -239,5 +236,13 @@ def _untop(node: Node) -> tuple:
 
 
 def depth(s: BraunSeq) -> int:
-    """Longest root-to-node path, counted in nodes (empty tree: 0)."""
-    return sum(1 for _ in _rows(s.tree))
+    """Longest root-to-node path, counted in nodes (empty tree: 0).
+
+    A Braun tree's left subtree is never smaller than its right, so the
+    left spine is a longest path, and this reads only that spine: O(log n)
+    (``checks._br_shape`` checks the invariant after every operation).
+    """
+    count, node = 0, s.tree
+    while node is not None:
+        count, node = count + 1, node.left
+    return count

@@ -10,7 +10,8 @@ inputs too deep for the recursion limit or too large for memory, for a
 meter that cannot read a module's source (``bench``, ``check``) and for
 a reader that closed stdout early, 2 for usage and syntax errors
 (bad flags, malformed literals or numbers, numbers longer than 131072
-characters, unknown operation ids).
+characters, unknown operation ids, ``bench`` sizes with no worst-case
+input or over the meter's step budget).
 """
 
 from __future__ import annotations
@@ -152,27 +153,17 @@ def _cmd_braun(args) -> int:
     return 0
 
 
-# max_naive makes 2^n - 1 metered calls, about 0.4 us each (Python 3.11.7,
-# 2-core Xeon): n = 20 takes about half a second, and every size above doubles it
-_MAX_NAIVE_SIZE = 20
-
-
 def _cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
-        raise _UsageError(f"--sizes must be comma-separated integers: {args.sizes!r}") from None
+        raise _UsageError(f"--sizes must be comma-separated integers: {_shown(args.sizes)!r}") from None
     from . import costmeter
 
-    if min(sizes) <= 0:  # the meter refuses a size that has no worst-case input
-        try:
-            costmeter.worst_case_args(args.op, min(sizes))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    if args.op == "max_naive" and max(sizes) > _MAX_NAIVE_SIZE:
-        raise _UsageError(
-            f"--sizes above {_MAX_NAIVE_SIZE} would take 2^n - 1 max_naive calls: {args.sizes!r}"
-        )
+    try:  # a refused schedule is a usage error, where a failed measurement exits 1
+        costmeter.check_schedule(args.op, sizes)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     rows = costmeter.measure_schedule(args.op, sizes)
     sys.stdout.write(numio.csv_emit(rows))
     return 0

@@ -37,7 +37,14 @@ Sizes mean, per operation: the denoted value for the unary ops, the list
 length for the list ops, the digit count of an all-ones operand for the
 binary and signed ops (the worst carry chains, one operand passed
 twice), and the sequence length for the Braun ops (which access their
-last index).
+last index).  The row also states the op's smallest size (1 where the
+input needs an element, else 0) and a bound on its steps at size n, and
+:func:`check_schedule` refuses, before anything is measured, a schedule
+with a size below the smallest or one whose bound is over
+``STEP_BUDGET`` = 2^20 steps: ``max_naive`` (2^n - 1 steps) is measured
+up to size 20, ``b_mult`` (at most (n + 1)^2 steps) up to 1023, and the
+linear ops up to about a million, though past 50,000 frames the
+recursion limit stops them.
 
 The list ops' worst-case inputs are ascending ``range`` objects, whose
 slices cost O(1) where a list's copy the rest, so ``xs[1:]`` does not
@@ -52,6 +59,7 @@ recursion limit to at least 50,000 frames.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import sys
 import threading
@@ -103,30 +111,47 @@ def _all_ones(module):
     return lambda n: (module.from_int((1 << n) - 1),) * 2
 
 
-# op id -> (plain entry function, functions whose entries are its steps,
-#           its worst-case input of size n: the maxima's lists ascend, so
-#           their guard always fails)
-_OPS: Dict[str, Tuple[Callable[..., Any], Tuple[Callable[..., Any], ...],
-                      Callable[[int], Tuple[Any, ...]]]] = {
-    "u_plus": (unary.plus, (unary.plus,), lambda n: (unary.from_int(n), unary.from_int(n))),
-    "u_add": (unary.add, (unary.add,), lambda n: (unary.from_int(n), unary.from_int(n))),
-    "sumlist": (listlab.sumlist, (listlab.sumlist,), lambda n: (range(n),)),
-    "sumlist2": (listlab.sumlist2, (listlab.sumlist2, listlab.sumh), lambda n: (range(n),)),
-    "filter_keep": (listlab.filter_keep, (listlab.filter_keep,),
-                    lambda n: ((lambda v: v % 2 == 0), range(n))),
-    "max_naive": (listlab.max_naive, (listlab.max_naive,), lambda n: (range(1, n + 1),)),
-    "max_fast": (listlab.max_fast, (listlab.max_fast,), lambda n: (range(1, n + 1),)),
-    "b_add1": (binary.add1, (binary.add1,), lambda n: (binary.from_int((1 << n) - 1),)),
-    "b_add_v1": (binary.add_v1, (binary.add_v1, binary.add1), _all_ones(binary)),
-    "b_add_v2": (binary.add_v2, (binary.add_v2, binary.add_plus1), _all_ones(binary)),
-    "b_mult": (binary.mult, (binary.mult, binary.add_v2, binary.add_plus1), _all_ones(binary)),
-    "i_add": (twoscomp.add, (twoscomp.add, twoscomp.add_plus1), _all_ones(twoscomp)),
-    "bs_access": (braun.access, (braun.access,), lambda n: (braun.replicate(n, 0), n - 1)),
-    "bs_cons": (braun.cons, (braun._push,), lambda n: ("x", braun.replicate(n, 0))),
-    "bs_rest": (braun.rest, (braun._untop,), lambda n: (braun.replicate(n, 0),)),
+# op id -> its row: the plain entry function, the functions whose entries
+# are its steps, its worst-case input of size n (the maxima's lists ascend,
+# so their guard always fails), its smallest size (a maximum, a last index
+# and a rest need an element) and a nondecreasing bound on its steps at
+# size n, cheap at any n (max_naive's stops growing past the budget)
+_Op = collections.namedtuple("_Op", "entry counted worst_case smallest steps")
+_OPS: Dict[str, _Op] = {
+    "u_plus": _Op(unary.plus, (unary.plus,), lambda n: (unary.from_int(n), unary.from_int(n)),
+                  0, lambda n: n + 1),
+    "u_add": _Op(unary.add, (unary.add,), lambda n: (unary.from_int(n), unary.from_int(n)),
+                 0, lambda n: n + 1),
+    "sumlist": _Op(listlab.sumlist, (listlab.sumlist,), lambda n: (range(n),), 0, lambda n: n + 1),
+    "sumlist2": _Op(listlab.sumlist2, (listlab.sumlist2, listlab.sumh), lambda n: (range(n),),
+                    0, lambda n: n + 2),
+    "filter_keep": _Op(listlab.filter_keep, (listlab.filter_keep,),
+                       lambda n: ((lambda v: v % 2 == 0), range(n)), 0, lambda n: n + 1),
+    "max_naive": _Op(listlab.max_naive, (listlab.max_naive,), lambda n: (range(1, n + 1),),
+                     1, lambda n: (1 << min(n, 64)) - 1),
+    "max_fast": _Op(listlab.max_fast, (listlab.max_fast,), lambda n: (range(1, n + 1),),
+                    1, lambda n: n),
+    "b_add1": _Op(binary.add1, (binary.add1,), lambda n: (binary.from_int((1 << n) - 1),),
+                  0, lambda n: n + 1),
+    "b_add_v1": _Op(binary.add_v1, (binary.add_v1, binary.add1), _all_ones(binary),
+                    0, lambda n: 2 * n + 1),
+    "b_add_v2": _Op(binary.add_v2, (binary.add_v2, binary.add_plus1), _all_ones(binary),
+                    0, lambda n: n + 1),
+    "b_mult": _Op(binary.mult, (binary.mult, binary.add_v2, binary.add_plus1), _all_ones(binary),
+                  0, lambda n: (n + 1) ** 2),
+    "i_add": _Op(twoscomp.add, (twoscomp.add, twoscomp.add_plus1), _all_ones(twoscomp),
+                 0, lambda n: n + 1),
+    "bs_access": _Op(braun.access, (braun.access,), lambda n: (braun.replicate(n, 0), n - 1),
+                     1, lambda n: n.bit_length() + 1),
+    "bs_cons": _Op(braun.cons, (braun._push,), lambda n: ("x", braun.replicate(n, 0)),
+                   0, lambda n: n.bit_length() + 1),
+    "bs_rest": _Op(braun.rest, (braun._untop,), lambda n: (braun.replicate(n, 0),),
+                   1, lambda n: n.bit_length() + 1),
 }
 
-METERED: Dict[str, Callable[..., Any]] = {op_id: row[0] for op_id, row in _OPS.items()}
+STEP_BUDGET = 1 << 20  # the most steps a schedule's sizes may predict
+
+METERED: Dict[str, Callable[..., Any]] = {op_id: row.entry for op_id, row in _OPS.items()}
 _twins = threading.local()  # per thread: op id -> (entry, steps)
 _building = threading.Lock()  # ast.parse and compile() of an AST can fail in two threads at once
 
@@ -140,7 +165,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
     cache = vars(_twins)
     if op_id not in cache:  # parse the module once and build all its ops
         import ast  # only a process that measures pays for it
-        module = _OPS[op_id][0].__globals__
+        module = _OPS[op_id].entry.__globals__
         source = b""  # read as bytes: a loader's get_source imports tokenize to decode it
         with contextlib.suppress(AttributeError, KeyError, OSError):
             source = module["__loader__"].get_data(module["__file__"])
@@ -152,7 +177,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
                     count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
                     host.body.insert(host is node and ast.get_docstring(node, clean=False) is not None, count)
                     defs[node.lineno, node.name] = node
-            for op, (entry, counted, _) in _OPS.items():
+            for op, (entry, counted, *_) in _OPS.items():
                 if entry.__globals__ is not module:
                     continue
                 twins = [defs.get((fn.__code__.co_firstlineno, fn.__name__)) for fn in counted]
@@ -178,8 +203,13 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     return result, steps[0]
 
 
-# a maximum, a last index and a rest need at least one element
-_NONEMPTY = ("max_naive", "max_fast", "bs_access", "bs_rest")
+def _check_size(op_id: str, n: int) -> None:
+    if op_id not in METERED:
+        raise KeyError(f"unknown operation id: {op_id!r}")
+    if n < 0:
+        raise ValueError(f"{op_id} has no worst-case input of negative size {n}")
+    if n < _OPS[op_id].smallest:
+        raise ValueError(f"{op_id} has no worst-case input of size {n}")
 
 
 def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
@@ -188,19 +218,33 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
     Raises KeyError for an unknown op id, and ValueError for a negative
     size and for size 0 of an op whose input needs an element.
     """
-    if op_id not in METERED:
-        raise KeyError(f"unknown operation id: {op_id!r}")
-    if n < 0:
-        raise ValueError(f"{op_id} has no worst-case input of negative size {n}")
-    if n == 0 and op_id in _NONEMPTY:
-        raise ValueError(f"{op_id} has no worst-case input of size 0")
-    return _OPS[op_id][2](n)
+    _check_size(op_id, n)
+    return _OPS[op_id].worst_case(n)
+
+
+def check_schedule(op_id: str, sizes: Sequence[int]) -> None:
+    """Refuse a size schedule that the meter would not measure whole.
+
+    Raises ValueError for an empty schedule, for a size that
+    :func:`worst_case_args` refuses, with its message, and for a size
+    whose step bound is over :data:`STEP_BUDGET`; KeyError for an
+    unknown op id.
+    """
+    if not sizes:
+        raise ValueError("empty size schedule")
+    _check_size(op_id, min(sizes))
+    high = max(sizes)  # the step bounds never decrease
+    if _OPS[op_id].steps(high) > STEP_BUDGET:
+        raise ValueError(f"{op_id} at size {high} is over the meter's budget of {STEP_BUDGET} steps")
 
 
 def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:
-    """(size, steps) samples over a size schedule, worst-case inputs."""
-    if not sizes:
-        raise ValueError("empty size schedule")
+    """(size, steps) samples over a size schedule, worst-case inputs.
+
+    The schedule is refused whole, as :func:`check_schedule` says, before
+    any size is measured.
+    """
+    check_schedule(op_id, sizes)
     samples = []
     for n in sorted(set(sizes)):
         _, steps = measured(op_id, *worst_case_args(op_id, n))

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -365,3 +366,42 @@ def test_depth_closed_form_small():
     for n in range(1, 513):
         assert depth_rec(n) == n.bit_length()
         assert braun.depth(braun.from_list(range(n))) == n.bit_length()
+
+
+def rows_depth(tree):
+    # oracle: count the rows of a level-order walk over every node
+    rows, row = 0, [] if tree is None else [tree]
+    while row:
+        rows += 1
+        row = [c for n in row for c in (n.left, n.right) if c is not None]
+    return rows
+
+
+SIZES = sorted({*range(300), *(2**k + d for k in range(9, 12) for d in (-1, 0, 1)), 2000})
+
+
+@pytest.mark.parametrize("build", [lambda n: braun.from_list(range(n)), lambda n: braun.replicate(n, 0)],
+                         ids=["from_list", "replicate"])
+def test_depth_matches_the_row_walk(build):
+    for n in SIZES:
+        s = build(n)
+        assert braun.depth(s) == rows_depth(s.tree), n
+
+
+def test_depth_matches_the_row_walk_after_random_operations():
+    rng = random.Random(18)
+    s = braun.from_list(range(100))
+    for _ in range(3000):
+        step = rng.randrange(3)
+        if step == 0 or not len(s):
+            s = braun.cons(rng.randrange(9), s)
+        elif step == 1:
+            s = braun.rest(s)
+        else:
+            s = braun.update(s, rng.randrange(len(s)), -1)
+        assert braun.depth(s) == rows_depth(s.tree)
+
+
+def test_depth_reads_only_the_left_spine():
+    # 10**18 copies share 2 * 60 nodes; a walk over the rows would not end
+    assert braun.depth(braun.replicate(10**18, "v")) == 60

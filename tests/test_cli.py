@@ -368,6 +368,37 @@ def test_bench_refuses_size_0_of_an_op_that_needs_an_element(capsys, monkeypatch
     assert err == f"error: {op} has no worst-case input of size 0\n"
 
 
+# each op's first size whose step bound is over the meter's budget of 2^20 steps;
+# the Braun ops' (2^1048575) is past what --sizes can parse
+FIRST_OVER_BUDGET = {
+    "u_plus": 1048576, "u_add": 1048576, "sumlist": 1048576, "sumlist2": 1048575,
+    "filter_keep": 1048576, "max_naive": 21, "max_fast": 1048577, "b_add1": 1048576,
+    "b_add_v1": 524288, "b_add_v2": 1048576, "b_mult": 1024, "i_add": 1048576,
+}
+
+
+@pytest.mark.parametrize("op, first", sorted(FIRST_OVER_BUDGET.items()))
+def test_bench_refuses_the_first_size_over_the_step_budget_before_measuring(capsys, monkeypatch, op, first):
+    measured = []
+    monkeypatch.setattr(costmeter, "measure_schedule", lambda op, sizes: measured.append(sizes) or [])
+    code, out, err = run(capsys, ["bench", "--op", op, "--sizes", f"1,{first}"])
+    assert (code, out, measured) == (2, "", [])
+    assert err == f"error: {op} at size {first} is over the meter's budget of 1048576 steps\n"
+    assert run(capsys, ["bench", "--op", op, "--sizes", f"1,{first - 1}"])[0] == 0
+    assert measured == [[1, first - 1]]
+
+
+@pytest.mark.parametrize("op, size", [("b_mult", 1024), ("max_naive", 10**18), ("u_plus", 10**9), ("b_add_v2", 10**9)])
+def test_bench_refuses_a_size_over_the_budget_at_once(capsys, op, size):
+    # b_mult's (n + 1)^2 steps took 1.6 s at 1024; max_naive would make 2^n - 1
+    # calls, and the others would build 10^9 nodes first
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["bench", "--op", op, "--sizes", str(size)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: {op} at size {size} is over the meter's budget of 1048576 steps\n"
+
+
 # Each runs in a fresh interpreter and recurses 30,000 or 50,000 frames deep.
 # Before 3.11 every Python call also takes C stack, which that depth can overflow.
 deep_python_frames = pytest.mark.skipif(
@@ -414,6 +445,13 @@ def test_bench_unknown_op_is_usage_error(capsys):
 def test_bench_bad_sizes(capsys):
     code, _, _ = run(capsys, ["bench", "--op", "sumlist", "--sizes", "ten"])
     assert code == 2
+
+
+def test_bench_bad_sizes_echo_a_bounded_prefix(capsys):
+    code, out, err = run(capsys, ["bench", "--op", "sumlist", "--sizes", "1," + "x" * 5000])
+    assert (code, out) == (2, "")
+    assert err == "error: --sizes must be comma-separated integers: '1," + "x" * 58 + "...'\n"
+    assert len(err.encode()) <= 200
 
 
 def test_bench_negative_size_is_usage_error(capsys):

@@ -285,6 +285,53 @@ def test_schedule_matches_the_ledger(op_id):
     assert costmeter.measure_schedule(op_id, [n for n, _ in want]) == want
 
 
+# --- the step budget ----------------------------------------------------------------
+
+@pytest.mark.parametrize("op_id", sorted(LEDGER))
+def test_step_bound_holds_every_ledger_sample_and_small_size(op_id):
+    row = costmeter._OPS[op_id]
+    samples = [tuple(sample) for sample in LEDGER[op_id]]
+    samples += costmeter.measure_schedule(op_id, range(row.smallest, 13))
+    assert all(steps <= row.steps(n) for n, steps in samples), samples
+
+
+@pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
+def test_step_bound_never_decreases_and_is_cheap_at_any_size(op_id):
+    bound = costmeter._OPS[op_id].steps
+    sizes = [*range(200), 2**20, 2**64, 10**4299]
+    values = [bound(n) for n in sizes]
+    assert values == sorted(values)
+
+
+# each op's first size whose step bound is over the budget of 2^20 steps
+FIRST_OVER_BUDGET = {
+    "u_plus": 1048576, "u_add": 1048576, "sumlist": 1048576, "sumlist2": 1048575,
+    "filter_keep": 1048576, "max_naive": 21, "max_fast": 1048577, "b_add1": 1048576,
+    "b_add_v1": 524288, "b_add_v2": 1048576, "b_mult": 1024, "i_add": 1048576,
+    "bs_access": 2**1048575, "bs_cons": 2**1048575, "bs_rest": 2**1048575,
+}
+
+
+@pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
+def test_check_schedule_refuses_the_first_size_over_the_budget(op_id):
+    row, first = costmeter._OPS[op_id], FIRST_OVER_BUDGET[op_id]
+    assert row.steps(first - 1) <= costmeter.STEP_BUDGET < row.steps(first)
+    costmeter.check_schedule(op_id, [first - 1, row.smallest])
+    # the Braun ops' first size has more digits than str() prints
+    message = f"^{op_id} at size {first} is over the meter's budget" if first < 10**4000 else None
+    with pytest.raises(ValueError, match=message):
+        costmeter.check_schedule(op_id, [first, row.smallest])
+
+
+@pytest.mark.parametrize("op_id, sizes", [("b_mult", [4, 1024]), ("max_naive", [4, 21])])
+def test_measure_schedule_refuses_before_it_measures(monkeypatch, op_id, sizes):
+    calls = []
+    monkeypatch.setattr(costmeter, "measured", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        costmeter.measure_schedule(op_id, sizes)
+    assert calls == []
+
+
 # --- list-op inputs --------------------------------------------------------------
 
 LIST_OPS = ("sumlist", "sumlist2", "filter_keep", "max_naive", "max_fast")
