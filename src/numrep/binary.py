@@ -21,7 +21,9 @@ canonicality on what it read: a chain ends at its tail, so only the
 innermost digit or a foreign tail can break the rule.  Every numeral
 constructor in the package derives from :class:`Numeral`, defined here
 next to that pair, and every immutable value in the package, numerals
-included, from :class:`Record`.
+included, from :class:`Record`.  The package's error messages show an
+outside value by the two rules here: a text by at most its first 60
+characters, a number past 100 digits by its bit length.
 """
 
 from __future__ import annotations
@@ -31,6 +33,24 @@ from typing import Any, Tuple, Union
 
 class CanonicalityError(ValueError):
     """A numeral violates its representation rules."""
+
+
+def _shown(text: str) -> str:
+    """text as an error message quotes it: its first 60 characters at most."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
+# a number past 100 digits is named by its size: its decimal would make an
+# unbounded message, and past 4300 digits Python refuses to print it
+_SHOWN_NUMBER = 10**100
+
+
+def _number(n: int, noun: str = "") -> str:
+    """n as an error message names it: its decimal up to 100 digits, else
+    noun and its bit length, as in "index of 16607 bits"."""
+    if isinstance(n, int) and not -_SHOWN_NUMBER < n < _SHOWN_NUMBER:
+        return f"{noun} of {abs(n).bit_length()} bits".lstrip()
+    return str(n)
 
 
 class Record:
@@ -200,7 +220,7 @@ def odd(x: BinNat) -> BinNat:
 def from_int(n: int) -> BinNat:
     """Binary digits of n, least significant constructor outermost."""
     if n < 0:
-        raise ValueError(f"cannot represent {n} as a binary natural")
+        raise ValueError(f"cannot represent {_number(n, 'a negative number')} as a binary natural")
     return _from_bits(bin(n)[2:].lstrip("0"), Zero())
 
 

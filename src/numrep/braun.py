@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Union
 
-from .binary import Numeral, Record, _bits, _from_bits
+from .binary import Numeral, Record, _bits, _from_bits, _number
 
 
 class IxZero(Numeral):
@@ -92,7 +92,7 @@ EMPTY = BraunSeq(0, None)
 def cd_from_int(n: int) -> CdIndex:
     """Index numeral of n, least significant digit outermost."""
     if n < 0:
-        raise ValueError(f"cannot represent {n} as an index numeral")
+        raise ValueError(f"cannot represent {_number(n, 'a negative number')} as an index numeral")
     return _from_bits(bin(n + 1)[3:], IxZero(), zero=IxOdd, one=IxEven)
 
 
@@ -140,14 +140,8 @@ def to_list(s: BraunSeq) -> List[Any]:
     return out
 
 
-# an index past 100 digits is named by its size: its decimal would make an
-# unbounded message, and past 4300 digits Python refuses to print it
-_SHOWN_INDEX = 10**100
-
-
 def _out_of_range(i: int, length: int) -> IndexError:
-    shown = i if -_SHOWN_INDEX < i < _SHOWN_INDEX else f"of {abs(i).bit_length()} bits"
-    return IndexError(f"index {shown} out of range for length {length}")
+    return IndexError(f"index {_number(i)} out of range for length {_number(length)}")
 
 
 def access(s: BraunSeq, i: int) -> Any:

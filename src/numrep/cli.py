@@ -2,16 +2,21 @@
 
 ``bench`` and ``check`` import :mod:`numrep.costmeter` and
 :mod:`numrep.checks` when they are parsed or run, so a ``convert``,
-``eval`` or ``braun`` process compiles neither.
+``eval`` or ``braun`` process compiles neither.  Each numeral kind's
+conversions come from its row in :data:`numrep.numio.KINDS`.  Every
+command reads and prints decimals past Python's 4300-digit int/str
+limit: :func:`main` lifts it while a command runs and restores it after.
 
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
 negative unary value, non-canonical literal, failed check suite), for
 inputs too deep for the recursion limit or too large for memory, for a
 meter that cannot read a module's source (``bench``, ``check``) and for
 a reader that closed stdout early, 2 for usage and syntax errors
-(bad flags, malformed literals or numbers, numbers longer than 131072
-characters, unknown operation ids, ``bench`` sizes with no worst-case
-input or over the meter's step budget).
+(bad flags, malformed literals or numbers, numbers or a ``--sizes``
+longer than 131072 characters, unknown operation ids, ``bench`` sizes
+with no worst-case input or over the meter's step budget).  An error is
+one line, which names a number past 100 digits by its bit length and
+quotes at most 60 characters of a text.
 """
 
 from __future__ import annotations
@@ -29,19 +34,6 @@ class _UsageError(Exception):
     pass
 
 
-_FROM_INT = {
-    "unary": unary.from_int,
-    "binary": binary.from_int,
-    "twoscomp": twoscomp.from_int,
-    "cd": braun.cd_from_int,
-}
-_TO_INT = {
-    "unary": unary.to_int,
-    "binary": binary.to_int,
-    "twoscomp": twoscomp.to_int,
-    "cd": braun.cd_to_int,
-}
-
 # (kind, op) -> operation and arity
 _EVAL_OPS = {
     ("unary", "plus"): (unary.plus, 2),
@@ -57,48 +49,30 @@ _EVAL_OPS = {
 }
 
 
-# Linux's cap on one command-line argument; a longer script token is refused
-# before int(), whose time is quadratic in the digit count
+# Linux's cap on one command-line argument; a longer script token or
+# --sizes is refused before int(), whose time is quadratic in the digit count
 _MAX_INT_CHARS = 131072
 
 
-def _parse_int(text: str, what: str) -> int:
+def _capped(text: str, what: str) -> str:
     if len(text) > _MAX_INT_CHARS:
         raise _UsageError(f"{what} is longer than {_MAX_INT_CHARS} characters: {_shown(text)!r}")
+    return text
+
+
+def _parse_int(text: str, what: str) -> int:
     try:
-        return int(text)
+        return int(_capped(text, what))
     except ValueError:
         raise _UsageError(f"{what} is not an integer: {_shown(text)!r}") from None
 
 
-def _any_int_digits(handler):
-    """The handler, run with Python's int/str digit limit lifted.
-
-    Python (3.10.7 on) refuses int/str conversions past 4300 digits, which
-    bounds the quadratic cost of parsing untrusted text; here the text is
-    the user's own argument or script token, which :func:`_parse_int`
-    bounds to 131072 characters.
-    """
-
-    def lifted(args) -> int:
-        if not hasattr(sys, "set_int_max_str_digits"):
-            return handler(args)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return handler(args)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return lifted
-
-
-@_any_int_digits
 def _cmd_convert(args) -> int:
     if ("bits" in (args.src, args.dst)) and args.kind != "twoscomp":
         raise _UsageError("bit-string form is only available for --kind twoscomp")
+    kind = numio.KINDS[args.kind]
     if args.src == "int":
-        value = _FROM_INT[args.kind](_parse_int(args.value, "value"))
+        value = kind.from_int(_parse_int(args.value, "value"))
     elif args.src == "literal":
         value = numio.parse_numeral(args.value, args.kind)
     else:
@@ -107,7 +81,7 @@ def _cmd_convert(args) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
     if args.dst == "int":
-        print(_TO_INT[args.kind](value))
+        print(kind.to_int(value))
     elif args.dst == "literal":
         print(numio.print_numeral(value))
     else:
@@ -129,7 +103,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-@_any_int_digits
 def _cmd_braun(args) -> int:
     seq = braun.from_list(args.init.split(",")) if args.init else braun.EMPTY
     for raw in sys.stdin:
@@ -155,7 +128,7 @@ def _cmd_braun(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = [int(s) for s in _capped(args.sizes, "--sizes").split(",")]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers: {_shown(args.sizes)!r}") from None
     from . import costmeter
@@ -259,6 +232,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Python (3.10.7 on) refuses int/str conversions past 4300 digits, which
+    # bounds the quadratic cost of parsing untrusted text; here the text is
+    # the user's own, and _capped bounds what int() reads to 131072 characters
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (_UsageError, ParseError) as exc:
@@ -269,6 +248,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # module's source; a MemoryError usually has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -67,7 +67,7 @@ import types
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from . import binary, braun, listlab, twoscomp, unary
-from .binary import Record
+from .binary import Record, _number
 
 
 # Frozen linear-bound constants for the two addition algorithms: over all
@@ -175,7 +175,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
                 if isinstance(node, ast.FunctionDef):  # the count opens the repeating body
                     host = next((s for s in node.body if isinstance(s, ast.While)), node)
                     count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
-                    host.body.insert(host is node and ast.get_docstring(node, clean=False) is not None, count)
+                    host.body.insert(0, count)  # a docstring no longer first compiles to nothing
                     defs[node.lineno, node.name] = node
             for op, (entry, counted, *_) in _OPS.items():
                 if entry.__globals__ is not module:
@@ -207,7 +207,7 @@ def _check_size(op_id: str, n: int) -> None:
     if op_id not in METERED:
         raise KeyError(f"unknown operation id: {op_id!r}")
     if n < 0:
-        raise ValueError(f"{op_id} has no worst-case input of negative size {n}")
+        raise ValueError(f"{op_id} has no worst-case input of negative size {_number(n)}")
     if n < _OPS[op_id].smallest:
         raise ValueError(f"{op_id} has no worst-case input of size {n}")
 
@@ -235,7 +235,7 @@ def check_schedule(op_id: str, sizes: Sequence[int]) -> None:
     _check_size(op_id, min(sizes))
     high = max(sizes)  # the step bounds never decrease
     if _OPS[op_id].steps(high) > STEP_BUDGET:
-        raise ValueError(f"{op_id} at size {high} is over the meter's budget of {STEP_BUDGET} steps")
+        raise ValueError(f"{op_id} at size {_number(high)} is over the meter's budget of {STEP_BUDGET} steps")
 
 
 def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:

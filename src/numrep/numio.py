@@ -3,7 +3,9 @@
 Literals are fully parenthesized constructor applications, one letter per
 constructor, such as ``S(S(Z))`` or ``B(A(N))``.  Whitespace is ignored
 everywhere: the parser removes it once and reads the rest.  Each numeral
-kind has its own alphabet:
+kind is one row of :data:`KINDS`: its alphabet, its conversions from and
+to a machine integer, and its canonicality test and message, if any.
+The alphabets are:
 
     unary     Z | S(x)
     binary    Z | A(x) | B(x)        A never directly on Z
@@ -26,12 +28,13 @@ tower of :mod:`numrep.unary` instead of building n fresh nodes.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from . import binary, braun, twoscomp, unary
-from .binary import CanonicalityError
+from .binary import CanonicalityError, _shown  # the CLI and the checks quote text by numio._shown
 
 
 class ParseError(ValueError):
@@ -42,28 +45,36 @@ class ParseError(ValueError):
         self.position = position
 
 
-# each kind's alphabet, letter -> constructor; the tables below derive from
-# it: a constructor with one slot wraps the value in it, one with none is nullary
-_ALPHABETS = {
-    "unary": {"Z": unary.Zero, "S": unary.Succ},
-    "binary": {"Z": binary.Zero, "A": binary.Even, "B": binary.Odd},
-    "twoscomp": {"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
-    "cd": {"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven},
+# each kind's row: its alphabet, letter -> constructor (one with a slot
+# wraps the value in it, one with none is nullary), its conversions from
+# and to a machine integer, and its layer's canonicality test and message,
+# or None; in a literal only the innermost wrapper can break canonicality,
+# as every other wraps a digit.  The tables below derive from the rows.
+_Kind = collections.namedtuple("_Kind", "alphabet from_int to_int canonical")
+KINDS: Dict[str, _Kind] = {
+    "unary": _Kind({"Z": unary.Zero, "S": unary.Succ}, unary.from_int, unary.to_int, None),
+    "binary": _Kind({"Z": binary.Zero, "A": binary.Even, "B": binary.Odd}, binary.from_int, binary.to_int,
+                    (binary.is_canonical, "non-canonical literal: A applied directly to Z")),
+    "twoscomp": _Kind({"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
+                      twoscomp.from_int, twoscomp.to_int,
+                      (twoscomp.is_canonical,
+                       "non-canonical literal: A applied directly to Z, or B directly to N")),
+    "cd": _Kind({"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven}, braun.cd_from_int, braun.cd_to_int,
+                None),
 }
-KINDS = tuple(_ALPHABETS)
 
 # parsing tables per kind: wrapper letters, and nullary letters
 _WRAPPERS = {
-    kind: {c: k for c, k in alphabet.items() if k.__slots__}
-    for kind, alphabet in _ALPHABETS.items()
+    kind: {c: k for c, k in row.alphabet.items() if k.__slots__}
+    for kind, row in KINDS.items()
 }
 _NULLARIES = {
-    kind: {c: k for c, k in alphabet.items() if not k.__slots__}
-    for kind, alphabet in _ALPHABETS.items()
+    kind: {c: k for c, k in row.alphabet.items() if not k.__slots__}
+    for kind, row in KINDS.items()
 }
 
 # printing tables: class -> letter, and the field holding the wrapped value
-_LETTERS = {k: c for alphabet in _ALPHABETS.values() for c, k in alphabet.items()}
+_LETTERS = {k: c for row in KINDS.values() for c, k in row.alphabet.items()}
 _CHILD_FIELD = {k: k.__slots__[0] for k in _LETTERS if k.__slots__}
 
 
@@ -82,17 +93,6 @@ _SHAPES = {
     for kind, (wrapper, nullary) in _CLASSES.items()
 }
 
-# the layer's canonicality test and its message, per kind that has one; in
-# a literal only the innermost wrapper can break it, as every other wraps
-# a digit
-_CANONICAL = {
-    "binary": (binary.is_canonical, "non-canonical literal: A applied directly to Z"),
-    "twoscomp": (
-        twoscomp.is_canonical,
-        "non-canonical literal: A applied directly to Z, or B directly to N",
-    ),
-}
-
 
 def parse_numeral(text: str, kind: str) -> Any:
     """Parse a literal of the given kind; whitespace-insensitive."""
@@ -109,7 +109,7 @@ def parse_numeral(text: str, kind: str) -> Any:
     if letters:
         wrappers = _WRAPPERS[kind]
         value = wrappers[letters[0]](value)
-        canonical = _CANONICAL.get(kind)
+        canonical = KINDS[kind].canonical
         if canonical is not None and not canonical[0](value):
             raise CanonicalityError(canonical[1])
         for c in letters[1:]:
@@ -163,8 +163,3 @@ def csv_emit(rows: List[Tuple[int, int]]) -> str:
     lines = ["n,steps"]
     lines.extend(f"{n},{steps}" for n, steps in rows)
     return "\n".join(lines) + "\n"
-
-
-def _shown(text: str) -> str:
-    """text as an error message quotes it: its first 60 characters at most."""
-    return text if len(text) <= 60 else text[:60] + "..."

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Union
 
 from . import binary
-from .binary import CanonicalityError, Even, Numeral, Odd, Zero, _bits, _from_bits, _lead, even
+from .binary import CanonicalityError, Even, Numeral, Odd, Zero, _bits, _from_bits, _lead, _shown, even
 
 __all__ = [
     "MinusOne", "TcInt", "CanonicalityError", "Even", "Odd", "Zero",
@@ -224,10 +224,10 @@ def parse_bits(text: str) -> TcInt:
     """Inverse of :func:`render_bits`; normalizes redundant leading bits."""
     s = text.strip()
     if not s.startswith("..."):
-        raise ValueError(f"bit string must start with '...': {text!r}")
+        raise ValueError(f"bit string must start with '...': {_shown(text)!r}")
     body = s[3:]
     if not body or any(c not in "01" for c in body):
-        raise ValueError(f"bit string needs a 0/1 tail digit and bits: {text!r}")
+        raise ValueError(f"bit string needs a 0/1 tail digit and bits: {_shown(text)!r}")
     tail, digits = body[0], body[1:]
     # explicit copies of the tail bit on the left are part of the tail
     return _from_bits(digits.lstrip(tail), MinusOne() if tail == "1" else Zero())

@@ -23,7 +23,7 @@ import operator
 import threading
 from typing import List, Union
 
-from .binary import Numeral
+from .binary import Numeral, _number
 
 
 class Zero(Numeral):
@@ -55,7 +55,7 @@ def from_int(n: int) -> UnaryNat:
     Raises ValueError for negative n: unary naturals have no sign.
     """
     if n < 0:
-        raise ValueError(f"cannot represent {n} as a unary natural")
+        raise ValueError(f"cannot represent {_number(n, 'a negative number')} as a unary natural")
     n = operator.index(n)  # a float raises TypeError before the tower grows
     tower = _tower
     if n < len(tower):

@@ -183,3 +183,18 @@ def test_wildcard_clauses_accept_any_value():
     assert binary.add_v2(3, Zero()) == 3
     assert binary.add_v2(Zero(), "y") == "y"
     assert binary.mult("x", Zero()) == Zero()
+
+
+@pytest.mark.parametrize("n, shown, with_noun", [
+    (0, "0", "0"), (-5, "-5", "-5"), (10**100 - 1, "9" * 100, "9" * 100),
+    (1 - 10**100, "-" + "9" * 100, "-" + "9" * 100), (float("-inf"), "-inf", "-inf"),
+    (10**100, "of 333 bits", "a number of 333 bits"), (-10**100, "of 333 bits", "a number of 333 bits"),
+], ids=["0", "-5", "100-digits", "-100-digits", "-inf", "101-digits", "-101-digits"])
+def test_a_message_names_a_number_by_its_decimal_up_to_100_digits(n, shown, with_noun):
+    assert binary._number(n) == shown
+    assert binary._number(n, "a number") == with_noun
+
+
+def test_a_message_quotes_at_most_60_characters():
+    assert binary._shown("x" * 60) == "x" * 60
+    assert binary._shown("x" * 61) == "x" * 60 + "..."

@@ -109,8 +109,16 @@ def test_convert_decimals_past_pythons_int_str_digit_limit(capsys):
     (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"], 0),
     (["convert", "--kind", "unary", "--from", "int", "--to", "literal", "-1"], 1),
     (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "four"], 2),
+    # main lifts the limit for every subcommand, and restores it on every outcome
+    (["eval", "--kind", "binary", "--op", "add", "B(Z)", "B(Z)"], 0),
+    (["braun", "--init", "a"], 0),
+    (["bench", "--op", "sumlist", "--sizes", "10"], 0),
+    (["bench", "--op", "sumlist", "--sizes", "9" * 5000], 2),
+    (["check", "--suite", "listlab"], 0),
+    (["convert", "--kind", "octal", "--from", "int", "--to", "literal", "4"], 2),
 ])
-def test_convert_restores_the_int_str_digit_limit(capsys, argv, code):
+def test_convert_restores_the_int_str_digit_limit(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr("sys.stdin", io.StringIO("access 0\n"))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
     try:
@@ -119,6 +127,48 @@ def test_convert_restores_the_int_str_digit_limit(capsys, argv, code):
     finally:
         sys.set_int_max_str_digits(limit)
     assert (result, after) == (code, 5000)
+
+
+# each kind's literals of 0 and 5; a kind without them fails at collection
+LITERALS = {"unary": ("Z", "S(S(S(S(S(Z)))))"), "binary": ("Z", "B(A(B(Z)))"),
+            "twoscomp": ("Z", "B(A(B(Z)))"), "cd": ("Z", "C(D(Z))")}
+
+
+@pytest.mark.parametrize("kind, value, literal", [
+    *((kind, value, LITERALS[kind][i]) for kind in numio.KINDS for i, value in enumerate(("0", "5"))),
+    ("binary", "7" * 5000, None), ("twoscomp", "7" * 5000, None), ("twoscomp", "-" + "7" * 5000, None),
+    ("cd", "7" * 5000, None),
+], ids=lambda v: v if v is None or len(v) < 10 else f"{len(v)}-chars")
+def test_convert_int_to_literal_and_back_for_every_kind(capsys, kind, value, literal):
+    code, out, err = run(capsys, ["convert", "--kind", kind, "--from", "int", "--to", "literal", value])
+    assert (code, err) == (0, "")
+    assert literal is None or out == literal + "\n"
+    code, out, err = run(capsys, ["convert", "--kind", kind, "--from", "literal", "--to", "int", out.strip()])
+    assert (code, out, err) == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["convert", "--kind", "unary", "--from", "int", "--to", "literal", "-" + "9" * 20000], 1,
+     "cannot represent a negative number of 66439 bits as a unary natural"),
+    (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "-" + "9" * 20000], 1,
+     "cannot represent a negative number of 66439 bits as a binary natural"),
+    (["convert", "--kind", "cd", "--from", "int", "--to", "literal", "-" + "9" * 20000], 1,
+     "cannot represent a negative number of 66439 bits as an index numeral"),
+    (["convert", "--kind", "twoscomp", "--from", "bits", "--to", "int", "..." + "2" * 5000], 2,
+     "bit string needs a 0/1 tail digit and bits: '..." + "2" * 57 + "...'"),
+    (["convert", "--kind", "twoscomp", "--from", "bits", "--to", "int", "2" * 5000], 2,
+     "bit string must start with '...': '" + "2" * 60 + "...'"),
+    (["bench", "--op", "sumlist", "--sizes", "9" * 4000], 2,
+     "sumlist at size of 13288 bits is over the meter's budget of 1048576 steps"),
+    (["bench", "--op", "sumlist", "--sizes", "-" + "9" * 4000], 2,
+     "sumlist has no worst-case input of negative size of 13288 bits"),
+    # past Python's default limit of 4300 digits
+    (["bench", "--op", "sumlist", "--sizes", "1" + "0" * 5000], 2,
+     "sumlist at size of 16610 bits is over the meter's budget of 1048576 steps"),
+], ids=["unary", "binary", "cd", "bits", "bits-prefix", "bench", "bench-negative", "bench-5001-digits"])
+def test_an_error_naming_a_long_number_or_text_is_one_short_line(capsys, argv, code, message):
+    assert run(capsys, argv) == (code, "", f"error: {message}\n")
+    assert len(f"error: {message}\n".encode()) <= 200
 
 
 def run_module(module, argv, **kwargs):
@@ -435,6 +485,19 @@ def test_bench_braun_ops_at_a_size_no_n_node_tree_could_hold(capsys):
     assert (code, out, err) == (0, "n,steps\n1,0\n1000,9\n1000000000000000000,59\n", "")
     code, out, err = run(capsys, ["bench", "--op", "bs_rest", "--sizes", "1,1000,1000000000000000000"])
     assert (code, out, err) == (0, "n,steps\n1,1\n1000,10\n1000000000000000000,60\n", "")
+    # past Python's default limit of 4300 digits; the last index has 16610 bits
+    size = "1" + "0" * 5000
+    code, out, err = run(capsys, ["bench", "--op", "bs_access", "--sizes", size])
+    assert (code, out, err) == (0, f"n,steps\n{size},16609\n", "")
+
+
+@pytest.mark.parametrize("chars", [131073, 1_000_000])
+def test_bench_sizes_past_the_argument_cap_are_refused_before_parsing(capsys, chars):
+    # int() is quadratic: a million digits take about 8 s to parse
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["bench", "--op", "bs_access", "--sizes", "1" * chars])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: --sizes is longer than 131072 characters: '" + "1" * 60 + "...'\n")
 
 
 def test_bench_unknown_op_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import cProfile
 import gc
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -317,10 +318,24 @@ def test_check_schedule_refuses_the_first_size_over_the_budget(op_id):
     row, first = costmeter._OPS[op_id], FIRST_OVER_BUDGET[op_id]
     assert row.steps(first - 1) <= costmeter.STEP_BUDGET < row.steps(first)
     costmeter.check_schedule(op_id, [first - 1, row.smallest])
-    # the Braun ops' first size has more digits than str() prints
-    message = f"^{op_id} at size {first} is over the meter's budget" if first < 10**4000 else None
-    with pytest.raises(ValueError, match=message):
+    # the Braun ops' first size, past 100 digits, is named by its bit length
+    shown = first if first < 10**100 else "of 1048576 bits"
+    with pytest.raises(ValueError, match=f"^{op_id} at size {shown} is over the meter's budget of 1048576 steps$"):
         costmeter.check_schedule(op_id, [first, row.smallest])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: costmeter.check_schedule("u_plus", [10**5000]),
+     "u_plus at size of 16610 bits is over the meter's budget of 1048576 steps"),
+    (lambda: costmeter.check_schedule("u_plus", [-10**5000, 1]),
+     "u_plus has no worst-case input of negative size of 16610 bits"),
+    (lambda: costmeter.worst_case_args("sumlist", -10**5000),
+     "sumlist has no worst-case input of negative size of 16610 bits"),
+], ids=["over-budget", "schedule-negative", "worst-case-negative"])
+def test_a_size_past_the_int_str_digit_limit_is_named_by_its_bit_length(call, message):
+    # past 4300 digits Python refuses to print the size
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("op_id, sizes", [("b_mult", [4, 1024]), ("max_naive", [4, 21])])

@@ -200,6 +200,32 @@ def test_parse_unknown_kind():
         numio.parse_numeral("Z", "ternary")
 
 
+def test_kinds_are_four_rows_in_order():
+    assert list(numio.KINDS) == ["unary", "binary", "twoscomp", "cd"]
+
+
+@pytest.mark.parametrize("kind", list(numio.KINDS))
+def test_each_kind_row_converts_and_prints_both_ways(kind):
+    row = numio.KINDS[kind]
+    for n in range(-300 if kind == "twoscomp" else 0, 300):
+        value = row.from_int(n)
+        assert row.to_int(value) == n
+        text = numio.print_numeral(value)
+        assert set(text) <= set(row.alphabet) | set("()")
+        assert numio.parse_numeral(text, kind) == value
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("unary", "a unary natural"), ("binary", "a binary natural"), ("cd", "an index numeral"),
+])
+def test_from_int_names_a_huge_negative_number_by_its_bit_length(kind, name):
+    # past 4300 digits Python refuses to print the number
+    with pytest.raises(ValueError, match=f"^cannot represent a negative number of 16610 bits as {name}$"):
+        numio.KINDS[kind].from_int(-10**5000)
+    with pytest.raises(ValueError, match=f"^cannot represent -5 as {name}$"):
+        numio.KINDS[kind].from_int(-5)
+
+
 def test_print_small_values():
     assert numio.print_numeral(unary.Zero()) == "Z"
     assert numio.print_numeral(unary.from_int(2)) == "S(S(Z))"
