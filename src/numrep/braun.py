@@ -119,7 +119,7 @@ def from_list(xs: Iterable[Any]) -> BraunSeq:
 def replicate(n: int, v: Any) -> BraunSeq:
     """n copies of v, from at most 2 * n.bit_length() shared nodes."""
     if n < 0:
-        raise ValueError(f"cannot replicate an element {n} times")
+        raise ValueError(f"cannot replicate an element: count {_number(n)} is negative")
     big, small = Node(v, None, None), None  # the trees of sizes m + 1 and m
     for bit in bin(n + 1)[3:]:  # n's index digits, innermost first: m -> 2m+1 on 0, 2m+2 on 1
         if bit == "0":

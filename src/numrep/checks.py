@@ -15,8 +15,7 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import binary, braun, costmeter, listlab, twoscomp, unary
-from .binary import CanonicalityError, Record
-from .numio import _shown
+from .binary import CanonicalityError, Record, _shown
 
 DEFAULT_SEED = 12345
 
@@ -324,11 +323,7 @@ def _shape_ok(node) -> bool:
 
 
 def _digit_count(i: int) -> int:
-    count = 0
-    while i:
-        i = (i - 1) >> 1 if i & 1 else (i - 2) >> 1
-        count += 1
-    return count
+    return (i + 1).bit_length() - 1  # the digits of i's index numeral, as numrep.braun derives
 
 
 def _br_shape(rng):

@@ -8,7 +8,8 @@ command reads and prints decimals past Python's 4300-digit int/str
 limit: :func:`main` lifts it while a command runs and restores it after.
 
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
-negative unary value, non-canonical literal, failed check suite), for
+negative unary value or one over unary's height bound of 2**20,
+non-canonical literal, failed check suite), for
 inputs too deep for the recursion limit or too large for memory, for a
 meter that cannot read a module's source (``bench``, ``check``) and for
 a reader that closed stdout early, 2 for usage and syntax errors
@@ -27,7 +28,8 @@ import sys
 from typing import List, Optional
 
 from . import binary, braun, numio, twoscomp, unary
-from .numio import ParseError, _shown
+from .binary import _shown
+from .numio import ParseError
 
 
 class _UsageError(Exception):

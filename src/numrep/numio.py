@@ -14,16 +14,18 @@ The alphabets are:
 
 Parsing rejects non-canonical binary and twoscomp literals; that failure
 is a :class:`CanonicalityError`, distinct from a :class:`ParseError`,
-which reports the character position of a syntax problem.  Each kind's
-grammar is one regular expression over the whitespace-free text, built
-from pieces; a literal that does not match it is positioned by matching
-the same pieces as far as they go, and that position is mapped back to
-the original text (the index of the same non-whitespace character, or
-the end of the text).  Canonicality is tested once, by the layer's own
+which reports the character position of a syntax problem.  Each kind has
+one pattern over the whitespace-free text, built from its alphabet, and
+the parser matches it once: the match either reads as a literal or says
+what is wrong and where, and that position is mapped back to the
+original text (the index of the same non-whitespace character, or the
+end of the text).  Canonicality is tested once, by the layer's own
 ``is_canonical``, on the innermost wrapper: every other wrapper in a
 literal wraps a digit.  A unary literal, once its shape matches, is the
 numeral ``unary.from_int(n)`` for its n ``S``: it parses onto the shared
-tower of :mod:`numrep.unary` instead of building n fresh nodes.
+tower of :mod:`numrep.unary` instead of building n fresh nodes, and one
+over its height bound raises ValueError as :func:`numrep.unary.from_int`
+does.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import re
 from typing import Any, Dict, List, Tuple
 
 from . import binary, braun, twoscomp, unary
-from .binary import CanonicalityError, _shown  # the CLI and the checks quote text by numio._shown
+from .binary import CanonicalityError
 
 
 class ParseError(ValueError):
@@ -63,34 +65,21 @@ KINDS: Dict[str, _Kind] = {
                 None),
 }
 
-# parsing tables per kind: wrapper letters, and nullary letters
-_WRAPPERS = {
-    kind: {c: k for c, k in row.alphabet.items() if k.__slots__}
-    for kind, row in KINDS.items()
-}
-_NULLARIES = {
-    kind: {c: k for c, k in row.alphabet.items() if not k.__slots__}
-    for kind, row in KINDS.items()
-}
-
 # printing tables: class -> letter, and the field holding the wrapped value
 _LETTERS = {k: c for row in KINDS.values() for c, k in row.alphabet.items()}
 _CHILD_FIELD = {k: k.__slots__[0] for k in _LETTERS if k.__slots__}
 
-
-# each kind's literal grammar over its whitespace-free text, as regex
-# pieces: the wrapper and nullary letter classes, the openings (wrapper
-# letters each followed by "(") and the closer
-_CLASSES = {
-    kind: (f"[{''.join(_WRAPPERS[kind])}]", f"[{''.join(_NULLARIES[kind])}]")
-    for kind in KINDS
-}
-_OPENINGS = r"((?:{}\()*)"
-_CLOSER = r"\)"
-# the shape: the openings, one nullary letter, then the closers
-_SHAPES = {
-    kind: re.compile(_OPENINGS.format(wrapper) + rf"({nullary})((?:{_CLOSER})*)")
-    for kind, (wrapper, nullary) in _CLASSES.items()
+# each kind's one pattern over its whitespace-free text, from its row's
+# alphabet: the openings (wrapper letters each followed by "("), then a
+# wrapper letter with no "(", a nullary letter or neither, then the
+# closers.  It matches any text from its start; a literal is a match that
+# took the nullary letter, closes each opening once and reaches the end,
+# and any other match says where the literal goes wrong.
+_PATTERNS = {
+    kind: re.compile(r"((?:[{0}]\()*)(?:([{0}])|([{1}]))?(\)*)".format(
+        "".join(c for c, k in row.alphabet.items() if k.__slots__),
+        "".join(c for c, k in row.alphabet.items() if not k.__slots__)))
+    for kind, row in KINDS.items()
 }
 
 
@@ -99,45 +88,41 @@ def parse_numeral(text: str, kind: str) -> Any:
     if kind not in KINDS:
         raise ValueError(f"unknown numeral kind: {kind!r}")
     compact = "".join(text.split())
-    m = _SHAPES[kind].fullmatch(compact)
-    if m is None or 2 * len(m[3]) != len(m[1]):  # one closer per opening
-        raise _syntax_error(text, compact, kind)
+    m = _PATTERNS[kind].match(compact)
+    if not m[3] or 2 * len(m[4]) != len(m[1]) or m.end() != len(compact):
+        raise _syntax_error(text, m)
     if kind == "unary":  # n openings are all S: the numeral n, off the shared tower
-        return unary.from_int(len(m[3]))
+        return unary.from_int(len(m[4]))
+    alphabet = KINDS[kind].alphabet
     letters = m[1][-2::-2]  # "A(B(" -> "BA": the wrapper letters, innermost first
-    value = _NULLARIES[kind][m[2]]()
+    value = alphabet[m[3]]()
     if letters:
-        wrappers = _WRAPPERS[kind]
-        value = wrappers[letters[0]](value)
+        value = alphabet[letters[0]](value)
         canonical = KINDS[kind].canonical
         if canonical is not None and not canonical[0](value):
             raise CanonicalityError(canonical[1])
         for c in letters[1:]:
-            value = wrappers[c](value)
+            value = alphabet[c](value)
     return value
 
 
-def _syntax_error(text: str, compact: str, kind: str) -> ParseError:
-    """The positioned error for a literal whose whitespace-free text does not
-    have the shape: the openings, then a wrapper letter with no "(", the
-    nullary letter or neither, then at most one closer per opening, as far
-    as they match.  The position found there is mapped back to the text."""
-    wrapper, nullary = _CLASSES[kind]
-    stop = re.compile(_OPENINGS.format(wrapper) + rf"(?:({wrapper})|({nullary}))?").match(compact)
-    opened, unopened, last = stop.groups()
-    i = stop.end()
-    if unopened:
-        message = f"expected '(' after {unopened!r}"
-    elif not last and i == len(compact):
-        message = "unexpected end of input, expected a constructor"
-    elif not last:
-        message = f"unexpected character {compact[i]!r}"
+def _syntax_error(text: str, m: re.Match) -> ParseError:
+    """The positioned error for a literal whose pattern match ``m``, over its
+    whitespace-free text, is not a literal.  The position found there is
+    mapped back to the text."""
+    compact, closers = m.string, m.start(4)
+    depth = len(m[1]) // 2
+    if m[2]:
+        i, message = m.end(2), f"expected '(' after {m[2]!r}"
+    elif not m[3]:
+        i = closers
+        message = (f"unexpected character {compact[i]!r}" if i < len(compact)
+                   else "unexpected end of input, expected a constructor")
+    elif len(m[4]) < depth:
+        i, message = m.end(), "expected ')'"
     else:
-        depth = opened.count("(")
-        closers = re.compile(rf"(?:{_CLOSER}){{0,{depth}}}").match(compact, i)
-        short = closers.end() - i < depth
-        i = closers.end()
-        message = "expected ')'" if short else f"trailing input {compact[i]!r}"
+        i = closers + depth
+        message = f"trailing input {compact[i]!r}"
     # the index of text's i-th non-whitespace character, or its end
     solid = (j for j, c in enumerate(text) if not c.isspace())
     return ParseError(message, next(itertools.islice(solid, i, None), len(text)))

@@ -11,7 +11,8 @@ Like Haskell's ``iterate Succ Zero``, the values :func:`from_int` returns
 share one tower of nodes: for m < n <= 2**16 the numeral for m is the
 very node inside the numeral for n, so each height is built once per
 process, and the tower keeps at most 2**16 + 1 nodes (about 3 MB).  A
-larger numeral is built fresh above the tower's top.  A unary literal
+larger numeral is built fresh above the tower's top, up to a height of
+2**20; :func:`from_int` refuses a larger one.  A unary literal
 parsed by :func:`numrep.numio.parse_numeral` comes from :func:`from_int`
 too, so it lands on the same tower.  Whether two results are the same
 object is not part of the API; compare values with ``==``.
@@ -43,8 +44,11 @@ UnaryNat = Union[Zero, Succ]
 
 # _tower[k] denotes k.  It grows on demand, up to a height of _TOWER_CAP,
 # under _tower_lock: two threads appending at once could store a height at
-# the wrong index.  Heights above the cap are built fresh and not kept.
+# the wrong index.  Heights above the cap are built fresh and not kept,
+# up to _HEIGHT_CAP: above it from_int refuses, as its nodes and time would
+# be unbounded.  The meter's largest unary input is below it.
 _TOWER_CAP = 2 ** 16
+_HEIGHT_CAP = 2 ** 20
 _tower: List[UnaryNat] = [Zero()]
 _tower_lock = threading.Lock()
 
@@ -52,11 +56,15 @@ _tower_lock = threading.Lock()
 def from_int(n: int) -> UnaryNat:
     """Wrap ``Zero`` in n layers of ``Succ``.
 
-    Raises ValueError for negative n: unary naturals have no sign.
+    Raises ValueError for negative n, as unary naturals have no sign, and
+    for n over ``_HEIGHT_CAP`` (2**20), before building any node.
     """
     if n < 0:
         raise ValueError(f"cannot represent {_number(n, 'a negative number')} as a unary natural")
     n = operator.index(n)  # a float raises TypeError before the tower grows
+    if n > _HEIGHT_CAP:
+        raise ValueError(f"cannot represent {_number(n, 'a number')} as a unary natural: "
+                         f"over the height bound of {_HEIGHT_CAP}")
     tower = _tower
     if n < len(tower):
         return tower[n]

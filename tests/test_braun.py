@@ -244,6 +244,15 @@ def test_replicate_rejects_a_negative_count():
         braun.replicate(-1, "v")
 
 
+@pytest.mark.parametrize("n, shown", [(-10, "-10"), (-10 ** 5000, "of 16610 bits")],
+                         ids=["small", "5001-digits"])
+def test_replicate_names_a_negative_count_of_any_size(n, shown):
+    # past 4300 digits str(n) itself raises; the count is named by its size
+    with pytest.raises(ValueError) as err:
+        braun.replicate(n, "v")
+    assert str(err.value) == f"cannot replicate an element: count {shown} is negative"
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 33, 1000])
 def test_operations_on_a_replicated_sequence_match_the_list_oracle(n):
     r = braun.replicate(n, "v")

@@ -35,6 +35,15 @@ def test_convert_int_to_literal(capsys):
     assert out == "A(A(B(Z)))\n"
 
 
+@pytest.mark.parametrize("n", [2 ** 20 + 1, 10 ** 30])
+def test_convert_refuses_a_unary_value_over_the_height_bound_at_once(capsys, n):
+    start = time.perf_counter()
+    result = run(capsys, ["convert", "--kind", "unary", "--from", "int", "--to", "int", str(n)])
+    assert time.perf_counter() - start < 0.5
+    message = f"cannot represent {n} as a unary natural: over the height bound of 1048576"
+    assert result == (1, "", f"error: {message}\n")
+
+
 def test_convert_literal_to_int(capsys):
     code, out, _ = run(capsys, ["convert", "--kind", "cd", "--from", "literal", "--to", "int", "C(D(Z))"])
     assert code == 0
@@ -150,6 +159,8 @@ def test_convert_int_to_literal_and_back_for_every_kind(capsys, kind, value, lit
 @pytest.mark.parametrize("argv, code, message", [
     (["convert", "--kind", "unary", "--from", "int", "--to", "literal", "-" + "9" * 20000], 1,
      "cannot represent a negative number of 66439 bits as a unary natural"),
+    (["convert", "--kind", "unary", "--from", "int", "--to", "literal", "9" * 20000], 1,
+     "cannot represent a number of 66439 bits as a unary natural: over the height bound of 1048576"),
     (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "-" + "9" * 20000], 1,
      "cannot represent a negative number of 66439 bits as a binary natural"),
     (["convert", "--kind", "cd", "--from", "int", "--to", "literal", "-" + "9" * 20000], 1,
@@ -165,7 +176,8 @@ def test_convert_int_to_literal_and_back_for_every_kind(capsys, kind, value, lit
     # past Python's default limit of 4300 digits
     (["bench", "--op", "sumlist", "--sizes", "1" + "0" * 5000], 2,
      "sumlist at size of 16610 bits is over the meter's budget of 1048576 steps"),
-], ids=["unary", "binary", "cd", "bits", "bits-prefix", "bench", "bench-negative", "bench-5001-digits"])
+], ids=["unary", "unary-over-bound", "binary", "cd", "bits", "bits-prefix", "bench", "bench-negative",
+        "bench-5001-digits"])
 def test_an_error_naming_a_long_number_or_text_is_one_short_line(capsys, argv, code, message):
     assert run(capsys, argv) == (code, "", f"error: {message}\n")
     assert len(f"error: {message}\n".encode()) <= 200

@@ -110,6 +110,12 @@ PARSE_ERRORS = [
     ("S(S(Z) ) )", "unary", ParseError, "trailing input ')' (at position 9)", 9),
     ("C( ", "cd", ParseError,
      "unexpected end of input, expected a constructor (at position 3)", 3),
+    ("B(A", "twoscomp", ParseError, "expected '(' after 'A' (at position 3)", 3),
+    ("C", "cd", ParseError, "expected '(' after 'C' (at position 1)", 1),
+    ("A(N", "twoscomp", ParseError, "expected ')' (at position 3)", 3),
+    ("D(Z", "cd", ParseError, "expected ')' (at position 3)", 3),
+    ("N)", "twoscomp", ParseError, "trailing input ')' (at position 1)", 1),
+    ("Z Z", "cd", ParseError, "trailing input 'Z' (at position 2)", 2),
     pytest.param("B(" * 10000 + "Z" + ")" * 9999, "binary", ParseError,
                  "expected ')' (at position 30000)", 30000, id="10000-deep-one-closer-short"),
     pytest.param("B(" * 10000 + "Z" + ")" * 10001, "binary", ParseError,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from numrep import unary
+from numrep import costmeter, unary
 from numrep.unary import Succ, Zero
 
 
@@ -32,6 +32,26 @@ def test_from_int_layer_count():
 def test_from_int_rejects_negative():
     with pytest.raises(ValueError):
         unary.from_int(-1)
+
+
+@pytest.mark.parametrize("n", [unary._HEIGHT_CAP + 1, 10 ** 30])
+def test_from_int_refuses_a_height_over_the_bound_at_once(monkeypatch, n):
+    monkeypatch.setattr(unary, "_tower", [Zero()])
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        unary.from_int(n)
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == f"cannot represent {n} as a unary natural: over the height bound of 1048576"
+    assert unary._tower == [Zero()]  # nothing was built
+
+
+def test_height_bound_admits_every_unary_input_the_meter_admits():
+    # the meter's step bounds never decrease, so refusing the bound + 1
+    # means every size it admits is within the bound; nothing is built
+    for op_id in ("u_plus", "u_add"):
+        costmeter.check_schedule(op_id, [costmeter.STEP_BUDGET - 1])
+        with pytest.raises(ValueError):
+            costmeter.check_schedule(op_id, [unary._HEIGHT_CAP + 1])
 
 
 @pytest.mark.parametrize("n", [2.0, "3"])
