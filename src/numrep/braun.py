@@ -21,8 +21,10 @@ empty and half the tree would be wasted.  Starting the digit values at
 The index numeral of i is spelled by the binary digits of i + 1 below
 its leading 1, with a 0 bit for ``IxOdd`` and a 1 bit for ``IxEven``
 (Okasaki, "Three Algorithms on Braun Trees", JFP 1997): 2n+1 + 1 is
-2(n+1) and 2n+2 + 1 is 2(n+1)+1.  The conversions use exactly that, and
-a numeral has (i + 1).bit_length() - 1 digits.
+2(n+1) and 2n+2 + 1 is 2(n+1)+1.  The conversions, :func:`replicate`
+and :func:`access` read the digits from the text of i + 1, in
+O(digits) with no big-int arithmetic, and a numeral has
+(i + 1).bit_length() - 1 digits.
 
 The tree is built and read by rows, in loops (Okasaki again): row k
 holds the elements 2^k - 1 to 2^(k+1) - 2, node j of a row w wide has
@@ -145,17 +147,17 @@ def _out_of_range(i: int, length: int) -> IndexError:
 
 
 def access(s: BraunSeq, i: int) -> Any:
-    """Element at index i, by descending along i's digits."""
+    """Element at index i, by descending along i's digits.
+
+    The digits are read from the text of i + 1, as :func:`cd_from_int`
+    and :func:`replicate` read them, but outermost (last) first:
+    O(digits), with no big-int arithmetic per level.
+    """
     if not 0 <= i < s.length:
         raise _out_of_range(i, s.length)
     node = s.tree
-    while i:
-        if i & 1:
-            node = node.left
-            i = (i - 1) >> 1
-        else:
-            node = node.right
-            i = (i - 2) >> 1
+    for digit in bin(i + 1)[:2:-1]:  # i's digits, outermost first: 0 goes left, 1 right
+        node = node.right if digit == "1" else node.left
     return node.elem
 
 
@@ -183,15 +185,16 @@ def update(s: BraunSeq, i: int, v: Any) -> BraunSeq:
     """Copy of s with element i replaced by v; only the path is copied."""
     if not 0 <= i < s.length:
         raise _out_of_range(i, s.length)
+    return BraunSeq(s.length, _update(s.tree, i, v))
 
-    def upd(node: Node, j: int) -> Node:
-        if j == 0:
-            return Node(v, node.left, node.right)
-        if j & 1:
-            return Node(node.elem, upd(node.left, (j - 1) >> 1), node.right)
-        return Node(node.elem, node.left, upd(node.right, (j - 2) >> 1))
 
-    return BraunSeq(s.length, upd(s.tree, i))
+def _update(node: Node, j: int, v: Any) -> Node:
+    # node's tree with element j replaced by v, copying the path to it
+    if j == 0:
+        return Node(v, node.left, node.right)
+    if j & 1:
+        return Node(node.elem, _update(node.left, (j - 1) >> 1, v), node.right)
+    return Node(node.elem, node.left, _update(node.right, (j - 2) >> 1, v))
 
 
 def cons(v: Any, s: BraunSeq) -> BraunSeq:

@@ -4,15 +4,16 @@ A measurement counts every entry into the functions listed for its
 operation id, recursive entries and base clauses included, by running
 twins: copies compiled from their own source with ``_steps[0] += 1``
 first in the body that repeats (the function's own, or that of its
-top-level ``while`` if it descends in a loop), in a copy of the module's
-namespace, so that their calls and an uncounted entry's (``braun.cons``)
-reach the twins.  A twin adds no frame, and the plain functions pay
-nothing for the meter.  Each thread builds its own twins on first use,
-seeing the module's globals as they were then; without the source,
-:func:`measured` raises :class:`SourceUnavailable`, a ``RuntimeError``.
-Helper bodies count toward their caller's total (add_v1 includes its
-increments, add_v2 its carry helper, mult its additions); smart
-constructors such as ``even`` and ``odd`` are not steps.
+top-level ``while`` or ``for`` if it descends in a loop), in a copy of
+the module's namespace, so that their calls and an uncounted entry's
+(``braun.cons``) reach the twins.  A twin adds no frame, and the plain
+functions pay nothing for the meter.  Each thread builds its own twins
+on first use, seeing the module's globals as they were then; without
+the source, :func:`measured` raises :class:`SourceUnavailable`, a
+``RuntimeError``.  Helper bodies count toward their caller's total
+(add_v1 includes its increments, add_v2 its carry helper, mult its
+additions); smart constructors such as ``even`` and ``odd`` are not
+steps.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -173,7 +174,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
             defs = {}
             for node in ast.parse(source).body:
                 if isinstance(node, ast.FunctionDef):  # the count opens the repeating body
-                    host = next((s for s in node.body if isinstance(s, ast.While)), node)
+                    host = next((s for s in node.body if isinstance(s, (ast.While, ast.For))), node)
                     count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
                     host.body.insert(0, count)  # a docstring no longer first compiles to nothing
                     defs[node.lineno, node.name] = node

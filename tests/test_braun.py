@@ -305,6 +305,19 @@ def test_update_then_access(xs, data):
     assert braun.to_list(s) == xs  # original untouched
 
 
+@given(st.integers(1, 2**512 - 1), st.data())
+@settings(max_examples=100)
+def test_update_and_both_accesses_agree_at_big_indices(n, data):
+    # three independent descents: access's digit text, _update's integer
+    # clauses and access_cd's numeral walk.  The assertion names no tree:
+    # pytest would repr it, and a Node's repr renders all n positions.
+    i = data.draw(st.integers(0, n - 1))
+    s = braun.update(braun.replicate(n, "v"), i, "z")
+    for j in {j for j in (0, i - 1, i, i + 1, n - 1) if 0 <= j < n}:
+        got, walked = braun.access(s, j), braun.access_cd(s, braun.cd_from_int(j))
+        assert (got, got == "z") == (walked, j == i)
+
+
 # --- cons / first / rest -----------------------------------------------------
 
 def test_cons_onto_empty():

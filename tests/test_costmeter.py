@@ -405,6 +405,16 @@ def test_braun_op_schedule_builds_no_n_node_tree(op_id):
     assert steps == digit_count(n - 1) if op_id == "bs_access" else steps <= n.bit_length() + 1
 
 
+def test_access_counts_each_pass_of_its_loop_at_a_100000_bit_index():
+    # the twin counts the for loop's passes far past the ledger's sizes;
+    # index 2**100_000 - 1 has 100,000 digits, all IxOdd.  The assertion
+    # names no tree: pytest would repr it, rendering all n positions.
+    n = 2**100_000
+    r = braun.replicate(n, "v")
+    got = braun.access(r, n - 1), costmeter.measured("bs_access", r, n - 1)
+    assert got == ("v", ("v", 100_000))
+
+
 # --- profilers, threads and the source ---------------------------------------------
 
 def test_no_hook_left_behind():
