@@ -15,10 +15,13 @@ shrinks its arguments.  They always produce identical structures.
 Conversions to and from machine integers go through Python's base-2
 text, ``bin(n)`` and ``int(bits, 2)``: one builder wraps a
 most-significant-first ``"0"``/``"1"`` string onto a tail, one walker
-reads it back off, and :mod:`numrep.twoscomp` and :mod:`numrep.braun`
-convert through the same pair.  ``to_int`` makes that one walk and tests
-canonicality on what it read: a chain ends at its tail, so only the
-innermost digit or a foreign tail can break the rule.  Every numeral
+reads it back off, and :mod:`numrep.twoscomp`, :mod:`numrep.braun` and
+the literal parser and printer of :mod:`numrep.numio` convert through
+the same pair.  The builder creates each digit and fills its slot as
+the generated ``__init__`` would, without calling it.  ``to_int`` makes
+that one walk and tests canonicality on what it read: a chain ends at
+its tail, so only the innermost digit or a foreign tail can break the
+rule.  Every numeral
 constructor in the package derives from :class:`Numeral`, defined here
 next to that pair, and every immutable value in the package, numerals
 included, from :class:`Record`.  The package's error messages show an
@@ -233,9 +236,20 @@ def to_int(x: BinNat) -> int:
 
 
 def _from_bits(bits: str, tail: Any, zero: type = Even, one: type = Odd) -> Any:
-    """Wrap the digits of a most-significant-first 0/1 string onto tail."""
+    """Wrap the digits of a most-significant-first 0/1 string onto tail.
+
+    Each digit is created by ``object.__new__`` and its one slot filled
+    through that slot's setter, as the generated ``__init__`` does, but
+    without a call into ``__init__`` per digit."""
+    new, fill_zero, fill_one = object.__new__, zero.rest.__set__, one.rest.__set__
     for b in bits:
-        tail = one(tail) if b == "1" else zero(tail)
+        if b == "1":
+            digit = new(one)
+            fill_one(digit, tail)
+        else:
+            digit = new(zero)
+            fill_zero(digit, tail)
+        tail = digit
     return tail
 
 

@@ -20,12 +20,20 @@ the parser matches it once: the match either reads as a literal or says
 what is wrong and where, and that position is mapped back to the
 original text (the index of the same non-whitespace character, or the
 end of the text).  Canonicality is tested once, by the layer's own
-``is_canonical``, on the innermost wrapper: every other wrapper in a
+rule over the innermost digit and the tail: every other wrapper in a
 literal wraps a digit.  A unary literal, once its shape matches, is the
 numeral ``unary.from_int(n)`` for its n ``S``: it parses onto the shared
 tower of :mod:`numrep.unary` instead of building n fresh nodes, and one
 over its height bound raises ValueError as :func:`numrep.unary.from_int`
 does.
+
+Literals convert through :mod:`numrep.binary`'s builder and walker, like
+every other conversion in the package.  The wrapper letters of a binary,
+twoscomp or cd literal translate to the builder's bits, and one builder
+call wraps them onto the tail.  The printer loops over runs: binary's
+walker reads each run of digits off as bits, which translate back to
+letters, a run of ``S`` is counted, and the tail ends the text or starts
+the next run.  It never recurses, so a chain of any length prints.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import re
 from typing import Any, Dict, List, Tuple
 
 from . import binary, braun, twoscomp, unary
-from .binary import CanonicalityError
+from .binary import CanonicalityError, _bits, _from_bits
 
 
 class ParseError(ValueError):
@@ -48,26 +56,40 @@ class ParseError(ValueError):
 
 
 # each kind's row: its alphabet, letter -> constructor (one with a slot
-# wraps the value in it, one with none is nullary), its conversions from
-# and to a machine integer, and its layer's canonicality test and message,
-# or None; in a literal only the innermost wrapper can break canonicality,
-# as every other wraps a digit.  The tables below derive from the rows.
-_Kind = collections.namedtuple("_Kind", "alphabet from_int to_int canonical")
+# wraps the value in it, one with none is nullary), its (0-digit, 1-digit)
+# classes, which binary's builder and walker convert through, or None for
+# unary, its conversions from and to a machine integer, and its layer's
+# canonicality rule over a chain's innermost digit (as the builder's bit,
+# or "" for none) and its tail, and that rule's message, or None; in a
+# literal only the innermost digit can break canonicality, as every other
+# wraps a digit.  The tables below derive from the rows.
+_Kind = collections.namedtuple("_Kind", "alphabet digits from_int to_int canonical")
 KINDS: Dict[str, _Kind] = {
-    "unary": _Kind({"Z": unary.Zero, "S": unary.Succ}, unary.from_int, unary.to_int, None),
-    "binary": _Kind({"Z": binary.Zero, "A": binary.Even, "B": binary.Odd}, binary.from_int, binary.to_int,
-                    (binary.is_canonical, "non-canonical literal: A applied directly to Z")),
+    "unary": _Kind({"Z": unary.Zero, "S": unary.Succ}, None, unary.from_int, unary.to_int, None),
+    "binary": _Kind({"Z": binary.Zero, "A": binary.Even, "B": binary.Odd}, (binary.Even, binary.Odd),
+                    binary.from_int, binary.to_int,
+                    (binary._canonical, "non-canonical literal: A applied directly to Z")),
     "twoscomp": _Kind({"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
-                      twoscomp.from_int, twoscomp.to_int,
-                      (twoscomp.is_canonical,
+                      (binary.Even, binary.Odd), twoscomp.from_int, twoscomp.to_int,
+                      (twoscomp._canonical,
                        "non-canonical literal: A applied directly to Z, or B directly to N")),
-    "cd": _Kind({"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven}, braun.cd_from_int, braun.cd_to_int,
-                None),
+    "cd": _Kind({"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven}, (braun.IxOdd, braun.IxEven),
+                braun.cd_from_int, braun.cd_to_int, None),
 }
 
-# printing tables: class -> letter, and the field holding the wrapped value
+
+def _digit_letters(row: _Kind) -> str:
+    """The letters of row's 0-digit and 1-digit classes, in that order."""
+    return "".join(c for k in row.digits for c, cls in row.alphabet.items() if cls is k)
+
+
+# parsing table: each digit kind's letter -> bit; printing tables: each
+# class's letter, and each digit class's (its kind's digit classes, bit ->
+# letter), with which the printer reads a whole run of digits at once
+_TO_BITS = {kind: str.maketrans(_digit_letters(row), "01") for kind, row in KINDS.items() if row.digits}
 _LETTERS = {k: c for row in KINDS.values() for c, k in row.alphabet.items()}
-_CHILD_FIELD = {k: k.__slots__[0] for k in _LETTERS if k.__slots__}
+_RUNS = {k: (row.digits, str.maketrans("01", _digit_letters(row)))
+         for row in KINDS.values() if row.digits for k in row.digits}
 
 # each kind's one pattern over its whitespace-free text, from its row's
 # alphabet: the openings (wrapper letters each followed by "("), then a
@@ -93,17 +115,12 @@ def parse_numeral(text: str, kind: str) -> Any:
         raise _syntax_error(text, m)
     if kind == "unary":  # n openings are all S: the numeral n, off the shared tower
         return unary.from_int(len(m[4]))
-    alphabet = KINDS[kind].alphabet
-    letters = m[1][-2::-2]  # "A(B(" -> "BA": the wrapper letters, innermost first
-    value = alphabet[m[3]]()
-    if letters:
-        value = alphabet[letters[0]](value)
-        canonical = KINDS[kind].canonical
-        if canonical is not None and not canonical[0](value):
-            raise CanonicalityError(canonical[1])
-        for c in letters[1:]:
-            value = alphabet[c](value)
-    return value
+    row = KINDS[kind]
+    bits = m[1][-2::-2].translate(_TO_BITS[kind])  # "A(B(" -> "10": innermost first
+    tail = row.alphabet[m[3]]()
+    if row.canonical is not None and not row.canonical[0](bits[:1], tail):
+        raise CanonicalityError(row.canonical[1])
+    return _from_bits(bits, tail, *row.digits)
 
 
 def _syntax_error(text: str, m: re.Match) -> ParseError:
@@ -130,17 +147,26 @@ def _syntax_error(text: str, m: re.Match) -> ParseError:
 
 def print_numeral(value: Any) -> str:
     """Canonical text of a numeral value; exact inverse of the parser."""
-    parts: List[str] = []
-    t = type(value)
-    while t in _CHILD_FIELD:
-        parts.append(_LETTERS[t])
-        value = getattr(value, _CHILD_FIELD[t])
+    parts = []  # the letters of each run of wrappers, outermost first
+    while True:
         t = type(value)
+        run = _RUNS.get(t)
+        if run is not None:
+            bits, value = _bits(value, *run[0])
+            parts.append(bits[::-1].translate(run[1]))
+        elif t is unary.Succ:
+            n = 0
+            while type(value) is unary.Succ:
+                n, value = n + 1, value.pred
+            parts.append(_LETTERS[t] * n)
+        else:
+            break
     try:
         parts.append(_LETTERS[t])
     except KeyError:
         raise TypeError(f"not a printable numeral: {value!r}") from None
-    return "(".join(parts) + ")" * (len(parts) - 1)
+    letters = "".join(parts)
+    return "(".join(letters) + ")" * (len(letters) - 1)
 
 
 def csv_emit(rows: List[Tuple[int, int]]) -> str:

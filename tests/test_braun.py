@@ -232,11 +232,16 @@ def test_replicate_shape_and_node_count_at_every_size():
 def test_replicate_a_huge_sequence_from_few_nodes():
     n = 10**18
     r = braun.replicate(n, "v")
-    assert len(r) == n
-    assert distinct_nodes(r.tree) <= 2 * n.bit_length()
-    assert [braun.access(r, i) for i in (0, n // 3, n - 1)] == ["v"] * 3
-    assert braun.access(braun.update(r, n - 1, "z"), n - 1) == "z"
-    assert braun.access(r, n - 1) == "v"
+    # each result is bound before its assertion, so a failing one names no
+    # tree: the repr of a 10**18-element tree would never finish
+    length, nodes = len(r), distinct_nodes(r.tree)
+    assert length == n
+    assert nodes <= 2 * n.bit_length()
+    reads = [braun.access(r, i) for i in (0, n // 3, n - 1)]
+    assert reads == ["v"] * 3
+    written, last = braun.access(braun.update(r, n - 1, "z"), n - 1), braun.access(r, n - 1)
+    assert written == "z"
+    assert last == "v"
 
 
 def test_replicate_rejects_a_negative_count():

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -331,6 +332,184 @@ def test_unary_errors_past_the_tower_cap(text, message):
 
 def test_print_of_parse_gives_canonical_text():
     assert numio.print_numeral(numio.parse_numeral(" S( Z )", "unary")) == "S(Z)"
+
+
+# The per-node parser and printer that numio had before it converted
+# through binary's builder and walker, kept as the reference for both:
+# the parser wraps one constructor per letter, the printer walks one node
+# at a time through a class -> letter table and a class -> child field one.
+REF_ALPHABETS = {
+    "unary": {"Z": unary.Zero, "S": unary.Succ},
+    "binary": {"Z": binary.Zero, "A": binary.Even, "B": binary.Odd},
+    "twoscomp": {"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
+    "cd": {"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven},
+}
+REF_CANONICAL = {
+    "binary": (binary.is_canonical, "non-canonical literal: A applied directly to Z"),
+    "twoscomp": (twoscomp.is_canonical,
+                 "non-canonical literal: A applied directly to Z, or B directly to N"),
+}
+REF_LETTERS = {k: c for alphabet in REF_ALPHABETS.values() for c, k in alphabet.items()}
+REF_CHILD_FIELD = {k: k.__slots__[0] for k in REF_LETTERS if k.__slots__}
+REF_PATTERNS = {
+    kind: re.compile(r"((?:[{0}]\()*)(?:([{0}])|([{1}]))?(\)*)".format(
+        "".join(c for c, k in alphabet.items() if k.__slots__),
+        "".join(c for c, k in alphabet.items() if not k.__slots__)))
+    for kind, alphabet in REF_ALPHABETS.items()
+}
+
+
+def reference_parse(text, kind):
+    if kind not in REF_ALPHABETS:
+        raise ValueError(f"unknown numeral kind: {kind!r}")
+    compact = "".join(text.split())
+    m = REF_PATTERNS[kind].match(compact)
+    if not m[3] or 2 * len(m[4]) != len(m[1]) or m.end() != len(compact):
+        raise reference_syntax_error(text, m)
+    if kind == "unary":
+        return unary.from_int(len(m[4]))
+    alphabet = REF_ALPHABETS[kind]
+    letters = m[1][-2::-2]
+    value = alphabet[m[3]]()
+    if letters:
+        value = alphabet[letters[0]](value)
+        canonical = REF_CANONICAL.get(kind)
+        if canonical is not None and not canonical[0](value):
+            raise CanonicalityError(canonical[1])
+        for c in letters[1:]:
+            value = alphabet[c](value)
+    return value
+
+
+def reference_syntax_error(text, m):
+    compact, closers = m.string, m.start(4)
+    depth = len(m[1]) // 2
+    if m[2]:
+        i, message = m.end(2), f"expected '(' after {m[2]!r}"
+    elif not m[3]:
+        i = closers
+        message = (f"unexpected character {compact[i]!r}" if i < len(compact)
+                   else "unexpected end of input, expected a constructor")
+    elif len(m[4]) < depth:
+        i, message = m.end(), "expected ')'"
+    else:
+        i = closers + depth
+        message = f"trailing input {compact[i]!r}"
+    solid = [j for j, c in enumerate(text) if not c.isspace()]
+    return ParseError(message, solid[i] if i < len(solid) else len(text))
+
+
+def reference_print(value):
+    parts = []
+    t = type(value)
+    while t in REF_CHILD_FIELD:
+        parts.append(REF_LETTERS[t])
+        value = getattr(value, REF_CHILD_FIELD[t])
+        t = type(value)
+    try:
+        parts.append(REF_LETTERS[t])
+    except KeyError:
+        raise TypeError(f"not a printable numeral: {value!r}") from None
+    return "(".join(parts) + ")" * (len(parts) - 1)
+
+
+def outcome(f, *args):
+    """f's result, or its exception's type, message and position, if any."""
+    try:
+        return "value", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class Digit(binary.Even):
+    """A subclass of a digit class: no numeral kind has it."""
+
+    __slots__ = ()
+
+
+WRAPPERS = [unary.Succ, binary.Even, binary.Odd, braun.IxOdd, braun.IxEven, Digit]
+TAILS = [unary.Zero(), binary.Zero(), twoscomp.MinusOne(), braun.IxZero(), 5, "Z", None, 2.5,
+         [1], braun.Node(1, None, None), braun.EMPTY, Digit(binary.Zero())]
+
+
+@st.composite
+def near_literals(draw):
+    """(text, kind): a literal of one kind, perhaps spaced, with up to three
+    characters inserted, replaced or deleted, read as that kind or another."""
+    kind, value = draw(VALUES)
+    if draw(st.booleans()):
+        compact = reference_print(value)
+    else:  # any wrappers of the kind over any of its nullary letters, canonical or not
+        alphabet = REF_ALPHABETS[kind]
+        wrappers = draw(st.text(st.sampled_from([c for c, k in alphabet.items() if k.__slots__]),
+                                max_size=12))
+        nullary = draw(st.sampled_from([c for c, k in alphabet.items() if not k.__slots__]))
+        compact = "".join(c + "(" for c in wrappers) + nullary + ")" * len(wrappers)
+    gaps = draw(st.lists(SPACE, min_size=len(compact) + 1, max_size=len(compact) + 1))
+    text = list("".join(gap + c for gap, c in zip(gaps, compact)) + gaps[-1])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        removed = draw(st.integers(0, 1))
+        text[i:i + removed] = draw(st.text(st.sampled_from("ZSABNCD()xb  "), max_size=1))
+    read_as = draw(st.sampled_from([kind, kind, kind, "unary", "binary", "twoscomp", "cd", "ternary"]))
+    return "".join(text), read_as
+
+
+def reference_build(classes, tail):
+    """tail wrapped in classes, the first outermost, by calling each class."""
+    for cls in reversed(classes):
+        tail = cls(tail)
+    return tail
+
+
+LITERAL_TEXTS = st.one_of(
+    near_literals(),
+    st.tuples(st.text(st.sampled_from("ZSABNCD() \t"), max_size=24),
+              st.sampled_from(list(REF_ALPHABETS))),
+)
+PRINTABLES = st.one_of(
+    st.builds(reference_build, st.lists(st.sampled_from(WRAPPERS), max_size=24), st.sampled_from(TAILS)),
+    VALUES.map(lambda kind_value: kind_value[1]),
+    st.sampled_from(TAILS),
+)
+
+
+@given(LITERAL_TEXTS)
+@example(("B(A(Z))", "binary"))
+@example(("A(" * 3 + "B(N" + ")" * 4, "twoscomp"))
+@example(("S(S(Z))", "ternary"))
+@example(("A(C(Z))", "cd"))
+@settings(derandomize=True, max_examples=600, deadline=None)
+def test_parse_matches_the_per_node_reference(text_kind):
+    text, kind = text_kind
+    assert outcome(numio.parse_numeral, text, kind) == outcome(reference_parse, text, kind)
+
+
+@given(PRINTABLES)
+@example(unary.Succ(binary.Even(braun.IxOdd(braun.IxZero()))))
+@example(binary.Even(5))
+@example(binary.Odd(Digit(binary.Zero())))
+@example(braun.IxEven(twoscomp.MinusOne()))
+@settings(derandomize=True, max_examples=600, deadline=None)
+def test_print_matches_the_per_node_reference(value):
+    assert outcome(numio.print_numeral, value) == outcome(reference_print, value)
+
+
+def test_print_walks_a_chain_of_short_runs_without_recursing():
+    # Succ and Even alternate, so each run of digits is one layer long:
+    # the printer loops once per run, and recursing on a tail would
+    # overflow the stack long before 100,000 layers
+    value = binary.Zero()
+    for k in range(100_000):
+        value = unary.Succ(value) if k % 2 else binary.Even(value)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        text = numio.print_numeral(value)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == reference_print(value)
+    assert text.startswith("S(A(S(A(") and text.count("(") == 100_000
 
 
 def test_csv_empty():

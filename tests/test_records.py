@@ -176,6 +176,43 @@ def test_equality_is_type_exact_and_hash_is_the_field_tuples(cls):
     assert len({value, cls(*args)}) == 1
 
 
+def class_built(bits, tail, zero, one):
+    """binary._from_bits's chain, built by calling the classes."""
+    for b in bits:
+        tail = one(tail) if b == "1" else zero(tail)
+    return tail
+
+
+@pytest.mark.parametrize("zero, one, tail", [
+    (binary.Even, binary.Odd, binary.Zero()),
+    (binary.Even, binary.Odd, twoscomp.MinusOne()),
+    (braun.IxOdd, braun.IxEven, braun.IxZero()),
+], ids=["Even-Odd-on-Zero", "Even-Odd-on-MinusOne", "IxOdd-IxEven-on-IxZero"])
+@pytest.mark.parametrize("bits", ["0", "1", "10", "01", "0110", "1" * 40 + "0" * 40])
+def test_builder_digits_are_indistinguishable_from_class_built_ones(zero, one, tail, bits):
+    built, want = binary._from_bits(bits, tail, zero, one), class_built(bits, tail, zero, one)
+    a, b = built, want
+    while a is not tail:  # the same class at every digit, over the same tail
+        assert type(a) is type(b) is (one if bits[len(bits) - 1] == "1" else zero)
+        a, b, bits = a.rest, b.rest, bits[:-1]
+    assert b is tail
+    assert built == want and want == built
+    assert hash(built) == hash(want)
+    assert repr(built) == repr(want)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(built, protocol) == pickle.dumps(want, protocol)
+        again = pickle.loads(pickle.dumps(built, protocol))
+        assert type(again) is type(want) and again == want
+    again = copy.deepcopy(built)
+    assert type(again) is type(want) and again == want
+    for value in (built, want):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'rest'$"):
+            value.rest = tail
+        with pytest.raises(AttributeError, match="^cannot delete field 'rest'$"):
+            del value.rest
+    assert built == want
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
