@@ -21,7 +21,11 @@ the same pair.  The builder creates each digit and fills its slot as
 the generated ``__init__`` would, without calling it.  ``to_int`` makes
 that one walk and tests canonicality on what it read: a chain ends at
 its tail, so only the innermost digit or a foreign tail can break the
-rule.  Every numeral
+rule; :func:`is_canonical` walks to the innermost digit without
+building the string.  Every walk over a chain, these and the equality,
+hashing, ``repr`` and pickling of :class:`Numeral`, is a loop over
+``type(x) is C`` tests, never a recursion, and equality stops at the
+first tail two chains share.  Every numeral
 constructor in the package derives from :class:`Numeral`, defined here
 next to that pair, and every immutable value in the package, numerals
 included, from :class:`Record`.  The package's error messages show an
@@ -31,7 +35,7 @@ characters, a number past 100 digits by its bit length.
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 
 class CanonicalityError(ValueError):
@@ -127,14 +131,21 @@ class Numeral(Record):
 
     Equality, hashing, ``repr`` and pickling walk the chain in a loop, so
     values of any length compare, hash, print, pickle and deep-copy at any
-    recursion limit.  Equality is structural and type-exact; ``repr`` is
-    the keyword form, such as ``Odd(rest=Zero())``; a value reduces to the
-    flat tuple of its wrapper classes plus its tail.  A subclass's
-    ``__slots__`` name its child, if any; a child that is not a numeral
-    ends the chain and is compared, hashed, printed and pickled as itself.
+    recursion limit.  Each loop tests a node's class with ``type(x) is``
+    and looks its child's field up in one table per class.  Equality is
+    structural and type-exact, and stops at a tail the two chains share;
+    ``repr`` is the keyword form, such as ``Odd(rest=Zero())``; a value
+    reduces to the flat tuple of its wrapper classes plus its tail.  A
+    subclass's first field, its own or inherited, names its child, if
+    any; a child that is not a numeral ends the chain and is compared,
+    hashed, printed and pickled as itself.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        _CHILD[cls] = cls.__match_args__[0] if cls.__match_args__ else ""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -142,45 +153,60 @@ class Numeral(Record):
         a, b = self, other
         while a is not b:
             ta = type(a)
-            if ta is not type(b) or not isinstance(a, Numeral):
-                return a == b
-            if not ta.__slots__:
+            field = _CHILD.get(ta)
+            if field is None or type(b) is not ta:
+                return a == b  # a foreign tail, or two classes
+            if not field:
                 return True
-            field = ta.__slots__[0]
             a, b = getattr(a, field), getattr(b, field)
+            while type(a) is ta and type(b) is ta and a is not b:  # the rest of a run of ta
+                a, b = getattr(a, field), getattr(b, field)
         return True
 
     def __hash__(self) -> int:
         h, x = 0, self
-        while isinstance(x, Numeral):
+        while True:
             tx = type(x)
+            field = _CHILD.get(tx)
+            if field is None:
+                return hash((h, x))
             h = hash((h, tx))
-            if not tx.__slots__:
+            if not field:
                 return h
-            x = getattr(x, tx.__slots__[0])
-        return hash((h, x))
+            x = getattr(x, field)
 
     def __repr__(self) -> str:
         parts, x = [], self
-        while isinstance(x, Numeral):
+        while True:
             tx = type(x)
-            if not tx.__slots__:
+            field = _CHILD.get(tx)
+            if field is None:
+                parts.append(repr(x))
+                break
+            if not field:
                 parts.append(f"{tx.__qualname__}()")
                 break
-            parts.append(f"{tx.__qualname__}({tx.__slots__[0]}=")
-            x = getattr(x, tx.__slots__[0])
-        else:
-            parts.append(repr(x))
+            parts.append(f"{tx.__qualname__}({field}=")
+            x = getattr(x, field)
         return "".join(parts) + ")" * (len(parts) - 1)
 
     def __reduce__(self) -> Tuple[Any, tuple]:
         classes, x = [], self
-        while isinstance(x, Numeral) and x.__slots__:
-            classes.append(type(x))
-            x = getattr(x, x.__slots__[0])
+        while True:
+            tx = type(x)
+            field = _CHILD.get(tx)
+            if not field:
+                break
+            classes.append(tx)
+            x = getattr(x, field)
         if not classes:
             return super().__reduce__()
         return _rebuild, (tuple(classes), x)
+
+
+# each numeral class -> the field that holds its child, or "" if it is
+# nullary; a class missing here is not a numeral and ends a chain
+_CHILD: Dict[type, str] = {Numeral: ""}
 
 
 def _rebuild(classes: Tuple[type, ...], tail: Any) -> Any:
@@ -256,20 +282,28 @@ def _from_bits(bits: str, tail: Any, zero: type = Even, one: type = Odd) -> Any:
 def _bits(x: Any, zero: type = Even, one: type = Odd) -> Tuple[str, Any]:
     """Inverse of :func:`_from_bits`: (most-significant-first 0/1 string, tail)."""
     digits = []
-    tx = type(x)
-    while tx is zero or tx is one:
-        digits.append("1" if tx is one else "0")
-        x = x.rest
+    push = digits.append
+    while True:
         tx = type(x)
-    return "".join(reversed(digits)), x
+        if tx is one:
+            push("1")
+        elif tx is zero:
+            push("0")
+        else:
+            break
+        x = x.rest
+    digits.reverse()
+    return "".join(digits), x
 
 
 def _lead(x: Any) -> Tuple[str, Any]:
     """(innermost digit of x as "0"/"1", or "" if it has none; tail): the
     first character of :func:`_bits`'s string, without building the rest."""
-    inner, tx = None, type(x)
+    inner = None
+    tx = type(x)
     while tx is Even or tx is Odd:
-        inner, x = tx, x.rest
+        inner = tx
+        x = x.rest
         tx = type(x)
     return ("" if inner is None else "1" if inner is Odd else "0"), x
 

@@ -155,9 +155,7 @@ def print_numeral(value: Any) -> str:
             bits, value = _bits(value, *run[0])
             parts.append(bits[::-1].translate(run[1]))
         elif t is unary.Succ:
-            n = 0
-            while type(value) is unary.Succ:
-                n, value = n + 1, value.pred
+            n, value = unary._layers(value)
             parts.append(_LETTERS[t] * n)
         else:
             break

@@ -16,13 +16,21 @@ larger numeral is built fresh above the tower's top, up to a height of
 parsed by :func:`numrep.numio.parse_numeral` comes from :func:`from_int`
 too, so it lands on the same tower.  Whether two results are the same
 object is not part of the API; compare values with ``==``.
+
+Every walk down a tower is a loop over ``type(x) is Succ`` tests, never
+a recursion, so it works at any height and any recursion limit.
+:func:`to_int` and the printer of :mod:`numrep.numio` share one walk,
+which counts a run of ``Succ``; ``==`` stops at the first node two values
+share, so comparing two results built on one tower walks only the layers
+above it.  :func:`to_int` is type-exact, as ``==`` is: a node of a
+subclass of ``Succ`` or ``Zero`` is a foreign value, and raises TypeError.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from .binary import Numeral, _number
 
@@ -79,14 +87,29 @@ def from_int(n: int) -> UnaryNat:
 
 
 def to_int(x: UnaryNat) -> int:
-    """Count ``Succ`` layers; inverse of :func:`from_int`."""
-    n = 0
-    while isinstance(x, Succ):
-        n += 1
-        x = x.pred
-    if not isinstance(x, Zero):
-        raise TypeError(f"not a unary natural: {x!r}")
+    """Count ``Succ`` layers; inverse of :func:`from_int`.
+
+    Type-exact: a node of a subclass of ``Succ`` or ``Zero`` is not a
+    layer or a zero, and raises TypeError like any other foreign value.
+    """
+    n, tail = _layers(x)
+    if type(tail) is not Zero:
+        raise TypeError(f"not a unary natural: {tail!r}")
     return n
+
+
+def _layers(x: object) -> Tuple[int, object]:
+    """(number of ``Succ`` layers around x's tail, that tail): the one walk
+    down a run of ``Succ``, which :func:`to_int` and the printer of
+    :mod:`numrep.numio` share."""
+    n = 0
+    while type(x) is Succ:  # two layers a pass: half the loop tests and counts
+        x = x.pred
+        if type(x) is not Succ:
+            return n + 1, x
+        x = x.pred
+        n += 2
+    return n, x
 
 
 def plus(x: UnaryNat, y: UnaryNat) -> UnaryNat:

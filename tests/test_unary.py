@@ -120,6 +120,27 @@ def test_to_int_small_values():
     assert unary.to_int(unary.from_int(97)) == 97
 
 
+class Layer(Succ):
+    __slots__ = ()
+
+
+class Nought(Zero):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("value, tail", [
+    (Layer(Zero()), "Layer(pred=Zero())"),
+    (Succ(Succ(Layer(Zero()))), "Layer(pred=Zero())"),
+    (Nought(), "Nought()"),
+    (Succ(Nought()), "Nought()"),
+])
+def test_to_int_is_type_exact(value, tail):
+    # a node of a subclass is a foreign tail, as in == and binary.to_int
+    with pytest.raises(TypeError) as err:
+        unary.to_int(value)
+    assert str(err.value) == f"not a unary natural: {tail}"
+
+
 @given(st.integers(0, 2000))
 def test_int_roundtrip(n):
     assert unary.to_int(unary.from_int(n)) == n
