@@ -7,15 +7,13 @@ sequences), :mod:`numrep.listlab` (list-recursion exemplars),
 :mod:`numrep.costmeter` (step counting), :mod:`numrep.numio` (literal
 parsing/printing and CSV), :mod:`numrep.checks` (property suites).
 
-The two tooling layers, :mod:`numrep.checks` and :mod:`numrep.costmeter`,
-load on first use (``numrep.costmeter`` or ``from numrep import
-costmeter``): a program that only computes with numerals, such as a
-``numrep convert`` process, never compiles them.
+Every submodule loads on first use, as an attribute (``numrep.braun``)
+or an import (``from numrep import braun``), and brings in only the
+layers it imports itself: ``import numrep`` compiles no layer, and a
+Braun-only program compiles ``numrep.braun`` and ``numrep.binary``.
 """
 
 import importlib
-
-from . import binary, braun, listlab, numio, twoscomp, unary
 
 __all__ = [
     "binary", "braun", "checks", "costmeter", "listlab", "numio",
@@ -23,11 +21,9 @@ __all__ = [
 ]
 __version__ = "0.1.0"
 
-_ON_FIRST_USE = ("checks", "costmeter")
-
 
 def __getattr__(name):
-    if name in _ON_FIRST_USE:
+    if name in __all__:
         # importing a submodule binds it here, so this runs once per name
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -69,11 +69,34 @@ class IxEven(Numeral):
 
 CdIndex = Union[IxZero, IxOdd, IxEven]
 
+_REPR_NODES = 1000  # the most nodes a tree's repr spells out
+
 
 class Node(Record):
-    """One tree node: an element and its two subtrees."""
+    """One tree node: an element and its two subtrees.
+
+    ``repr`` spells out, in a loop, at most the first ``_REPR_NODES`` nodes
+    in preorder and prints each subtree past them as ``...``: a replicated
+    tree shares its nodes, but its text would spell out every position.
+    """
 
     __slots__ = ("elem", "left", "right")
+
+    def __repr__(self) -> str:
+        parts, todo, budget = [], [(self, "")], _REPR_NODES
+        while todo:
+            x, tail = todo.pop()  # tail: the text that follows x's subtree
+            if not isinstance(x, Node):
+                parts.append(repr(x))
+            elif not budget:
+                parts.append("...")
+            else:
+                budget -= 1
+                parts.append(f"{type(x).__qualname__}(elem={x.elem!r}, left=")
+                todo += ((x.right, ")" + tail), (x.left, ", right="))
+                continue
+            parts.append(tail)
+        return "".join(parts)
 
 
 BraunTree = Optional[Node]  # None is the empty tree
@@ -113,8 +136,9 @@ def from_list(xs: Iterable[Any]) -> BraunSeq:
     for k in reversed(range(len(items).bit_length())):
         w = 1 << k
         below += [None] * (2 * w - len(below))  # empty trees up to full width
-        row = items[w - 1 : 2 * w - 1]
-        below = [Node(x, below[j], below[j + w]) for j, x in enumerate(row)]
+        # one map pairs node j of the row with children j and j + w of the
+        # row below; it stops at the row, the shortest of its three inputs
+        below = list(map(Node, items[w - 1 : 2 * w - 1], below, below[w:]))
     return BraunSeq(len(items), below[0] if below else None)
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,30 @@ def test_empty_roundtrip():
 
 def test_small_roundtrip():
     assert braun.to_list(braun.from_list(["a", "b", "c"])) == ["a", "b", "c"]
+
+
+def comprehension_from_list(xs):
+    """from_list with each row built by a comprehension over the row: the reference."""
+    items = list(xs)
+    below = []
+    for k in reversed(range(len(items).bit_length())):
+        w = 1 << k
+        below += [None] * (2 * w - len(below))
+        row = items[w - 1 : 2 * w - 1]
+        below = [braun.Node(x, below[j], below[j + w]) for j, x in enumerate(row)]
+    return braun.BraunSeq(len(items), below[0] if below else None)
+
+
+def test_from_list_builds_the_trees_of_the_comprehension():
+    for n in [*range(601), 4095, 4096, 4097, 2**17]:
+        xs = list(range(n))
+        assert braun.from_list(xs) == comprehension_from_list(xs)
+
+
+def test_from_list_is_foldr_cons_empty():
+    for n in range(601):
+        xs = list(range(n))
+        assert braun.from_list(xs) == functools.reduce(lambda s, x: braun.cons(x, s), reversed(xs), EMPTY)
 
 
 @given(elements)
@@ -232,8 +257,6 @@ def test_replicate_shape_and_node_count_at_every_size():
 def test_replicate_a_huge_sequence_from_few_nodes():
     n = 10**18
     r = braun.replicate(n, "v")
-    # each result is bound before its assertion, so a failing one names no
-    # tree: the repr of a 10**18-element tree would never finish
     length, nodes = len(r), distinct_nodes(r.tree)
     assert length == n
     assert nodes <= 2 * n.bit_length()
@@ -242,6 +265,23 @@ def test_replicate_a_huge_sequence_from_few_nodes():
     written, last = braun.access(braun.update(r, n - 1, "z"), n - 1), braun.access(r, n - 1)
     assert written == "z"
     assert last == "v"
+
+
+def test_the_repr_of_a_huge_tree_is_bounded():
+    r = braun.replicate(10**18, "v")
+    start = time.perf_counter()
+    texts = repr(r), repr(r.tree)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    assert max(map(len, texts)) < 50_000
+    assert texts[0].startswith("BraunSeq(length=1000000000000000000, tree=Node(elem='v', ")
+    assert texts[0] == f"BraunSeq(length=1000000000000000000, tree={texts[1]})"
+
+
+@pytest.mark.parametrize("n, cut", [(1000, 0), (1001, 1)])
+def test_a_tree_prints_its_first_1000_nodes_in_full(n, cut):
+    text = repr(braun.from_list(range(n)).tree)
+    assert (text.count("elem="), text.count("...")) == (1000, cut)
 
 
 def test_replicate_rejects_a_negative_count():

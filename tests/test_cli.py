@@ -209,17 +209,22 @@ def test_a_reader_that_closed_the_pipe_gets_exit_1_and_no_traceback():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-def tooling_layers_loaded_by(code, stdin=""):
-    """Run code in a fresh ``python -S`` with src on sys.path; the tooling layers it loaded."""
+def numrep_modules_loaded_by(code, stdin=""):
+    """Run code in a fresh ``python -S`` with src on sys.path; the numrep modules it loaded, sorted."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
-            "print(sorted(m for m in ('numrep.checks', 'numrep.costmeter') if m in sys.modules))")
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'numrep'))")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout.splitlines()[-1].split()
+
+
+def tooling_layers_loaded_by(code, stdin=""):
+    """The tooling layers that code loaded in a fresh interpreter, as the repr of a sorted list."""
+    return repr([m for m in numrep_modules_loaded_by(code, stdin) if m in ("numrep.checks", "numrep.costmeter")])
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -248,6 +253,16 @@ def test_the_package_loads_its_tooling_layers_on_first_use():
         == "['numrep.costmeter']"
     assert tooling_layers_loaded_by("from numrep import checks; assert 'all' in checks.SUITE_NAMES") \
         == "['numrep.checks', 'numrep.costmeter']"
+
+
+def test_the_package_loads_every_layer_on_first_use():
+    assert numrep_modules_loaded_by("import numrep") == ["numrep"]
+    assert numrep_modules_loaded_by("import numrep; numrep.braun") == ["numrep", "numrep.binary", "numrep.braun"]
+    assert numrep_modules_loaded_by("from numrep import braun") == ["numrep", "numrep.binary", "numrep.braun"]
+    assert numrep_modules_loaded_by("import numrep; assert not hasattr(numrep, 'nope')") == ["numrep"]
+    bound = "from numrep import *; import numrep; assert [globals()[n] for n in numrep.__all__] " \
+            "== [sys.modules[f'numrep.{n}'] for n in numrep.__all__]"
+    assert numrep_modules_loaded_by(bound) == sorted(["numrep", *(f"numrep.{n}" for n in numrep.__all__)])
 
 
 def test_an_unknown_package_attribute_raises_attribute_error():
