@@ -17,8 +17,10 @@ text, ``bin(n)`` and ``int(bits, 2)``: one builder wraps a
 most-significant-first ``"0"``/``"1"`` string onto a tail, one walker
 reads it back off, and :mod:`numrep.twoscomp`, :mod:`numrep.braun` and
 the literal parser and printer of :mod:`numrep.numio` convert through
-the same pair.  The builder creates each digit and fills its slot as
-the generated ``__init__`` would, without calling it.  ``to_int`` makes
+the same pair.  The builder, like the smart constructors that build
+every digit of the arithmetic's results, creates each digit and fills
+its slot as the generated ``__init__`` would, without calling it: the
+digit is the value a class call makes, and as immutable.  ``to_int`` makes
 that one walk and tests canonicality on what it read: a chain ends at
 its tail, so only the innermost digit or a foreign tail can break the
 rule; :func:`is_canonical` walks to the innermost digit without
@@ -237,13 +239,27 @@ class Odd(Numeral):
 BinNat = Union[Zero, Even, Odd]
 
 
+# the smart constructors' allocator and slot setters, bound once: a digit
+# built by these skips the class call and the re-entry of the interpreter
+# that runs the generated __init__
+_new = object.__new__
+_fill_even, _fill_odd = Even.rest.__set__, Odd.rest.__set__
+
+
 def even(x: BinNat) -> BinNat:
-    # 2 * 0 = 0, so collapsing keeps results canonical without special cases
-    return x if type(x) is Zero else Even(x)
+    # 2 * 0 = 0, so collapsing keeps results canonical without special cases;
+    # any other digit is built as _from_bits builds one
+    if type(x) is Zero:
+        return x
+    digit = _new(Even)
+    _fill_even(digit, x)
+    return digit
 
 
 def odd(x: BinNat) -> BinNat:
-    return Odd(x)
+    digit = _new(Odd)
+    _fill_odd(digit, x)
+    return digit
 
 
 def from_int(n: int) -> BinNat:

@@ -5,7 +5,8 @@
 ``eval`` or ``braun`` process compiles neither.  Each numeral kind's
 conversions come from its row in :data:`numrep.numio.KINDS`.  Every
 command reads and prints decimals past Python's 4300-digit int/str
-limit: :func:`main` lifts it while a command runs and restores it after.
+limit: :func:`main` lifts it while it parses and runs a command, and
+restores it after.
 
 Exit codes: 0 on success, 1 for domain or property failures (bad index,
 negative unary value or one over unary's height bound of 2**20,
@@ -13,11 +14,13 @@ non-canonical literal, failed check suite), for
 inputs too deep for the recursion limit or too large for memory, for a
 meter that cannot read a module's source (``bench``, ``check``) and for
 a reader that closed stdout early, 2 for usage and syntax errors
-(bad flags, malformed literals or numbers, numbers or a ``--sizes``
-longer than 131072 characters, unknown operation ids, ``bench`` sizes
-with no worst-case input or over the meter's step budget).  An error is
-one line, which names a number past 100 digits by its bit length and
-quotes at most 60 characters of a text.
+(bad flags, malformed literals or numbers, numbers, a ``--seed`` or a
+``--sizes`` longer than 131072 characters, unknown operation ids,
+``bench`` sizes with no worst-case input or over the meter's step
+budget).  An error is one line, which names a number past 100 digits by
+its bit length and quotes at most 60 characters of a text.  argparse's
+own errors, a usage line and an error line, quote an argument, or the
+value after an option's ``=``, the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import binary, braun, numio, twoscomp, unary
 from .binary import _shown
@@ -159,7 +162,28 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-class _SubcommandParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors quote an argument by its :func:`_shown` form.
+
+    argparse echoes an offending argument whole, as its ``repr`` or as
+    is; each parse records the texts it reads, and :meth:`error` shortens
+    each over 60 characters, and each such value after a ``=``.
+    """
+
+    _texts: Sequence[str] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._texts = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        texts = {t for arg in self._texts for t in (arg, arg.partition("=")[2]) if len(t) > 60}
+        for text in sorted(texts, key=len, reverse=True):
+            message = message.replace(repr(text), repr(_shown(text))).replace(text, _shown(text))
+        super().error(message)
+
+
+class _SubcommandParser(_Parser):
     """A subcommand's parser that can add its arguments when it first parses.
 
     ``add_arguments(parser)`` runs once, before the first parse, so a
@@ -185,15 +209,19 @@ def _bench_arguments(n: argparse.ArgumentParser) -> None:
     n.add_argument("--sizes", required=True, help="comma-separated input sizes")
 
 
+def _seed(text: str) -> int:
+    return _parse_int(text, "--seed")
+
+
 def _check_arguments(k: argparse.ArgumentParser) -> None:
     from . import checks
 
     k.add_argument("--suite", required=True, choices=checks.SUITE_NAMES)
-    k.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    k.add_argument("--seed", type=_seed, default=checks.DEFAULT_SEED)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="numrep",
         description="Inductive number representations and Braun-tree sequences.",
     )
@@ -230,17 +258,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     # Python (3.10.7 on) refuses int/str conversions past 4300 digits, which
     # bounds the quadratic cost of parsing untrusted text; here the text is
-    # the user's own, and _capped bounds what int() reads to 131072 characters
+    # the user's own, and _capped bounds what int() reads to 131072
+    # characters, while the arguments are parsed (--seed) and a command runs
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        try:  # argparse lets --seed's _UsageError through, to the clause below
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
         return args.handler(args)
     except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Any, Union
 
 from . import binary
-from .binary import CanonicalityError, Even, Numeral, Odd, Zero, _bits, _from_bits, _lead, _shown, even
+from .binary import (CanonicalityError, Even, Numeral, Odd, Zero, _bits, _fill_odd, _from_bits, _lead,
+                     _new, _shown, even)
 
 __all__ = [
     "MinusOne", "TcInt", "CanonicalityError", "Even", "Odd", "Zero",
@@ -43,8 +44,13 @@ _FLIP = str.maketrans("01", "10")
 
 
 def odd(x: TcInt) -> TcInt:
-    # 2 * -1 + 1 = -1, the signed counterpart of even() collapsing on zero
-    return x if type(x) is MinusOne else Odd(x)
+    # 2 * -1 + 1 = -1, the signed counterpart of even() collapsing on zero;
+    # any other digit is built as binary.odd builds it, without a class call
+    if type(x) is MinusOne:
+        return x
+    digit = _new(Odd)
+    _fill_odd(digit, x)
+    return digit
 
 
 def from_int(n: int) -> TcInt:

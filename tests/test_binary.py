@@ -1,8 +1,12 @@
+import copy
+import pickle
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from numrep import binary
+from numrep import binary, costmeter, twoscomp
 from numrep.binary import CanonicalityError, Even, Odd, Zero
 
 
@@ -198,3 +202,63 @@ def test_a_message_names_a_number_by_its_decimal_up_to_100_digits(n, shown, with
 def test_a_message_quotes_at_most_60_characters():
     assert binary._shown("x" * 60) == "x" * 60
     assert binary._shown("x" * 61) == "x" * 60 + "..."
+
+
+# The class-call smart constructors that even and odd replaced, kept as
+# references for the digits the shipped ones build without calling a class.
+def reference_even(x):
+    return x if type(x) is Zero else Even(x)
+
+
+def reference_odd(x):
+    return Odd(x)
+
+
+def assert_builds_as(build, reference, x):
+    got, want = build(x), reference(x)
+    assert type(got) is type(want) and got == want
+    if want is x:
+        assert got is x  # a collapse returns its argument
+    else:
+        assert got.rest is x
+    with pytest.raises(AttributeError):
+        got.rest = Zero()
+    with pytest.raises(AttributeError):
+        del got.rest
+    assert hash(got) == hash(want)
+    assert pickle.loads(pickle.dumps(got)) == got
+    assert copy.deepcopy(got) == got
+
+
+def test_smart_constructors_build_the_digits_of_the_class_call_references():
+    for x in [Zero(), *map(binary.from_int, range(1025))]:
+        assert_builds_as(binary.even, reference_even, x)
+        assert_builds_as(binary.odd, reference_odd, x)
+
+
+def results_and_steps():
+    """Every result and metered step count of add1, add_v1, add_v2 and mult
+    over operands 0..64."""
+    xs = [binary.from_int(n) for n in range(65)]
+    out = {}
+    for x in xs:
+        out["add1", x] = costmeter.measured("b_add1", x)
+        assert binary.add1(x) == out["add1", x][0]
+        for y in xs:
+            for op_id in ("b_add_v1", "b_add_v2", "b_mult"):
+                out[op_id, x, y] = costmeter.measured(op_id, x, y)
+                entry = costmeter.METERED[op_id]
+                assert entry(x, y) == out[op_id, x, y][0]
+    return out
+
+
+def test_ops_build_and_count_the_same_with_the_class_call_references(monkeypatch):
+    # the meter's twins copy the module's globals when they are built, so
+    # each side gets its own twins; twoscomp imports binary's even by name
+    monkeypatch.setattr(costmeter, "_twins", threading.local())
+    shipped = results_and_steps()
+    for module in (binary, twoscomp):
+        monkeypatch.setattr(module, "even", reference_even)
+    monkeypatch.setattr(binary, "odd", reference_odd)
+    monkeypatch.setattr(costmeter, "_twins", threading.local())
+    assert results_and_steps() == shipped

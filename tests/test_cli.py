@@ -596,6 +596,38 @@ def test_check_seed_flag(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("digits", [4301, 131072])
+def test_check_seed_past_pythons_int_str_digit_limit(capsys, digits):
+    code, out, err = run(capsys, ["check", "--suite", "listlab", "--seed", "9" * digits])
+    assert (code, out.splitlines()[-1], err) == (0, "4/4 properties held", "")
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("9" * 131073, "--seed is longer than 131072 characters: '" + "9" * 60 + "...'"),
+    ("ninety-nine", "--seed is not an integer: 'ninety-nine'"),
+])
+def test_check_refuses_a_seed_as_every_other_number(capsys, seed, message):
+    assert run(capsys, ["check", "--suite", "listlab", "--seed", seed]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, long", [
+    (["c" * 3000], "c" * 3000),
+    (["c" * 61], "c" * 61),
+    (["eval", "--kind", "binary", "--op", "q" * 3000, "Z"], "q" * 3000),
+    (["eval", "--kind", "binary", "--op=" + "q" * 3000, "Z"], "q" * 3000),
+    (["eval", "--kind", "binary", "--op", "q\\'" * 1000, "Z"], "q\\'" * 1000),
+    (["convert", "--kind", "binary", "--from", "int", "--to", "int", "4", "x" * 3000], "x" * 3000),
+    (["check", "--suite", "s" * 3000], "s" * 3000),
+], ids=["command", "command-61", "eval-op", "eval-op=", "eval-op-quotes", "convert-extra", "check-suite"])
+def test_an_argparse_error_quotes_at_most_60_characters_of_an_argument(capsys, monkeypatch, argv, long):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    error, shown = err.splitlines()[-1], binary._shown(long)
+    assert "error: " in error and (shown in error or repr(shown) in error) and long[:61] not in err
+    assert len(err.encode()) < 400
+
+
 def test_check_detects_broken_addition(capsys, monkeypatch):
     monkeypatch.setattr(binary, "add_v1", lambda x, y: binary.Zero())
     code, out, _ = run(capsys, ["check", "--suite", "binary"])

@@ -1,5 +1,7 @@
+import ast
 import cProfile
 import gc
+import inspect
 import json
 import re
 import sys
@@ -616,3 +618,92 @@ def test_deep_recursion_overlapping_in_two_threads():
     assert not any(t.is_alive() for t in threads)
     assert after_a == max(original, 50_000)
     assert after_b == original
+
+
+# --- clause coverage --------------------------------------------------------------
+
+def clause_lines(fn):
+    """The line of every return and raise in fn, but the TypeError fallthroughs."""
+    lines = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "TypeError":
+                continue
+        elif not isinstance(node, ast.Return):
+            continue
+        lines.add(fn.__code__.co_firstlineno + node.lineno - 1)
+    return lines
+
+
+def lines_run(codes, calls):
+    """The (code, line) pairs of codes that calls() runs, traced by a tracer
+    that follows only frames of codes, with any displaced tracer restored."""
+    seen = set()
+
+    def line_tracer(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code, frame.f_lineno))
+        return line_tracer
+
+    def call_tracer(frame, event, arg):
+        return line_tracer if frame.f_code in codes else None
+
+    displaced = sys.gettrace()
+    sys.settrace(call_tracer)
+    try:
+        calls()
+    finally:
+        sys.settrace(displaced)
+    return seen
+
+
+# per op id, its plain entry's argument tuples over small inputs: binary
+# operands 0..16, signed -16..16, unary 0..11, and lists and sequences of
+# lengths 0..11 (both orders, so a maximum's comparison goes both ways;
+# every index -1..n, so access also runs off either end)
+NATS = [binary.from_int(n) for n in range(17)]
+INTS = [twoscomp.from_int(n) for n in range(-16, 17)]
+UNARY = [unary.from_int(n) for n in range(12)]
+LISTS = [list(range(n)) for n in range(12)] + [list(range(n, 0, -1)) for n in range(2, 12)]
+SEQS = [braun.from_list(range(n)) for n in range(12)]
+COVERAGE_ARGS = {
+    "u_plus": [(x, y) for x in UNARY for y in UNARY],
+    "u_add": [(x, y) for x in UNARY for y in UNARY],
+    "sumlist": [(xs,) for xs in LISTS],
+    "sumlist2": [(xs,) for xs in LISTS],
+    "filter_keep": [((lambda v: v % 2 == 0), xs) for xs in LISTS],
+    "max_naive": [(xs,) for xs in LISTS],
+    "max_fast": [(xs,) for xs in LISTS],
+    "b_add1": [(x,) for x in NATS],
+    "b_add_v1": [(x, y) for x in NATS for y in NATS],
+    "b_add_v2": [(x, y) for x in NATS for y in NATS],
+    "b_mult": [(x, y) for x in NATS for y in NATS],
+    "i_add": [(x, y) for x in INTS for y in INTS],
+    "bs_access": [(s, i) for s in SEQS for i in range(-1, s.length + 1)],
+    "bs_cons": [("x", s) for s in SEQS],
+    "bs_rest": [(s,) for s in SEQS],
+}
+SMART_CONSTRUCTORS = (binary.even, binary.odd, twoscomp.odd)
+
+
+def run_every_op_on_small_inputs():
+    for op_id, cases in COVERAGE_ARGS.items():
+        entry = costmeter.METERED[op_id]
+        for args in cases:
+            try:
+                entry(*args)
+            except (IndexError, ValueError):  # an index off a sequence, an empty one's rest or maximum
+                pass
+    for maximum in (listlab.max_naive, listlab.max_fast):  # only an empty list raises
+        with pytest.raises(ValueError):
+            maximum([])
+
+
+def test_small_inputs_fire_every_clause_of_every_counted_function():
+    assert set(COVERAGE_ARGS) == set(costmeter.METERED)
+    functions = {fn for row in costmeter._OPS.values() for fn in row.counted} | set(SMART_CONSTRUCTORS)
+    assert all(clause_lines(fn) for fn in functions)
+    clauses = {(fn.__code__, line) for fn in functions for line in clause_lines(fn)}
+    missed = clauses - lines_run({code for code, _ in clauses}, run_every_op_on_small_inputs)
+    assert not missed, sorted((code.co_name, line) for code, line in missed)

@@ -1,9 +1,13 @@
+import threading
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from numrep import binary, twoscomp, unary
+from numrep import binary, costmeter, twoscomp, unary
 from numrep.twoscomp import CanonicalityError, Even, MinusOne, Odd, Zero
+from test_binary import assert_builds_as, reference_even
+from test_binary import reference_odd as reference_binary_odd
 
 
 def test_negative_value_shapes():
@@ -263,3 +267,44 @@ def test_wildcard_clauses_accept_any_value():
     assert twoscomp.add(Zero(), "y") == "y"
     assert twoscomp.add_plus1("x", MinusOne()) == "x"
     assert twoscomp.add_plus1(MinusOne(), "y") == "y"
+
+
+# The class-call odd that twoscomp.odd replaced, kept as a reference for
+# the digits the shipped one builds without calling a class; even is
+# binary's, whose reference is in tests/test_binary.py.
+def reference_odd(x):
+    return x if type(x) is MinusOne else Odd(x)
+
+
+def test_smart_constructors_build_the_digits_of_the_class_call_references():
+    for x in [Zero(), MinusOne(), *map(twoscomp.from_int, range(-1024, 1025))]:
+        assert_builds_as(twoscomp.even, reference_even, x)
+        assert_builds_as(twoscomp.odd, reference_odd, x)
+
+
+def signed_results_and_steps():
+    """Every result of add, add1, sub1, neg and sub, and every metered step
+    count of add, over operands -64..64."""
+    xs = [twoscomp.from_int(n) for n in range(-64, 65)]
+    out = {}
+    for x in xs:
+        for op in (twoscomp.add1, twoscomp.sub1, twoscomp.neg):
+            out[op.__name__, x] = op(x)
+        for y in xs:
+            out["sub", x, y] = twoscomp.sub(x, y)
+            out["add", x, y] = costmeter.measured("i_add", x, y)
+            assert twoscomp.add(x, y) == out["add", x, y][0]
+    return out
+
+
+def test_ops_build_and_count_the_same_with_the_class_call_references(monkeypatch):
+    # as in tests/test_binary.py: fresh twins on each side, and twoscomp's
+    # own binding of binary's even patched too
+    monkeypatch.setattr(costmeter, "_twins", threading.local())
+    shipped = signed_results_and_steps()
+    for module in (binary, twoscomp):
+        monkeypatch.setattr(module, "even", reference_even)
+    monkeypatch.setattr(twoscomp, "odd", reference_odd)
+    monkeypatch.setattr(binary, "odd", reference_binary_odd)
+    monkeypatch.setattr(costmeter, "_twins", threading.local())
+    assert signed_results_and_steps() == shipped
