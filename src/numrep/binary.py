@@ -337,12 +337,21 @@ def _canonical(lead: str, tail: Any) -> bool:
 
 
 def size(x: BinNat) -> int:
-    """Number of digit constructors (0 for the zero numeral)."""
-    return len(_bits(x)[0])
+    """Number of digit constructors (0 for the zero numeral).
+
+    Counts the digits of a non-canonical chain too, such as
+    ``Even(Zero())``; raises TypeError for a chain that does not end in
+    ``Zero``, a foreign value included.
+    """
+    bits, tail = _bits(x)
+    if type(tail) is not Zero:
+        raise TypeError(f"not a binary natural: {tail!r}")
+    return len(bits)
 
 
 # The recursive operations dispatch with ``type(x) is C`` tests, one branch
-# per clause of the definition and in the same order.  In CPython a tuple
+# per clause of the definition and in the same order, as the clause table
+# in tests/clause_table.txt pins.  In CPython a tuple
 # ``match`` builds its subject and runs a sequence match plus isinstance
 # tests on every call, which is several times slower; the constructors have
 # no subclasses, so an identity test on the type decides the same clauses.

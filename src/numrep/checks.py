@@ -483,8 +483,11 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
 
     A check that raises fails with the exception's type and message as
     detail, except for the meter's :class:`costmeter.SourceUnavailable`,
-    which stops the run as it stops ``bench``.
+    which stops the run as it stops ``bench``.  Raises KeyError, naming
+    the suite and listing :data:`SUITE_NAMES`, for an unknown suite.
     """
+    if suite not in SUITE_NAMES:
+        raise KeyError(f"unknown suite: {_shown(repr(suite))}; one of {', '.join(SUITE_NAMES)}")
     names = list(SUITES) if suite == "all" else [suite]
     results = []
     for name in names:

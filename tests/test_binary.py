@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from numrep import binary, costmeter, twoscomp
+from numrep import binary, costmeter, twoscomp, unary
 from numrep.binary import CanonicalityError, Even, Odd, Zero
 
 
@@ -143,6 +143,7 @@ def test_mult_agrees_with_machine_multiplication(a, b):
 def test_size_small():
     assert binary.size(Zero()) == 0
     assert binary.size(Odd(Zero())) == 1
+    assert binary.size(Even(Zero())) == 1  # a non-canonical chain counts its constructors
 
 
 @given(st.integers(1, 4096))
@@ -175,10 +176,19 @@ def test_operations_preserve_canonicality(a, b):
     (binary.mult, (Zero(), "y")),
     (binary.mult, (Odd(Zero()), Even(Odd("y")))),
     (binary.add_v2, (binary.from_int(2**500 - 1), object())),
+    (binary.size, (5,)),
+    (binary.size, ("x",)),
+    (binary.size, (unary.from_int(3),)),
+    (binary.size, (Odd("x"),)),
 ])
 def test_foreign_values_raise_type_error(op, args):
     with pytest.raises(TypeError):
         op(*args)
+
+
+def test_size_names_the_foreign_tail():
+    with pytest.raises(TypeError, match=r"^not a binary natural: 'x'$"):
+        binary.size(Odd(Even(Odd("x"))))
 
 
 def test_wildcard_clauses_accept_any_value():

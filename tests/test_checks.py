@@ -142,3 +142,11 @@ def test_a_check_that_raises_is_one_failed_row(monkeypatch, capsys):
         assert (out, err) == (expected + "30/31 properties held\n", "")
         assert len(out.splitlines()) == 32 and out.count("FAIL") == 1
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("suite", ["nope", "All", "x" * 100, None])
+def test_an_unknown_suite_is_a_key_error_that_lists_the_suites(suite):
+    with pytest.raises(KeyError) as caught:
+        checks.run_suite(suite)
+    shown = repr(suite) if len(repr(suite)) <= 60 else repr(suite)[:60] + "..."
+    assert caught.value.args == (f"unknown suite: {shown}; one of unary, listlab, binary, twoscomp, braun, all",)

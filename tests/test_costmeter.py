@@ -1,9 +1,8 @@
-import ast
 import cProfile
 import gc
-import inspect
 import json
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numrep import binary, braun, costmeter, listlab, twoscomp, unary
+from numrep import _clauses, binary, braun, costmeter, listlab, twoscomp, unary
 
 
 def digit_count(i):
@@ -620,21 +619,98 @@ def test_deep_recursion_overlapping_in_two_threads():
     assert after_b == original
 
 
+# --- the clause table ---------------------------------------------------------------
+
+COUNTED = {fn for row in costmeter._OPS.values() for fn in row.counted}
+CLAUSE_TABLE = Path(__file__).resolve().parent / "clause_table.txt"
+
+
+def clause_tables(functions):
+    """fn -> its clauses, derived from its module's source; a clause's calls
+    are those to the functions of its module named in functions."""
+    tables = {}
+    for module in {sys.modules[fn.__module__] for fn in functions}:
+        own = [fn for fn in functions if fn.__module__ == module.__name__]
+        found = _clauses.derive(_clauses.read(vars(module)), module.__file__, {fn.__name__ for fn in own})
+        tables.update((fn, found[fn.__code__.co_firstlineno, fn.__name__].clauses) for fn in own)
+    return tables
+
+
+def table_lines(module_name, clauses):
+    """One line per clause: module.label, each test that held, the statement,
+    each counted call."""
+    return [" | ".join([f"{module_name.rpartition('.')[2]}.{c.label}", *(f"if {t}" for t in c.tests),
+                        c.statement, *(f"calls {call}" for call in c.calls)]) for c in clauses]
+
+
+def golden_lines():
+    return [line for line in CLAUSE_TABLE.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_the_clause_table_of_every_counted_function_is_the_golden_one():
+    tables = clause_tables(COUNTED)
+    in_order = sorted(tables, key=lambda fn: (fn.__module__, fn.__code__.co_firstlineno))
+    assert [line for fn in in_order for line in table_lines(fn.__module__, tables[fn])] == golden_lines()
+    assert len(COUNTED) == 18 and len(golden_lines()) == 74
+
+
+# add_v2's four digit clauses, and the same with [Even,Odd] and [Odd,Even]
+# merged into one if: the merge builds the same sums at the same step counts
+ADD_V2_DIGIT_CLAUSES = """\
+    if tx is Even:
+        if ty is Even:
+            return even(add_v2(x.rest, y.rest))
+        if ty is Odd:
+            return odd(add_v2(x.rest, y.rest))
+    elif tx is Odd:
+        if ty is Even:
+            return odd(add_v2(x.rest, y.rest))
+        if ty is Odd:
+            return even(add_plus1(x.rest, y.rest))
+"""
+ADD_V2_MERGED = """\
+    if tx is Even and ty is Even:
+        return even(add_v2(x.rest, y.rest))
+    if tx is Even and ty is Odd or tx is Odd and ty is Even:
+        return odd(add_v2(x.rest, y.rest))
+    if tx is Odd and ty is Odd:
+        return even(add_plus1(x.rest, y.rest))
+"""
+
+
+def test_merging_two_clauses_keeps_the_steps_and_changes_the_table():
+    source = _clauses.read(vars(binary)).decode()
+    assert source.count(ADD_V2_DIGIT_CLAUSES) == 1
+    golden = [line for line in golden_lines() if line.startswith("binary.add_v2[")]
+    for text, same in ((source, True), (source.replace(ADD_V2_DIGIT_CLAUSES, ADD_V2_MERGED), False)):
+        found = _clauses.derive(text.encode(), binary.__file__, {"add_v2", "add_plus1"})
+        (add_v2,) = [derived for (_, name), derived in found.items() if name == "add_v2"]
+        assert (table_lines("binary", add_v2.clauses) == golden) is same
+        namespace = dict(vars(binary), _steps=[0])
+        for derived in found.values():
+            exec(derived.twin, namespace)
+        for x in NATS:
+            for y in NATS:
+                namespace["_steps"][0] = 0
+                result = namespace["add_v2"](x, y)
+                assert (result, namespace["_steps"][0]) == costmeter.measured("b_add_v2", x, y)
+
+
+def test_no_parse_tree_outlives_a_build():
+    # the ast module keeps one instance of each operator and context; a
+    # statement, expression or module node would be a tree kept alive
+    code = ("import numrep.costmeter as m; "
+            "assert 'ast' not in sys.modules and 'numrep._clauses' not in sys.modules; "
+            "[m.measured(op, *m.worst_case_args(op, 3)) for op in m.METERED]; "
+            "import ast, gc; assert 'numrep._clauses' in sys.modules; gc.collect(); "
+            "print(sum(isinstance(o, (ast.mod, ast.stmt, ast.expr)) for o in gc.get_objects()))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
+
+
 # --- clause coverage --------------------------------------------------------------
-
-def clause_lines(fn):
-    """The line of every return and raise in fn, but the TypeError fallthroughs."""
-    lines = set()
-    for node in ast.walk(ast.parse(inspect.getsource(fn))):
-        if isinstance(node, ast.Raise):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id == "TypeError":
-                continue
-        elif not isinstance(node, ast.Return):
-            continue
-        lines.add(fn.__code__.co_firstlineno + node.lineno - 1)
-    return lines
-
 
 def lines_run(codes, calls):
     """The (code, line) pairs of codes that calls() runs, traced by a tracer
@@ -702,8 +778,9 @@ def run_every_op_on_small_inputs():
 
 def test_small_inputs_fire_every_clause_of_every_counted_function():
     assert set(COVERAGE_ARGS) == set(costmeter.METERED)
-    functions = {fn for row in costmeter._OPS.values() for fn in row.counted} | set(SMART_CONSTRUCTORS)
-    assert all(clause_lines(fn) for fn in functions)
-    clauses = {(fn.__code__, line) for fn in functions for line in clause_lines(fn)}
+    tables = clause_tables(COUNTED | set(SMART_CONSTRUCTORS))
+    assert all(tables.values())
+    clauses = {(fn.__code__, clause.line) for fn, table in tables.items() for clause in table}
+    assert len(clauses) == 79
     missed = clauses - lines_run({code for code, _ in clauses}, run_every_op_on_small_inputs)
     assert not missed, sorted((code.co_name, line) for code, line in missed)
