@@ -1,7 +1,8 @@
 """The one reading of a counted module's source: step twins and clause tables.
 
 :func:`derive` parses a module's source once, and from that one parse
-gives each named top-level function two things.
+gives each named top-level function two things; :func:`twins`, which
+the meter builds with, gives the first alone.
 
 Its *twin*: the function's ``def`` compiled again from its source with
 ``_steps[0] += 1`` first in the body that repeats (the function's own, or
@@ -28,7 +29,7 @@ body or its ``if`` blocks (no counted function returns from a loop), with
   call, one in the failed guard ``x > max_naive(rest)``).
 
 The twins hold code, and the tables hold text and line numbers, so no
-parse tree outlives :func:`derive`.
+parse tree outlives :func:`derive` or :func:`twins`.
 """
 
 from __future__ import annotations
@@ -53,20 +54,35 @@ def read(module: Dict[str, Any]) -> bytes:
     return b""
 
 
+def twins(source: bytes, filename: str, names: Collection[str]) -> Dict[Tuple[int, str], Any]:
+    """(line, name) of each top-level function of source named in names ->
+    its twin, a code object compiled under filename."""
+    return {(node.lineno, node.name): _twin(node, filename) for node in _defs(source, names)}
+
+
 def derive(source: bytes, filename: str, names: Collection[str]) -> Dict[Tuple[int, str], Derived]:
     """(line, name) of each top-level function of source named in names ->
-    its twin, a code object compiled under filename, and its clauses;
-    the calls a clause lists are those to functions named in names."""
+    its twin, as :func:`twins` gives it, and its clauses; the calls a
+    clause lists are those to functions named in names."""
     found = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in names:
-            clauses = _clauses(node, names)
-            host = next((s for s in node.body if isinstance(s, (ast.While, ast.For))), node)
-            count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
-            host.body.insert(0, count)  # a docstring no longer first compiles to nothing
-            twin = compile(ast.Module([node], []), filename, "exec")
-            found[node.lineno, node.name] = Derived(twin, clauses)
+    for node in _defs(source, names):
+        clauses = _clauses(node, names)  # before _twin adds its count to node
+        found[node.lineno, node.name] = Derived(_twin(node, filename), clauses)
     return found
+
+
+def _defs(source: bytes, names: Collection[str]) -> List[ast.FunctionDef]:
+    """The top-level functions of source named in names, parsed once."""
+    return [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def _twin(node: ast.FunctionDef, filename: str) -> Any:
+    """node's def compiled with the count first in the body that repeats;
+    node is changed."""
+    host = next((s for s in node.body if isinstance(s, (ast.While, ast.For))), node)
+    count = ast.increment_lineno(ast.parse("_steps[0] += 1").body[0], host.lineno - 1)
+    host.body.insert(0, count)  # a docstring no longer first compiles to nothing
+    return compile(ast.Module([node], []), filename, "exec")
 
 
 def _clauses(fn: ast.FunctionDef, names: Collection[str]) -> Tuple[Clause, ...]:

@@ -1,9 +1,14 @@
 """Command-line front door: convert, eval, braun, bench, check.
 
-``bench`` and ``check`` import :mod:`numrep.costmeter` and
-:mod:`numrep.checks` when they are parsed or run, so a ``convert``,
-``eval`` or ``braun`` process compiles neither.  Each numeral kind's
-conversions come from its row in :data:`numrep.numio.KINDS`.  Every
+A command loads only the layers it runs.  This module imports only
+:mod:`numrep.binary`, and that is all ``--help`` loads.  ``convert`` and
+``eval`` import :mod:`numrep.numio` when they are parsed, and their
+kind's layer (:mod:`numrep.braun` for ``cd``) when they first use the
+kind; ``braun`` loads :mod:`numrep.braun` alone.  ``bench`` imports
+:mod:`numrep.costmeter`, and ``check`` :mod:`numrep.checks` as well,
+when they are parsed or run; the two import every layer.  Each numeral
+kind's conversions come from its row in :data:`numrep.numio.KINDS`, and
+``eval`` finds each operation's function by name in its layer.  Every
 command reads and prints decimals past Python's 4300-digit int/str
 limit: :func:`main` lifts it while it parses and runs a command, and
 restores it after.
@@ -26,31 +31,31 @@ value after an option's ``=``, the same way.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from typing import List, Optional, Sequence
 
-from . import binary, braun, numio, twoscomp, unary
 from .binary import _shown
-from .numio import ParseError
 
 
 class _UsageError(Exception):
     pass
 
 
-# (kind, op) -> operation and arity
+# (kind, op) -> the layer and function that run it, found when eval runs
+# it, so that eval loads only its kind's layer, and its arity
 _EVAL_OPS = {
-    ("unary", "plus"): (unary.plus, 2),
-    ("unary", "add"): (unary.add, 2),
-    ("unary", "mul"): (unary.mult, 2),
-    ("binary", "add"): (binary.add_v2, 2),
-    ("binary", "add1"): (binary.add1, 1),
-    ("binary", "mul"): (binary.mult, 2),
-    ("twoscomp", "add"): (twoscomp.add, 2),
-    ("twoscomp", "add1"): (twoscomp.add1, 1),
-    ("twoscomp", "neg"): (twoscomp.neg, 1),
-    ("twoscomp", "sub"): (twoscomp.sub, 2),
+    ("unary", "plus"): ("unary", "plus", 2),
+    ("unary", "add"): ("unary", "add", 2),
+    ("unary", "mul"): ("unary", "mult", 2),
+    ("binary", "add"): ("binary", "add_v2", 2),
+    ("binary", "add1"): ("binary", "add1", 1),
+    ("binary", "mul"): ("binary", "mult", 2),
+    ("twoscomp", "add"): ("twoscomp", "add", 2),
+    ("twoscomp", "add1"): ("twoscomp", "add1", 1),
+    ("twoscomp", "neg"): ("twoscomp", "neg", 1),
+    ("twoscomp", "sub"): ("twoscomp", "sub", 2),
 }
 
 
@@ -72,15 +77,29 @@ def _parse_int(text: str, what: str) -> int:
         raise _UsageError(f"{what} is not an integer: {_shown(text)!r}") from None
 
 
+def _literal(text: str, kind: str):
+    """The numeral of a literal argument; a syntax error in it is a usage error."""
+    from . import numio
+
+    try:
+        return numio.parse_numeral(text, kind)
+    except numio.ParseError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _cmd_convert(args) -> int:
+    from . import numio
+
     if ("bits" in (args.src, args.dst)) and args.kind != "twoscomp":
         raise _UsageError("bit-string form is only available for --kind twoscomp")
     kind = numio.KINDS[args.kind]
     if args.src == "int":
         value = kind.from_int(_parse_int(args.value, "value"))
     elif args.src == "literal":
-        value = numio.parse_numeral(args.value, args.kind)
+        value = _literal(args.value, args.kind)
     else:
+        from . import twoscomp
+
         try:
             value = twoscomp.parse_bits(args.value)
         except ValueError as exc:
@@ -90,25 +109,32 @@ def _cmd_convert(args) -> int:
     elif args.dst == "literal":
         print(numio.print_numeral(value))
     else:
+        from . import twoscomp
+
         print(twoscomp.render_bits(value))
     return 0
 
 
 def _cmd_eval(args) -> int:
+    from . import numio
+
     try:
-        fn, arity = _EVAL_OPS[(args.kind, args.op)]
+        layer, name, arity = _EVAL_OPS[(args.kind, args.op)]
     except KeyError:
         raise _UsageError(
             f"operation {args.op!r} is not available for kind {args.kind!r}"
         ) from None
     if len(args.operands) != arity:
         raise _UsageError(f"{args.op} takes {arity} operand(s), got {len(args.operands)}")
-    operands = [numio.parse_numeral(text, args.kind) for text in args.operands]
+    operands = [_literal(text, args.kind) for text in args.operands]
+    fn = getattr(importlib.import_module(f"{__package__}.{layer}"), name)
     print(numio.print_numeral(fn(*operands)))
     return 0
 
 
 def _cmd_braun(args) -> int:
+    from . import braun
+
     seq = braun.from_list(args.init.split(",")) if args.init else braun.EMPTY
     for raw in sys.stdin:
         line = raw.strip()
@@ -136,7 +162,7 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in _capped(args.sizes, "--sizes").split(",")]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers: {_shown(args.sizes)!r}") from None
-    from . import costmeter
+    from . import costmeter, numio
 
     try:  # a refused schedule is a usage error, where a failed measurement exits 1
         costmeter.check_schedule(args.op, sizes)
@@ -202,6 +228,23 @@ class _SubcommandParser(_Parser):
         return super().parse_known_args(args, namespace)
 
 
+def _convert_arguments(c: argparse.ArgumentParser) -> None:
+    from . import numio
+
+    c.add_argument("--kind", required=True, choices=numio.KINDS)
+    c.add_argument("--from", dest="src", required=True, choices=("int", "literal", "bits"))
+    c.add_argument("--to", dest="dst", required=True, choices=("int", "literal", "bits"))
+    c.add_argument("value")
+
+
+def _eval_arguments(e: argparse.ArgumentParser) -> None:
+    from . import numio
+
+    e.add_argument("--kind", required=True, choices=numio.KINDS)
+    e.add_argument("--op", required=True, choices=("plus", "add", "add1", "mul", "neg", "sub"))
+    e.add_argument("operands", nargs="+")
+
+
 def _bench_arguments(n: argparse.ArgumentParser) -> None:
     from . import costmeter
 
@@ -228,17 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True, metavar="command",
                            parser_class=_SubcommandParser)
 
-    c = sub.add_parser("convert", help="convert a value between int, literal and bit-string forms")
-    c.add_argument("--kind", required=True, choices=numio.KINDS)
-    c.add_argument("--from", dest="src", required=True, choices=("int", "literal", "bits"))
-    c.add_argument("--to", dest="dst", required=True, choices=("int", "literal", "bits"))
-    c.add_argument("value")
+    c = sub.add_parser("convert", help="convert a value between int, literal and bit-string forms",
+                       add_arguments=_convert_arguments)
     c.set_defaults(handler=_cmd_convert)
 
-    e = sub.add_parser("eval", help="apply an arithmetic operation to numeral literals")
-    e.add_argument("--kind", required=True, choices=numio.KINDS)
-    e.add_argument("--op", required=True, choices=("plus", "add", "add1", "mul", "neg", "sub"))
-    e.add_argument("operands", nargs="+")
+    e = sub.add_parser("eval", help="apply an arithmetic operation to numeral literals",
+                       add_arguments=_eval_arguments)
     e.set_defaults(handler=_cmd_eval)
 
     b = sub.add_parser("braun", help="run a sequence script (access/first/cons/rest/update) from stdin")
@@ -271,7 +309,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         return args.handler(args)
-    except (_UsageError, ParseError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, RuntimeError, MemoryError) as exc:

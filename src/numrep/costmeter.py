@@ -10,11 +10,11 @@ the module's namespace, so that their calls and an uncounted entry's
 functions pay nothing for the meter.  Each thread builds its own twins
 on first use, seeing the module's globals as they were then: the
 private module ``numrep._clauses`` reads a counted module's source
-through its loader and parses it once, and from that one parse gives
-both the twins and each counted function's clause table (its returns
-and raises, the type tests that select each, and the counted calls it
-makes), which ``tests/clause_table.txt`` pins; no parse tree outlives
-the build.  Without the source, :func:`measured` raises
+through its loader and parses it once for the twins.  From one parse,
+the same module also derives each counted function's clause table (its
+returns and raises, the type tests that select each, and the counted
+calls it makes), which ``tests/clause_table.txt`` pins; the meter does
+not build the tables, and no parse tree outlives a build.  Without the source, :func:`measured` raises
 :class:`SourceUnavailable`, a ``RuntimeError``.  Helper bodies count
 toward their caller's total (add_v1 includes its increments, add_v2
 its carry helper, mult its additions); smart constructors such as
@@ -72,7 +72,7 @@ import types
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from . import binary, braun, listlab, twoscomp, unary
-from .binary import Record, _number
+from .binary import Record, _number, _shown
 
 
 # Frozen linear-bound constants for the two addition algorithms: over all
@@ -181,7 +181,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
         rows = {op: row for op, row in _OPS.items() if row.entry.__globals__ is module}
         names = {fn.__name__ for row in rows.values() for fn in row.counted}
         with _building:
-            found = _clauses.derive(_clauses.read(module), _OPS[op_id].entry.__code__.co_filename, names)
+            found = _clauses.twins(_clauses.read(module), _OPS[op_id].entry.__code__.co_filename, names)
         for op, (entry, counted, *_) in rows.items():
             keys = [(fn.__code__.co_firstlineno, fn.__name__) for fn in counted]
             if not all(key in found for key in keys):
@@ -189,7 +189,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
                     f"cannot meter {op_id!r}: the source of {entry.__module__} is not available")
             namespace = dict(module, _steps=[0])
             for key in keys:
-                exec(found[key].twin, namespace)
+                exec(found[key], namespace)
             if entry not in counted:
                 namespace[entry.__name__] = types.FunctionType(entry.__code__, namespace)
             cache[op] = namespace[entry.__name__], namespace["_steps"]
@@ -199,7 +199,7 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
 def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     """Run the operation's twins and count its steps; return (result, steps)."""
     if op_id not in METERED:
-        raise KeyError(f"unknown operation id: {op_id!r}")
+        raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
     entry, steps = _twin(op_id)
     steps[0] = 0
     with deep_recursion():
@@ -209,7 +209,7 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
 
 def _check_size(op_id: str, n: int) -> None:
     if op_id not in METERED:
-        raise KeyError(f"unknown operation id: {op_id!r}")
+        raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
     if n < 0:
         raise ValueError(f"{op_id} has no worst-case input of negative size {_number(n)}")
     if n < _OPS[op_id].smallest:
@@ -296,5 +296,5 @@ def check_bound(
         passed = all(steps <= k * f(n) + k for n, steps in samples)
         worst = max(steps / max(f(n), 1) for n, steps in samples)
     else:
-        raise ValueError(f"unknown bound form: {bound!r}")
+        raise ValueError(f"unknown bound form: {_shown(repr(bound))}")
     return CostReport(op_id, tuple(samples), bound, k, passed, worst)

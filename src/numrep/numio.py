@@ -12,6 +12,15 @@ The alphabets are:
     twoscomp  Z | N | A(x) | B(x)    additionally B never directly on N
     cd        Z | C(x) | D(x)
 
+This module imports only :mod:`numrep.binary`.  A kind's row, with its
+pattern and its entries in the printer's tables, is made on the kind's
+first use, by :func:`parse_numeral` or ``KINDS[kind]``, which imports
+the kind's layer (:mod:`numrep.braun` for ``cd``); naming, listing or
+testing the kinds imports none.  When the printer meets a class it has
+no entry for, it makes the rows of the layers already loaded and looks
+again, so a value of any kind prints although its kind was never named.
+A process that reads and prints binary literals compiles no other layer.
+
 Parsing rejects non-canonical binary and twoscomp literals; that failure
 is a :class:`CanonicalityError`, distinct from a :class:`ParseError`,
 which reports the character position of a syntax problem.  Each kind has
@@ -39,12 +48,15 @@ the next run.  It never recurses, so a chain of any length prints.
 from __future__ import annotations
 
 import collections
+import importlib
 import itertools
 import re
-from typing import Any, Dict, List, Tuple
+import sys
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from . import binary, braun, twoscomp, unary
-from .binary import CanonicalityError, _bits, _from_bits
+from . import binary
+from .binary import CanonicalityError, _bits, _from_bits, _shown
 
 
 class ParseError(ValueError):
@@ -62,20 +74,32 @@ class ParseError(ValueError):
 # canonicality rule over a chain's innermost digit (as the builder's bit,
 # or "" for none) and its tail, and that rule's message, or None; in a
 # literal only the innermost digit can break canonicality, as every other
-# wraps a digit.  The tables below derive from the rows.
+# wraps a digit.  A row is made from its layer's module on its kind's
+# first use, and the parsing and printing tables below with it.
 _Kind = collections.namedtuple("_Kind", "alphabet digits from_int to_int canonical")
-KINDS: Dict[str, _Kind] = {
-    "unary": _Kind({"Z": unary.Zero, "S": unary.Succ}, None, unary.from_int, unary.to_int, None),
-    "binary": _Kind({"Z": binary.Zero, "A": binary.Even, "B": binary.Odd}, (binary.Even, binary.Odd),
-                    binary.from_int, binary.to_int,
-                    (binary._canonical, "non-canonical literal: A applied directly to Z")),
-    "twoscomp": _Kind({"Z": binary.Zero, "N": twoscomp.MinusOne, "A": binary.Even, "B": binary.Odd},
-                      (binary.Even, binary.Odd), twoscomp.from_int, twoscomp.to_int,
-                      (twoscomp._canonical,
-                       "non-canonical literal: A applied directly to Z, or B directly to N")),
-    "cd": _Kind({"Z": braun.IxZero, "C": braun.IxOdd, "D": braun.IxEven}, (braun.IxOdd, braun.IxEven),
-                braun.cd_from_int, braun.cd_to_int, None),
+_MAKE: Dict[str, Tuple[str, Callable[[Any], _Kind]]] = {  # kind -> its layer, and its row from that layer
+    "unary": ("unary", lambda m: _Kind({"Z": m.Zero, "S": m.Succ}, None, m.from_int, m.to_int, None)),
+    "binary": ("binary", lambda m: _Kind(
+        {"Z": m.Zero, "A": m.Even, "B": m.Odd}, (m.Even, m.Odd), m.from_int, m.to_int,
+        (m._canonical, "non-canonical literal: A applied directly to Z"))),
+    "twoscomp": ("twoscomp", lambda m: _Kind(
+        {"Z": binary.Zero, "N": m.MinusOne, "A": binary.Even, "B": binary.Odd}, (binary.Even, binary.Odd),
+        m.from_int, m.to_int,
+        (m._canonical, "non-canonical literal: A applied directly to Z, or B directly to N"))),
+    "cd": ("braun", lambda m: _Kind(
+        {"Z": m.IxZero, "C": m.IxOdd, "D": m.IxEven}, (m.IxOdd, m.IxEven), m.cd_from_int, m.cd_to_int, None)),
 }
+
+# each built kind -> (its row, its pattern, its parsing table: digit letter
+# -> bit, or None); printing tables: each class's letter, each digit
+# class's (its kind's digit classes, bit -> letter), with which the printer
+# reads a whole run of digits at once, and unary's wrapper -> the walk that
+# counts a run of it.  Two threads that build one kind at once store equal
+# entries, and a kind is in _BUILT only once its printing entries are in.
+_BUILT: Dict[str, Tuple[_Kind, "re.Pattern[str]", Any]] = {}
+_LETTERS: Dict[type, str] = {}
+_RUNS: Dict[type, Tuple[Tuple[type, type], Dict[int, int]]] = {}
+_COUNTED: Dict[type, Callable[[Any], Tuple[int, Any]]] = {}
 
 
 def _digit_letters(row: _Kind) -> str:
@@ -83,40 +107,79 @@ def _digit_letters(row: _Kind) -> str:
     return "".join(c for k in row.digits for c, cls in row.alphabet.items() if cls is k)
 
 
-# parsing table: each digit kind's letter -> bit; printing tables: each
-# class's letter, and each digit class's (its kind's digit classes, bit ->
-# letter), with which the printer reads a whole run of digits at once
-_TO_BITS = {kind: str.maketrans(_digit_letters(row), "01") for kind, row in KINDS.items() if row.digits}
-_LETTERS = {k: c for row in KINDS.values() for c, k in row.alphabet.items()}
-_RUNS = {k: (row.digits, str.maketrans("01", _digit_letters(row)))
-         for row in KINDS.values() if row.digits for k in row.digits}
-
-# each kind's one pattern over its whitespace-free text, from its row's
-# alphabet: the openings (wrapper letters each followed by "("), then a
-# wrapper letter with no "(", a nullary letter or neither, then the
-# closers.  It matches any text from its start; a literal is a match that
-# took the nullary letter, closes each opening once and reaches the end,
-# and any other match says where the literal goes wrong.
-_PATTERNS = {
-    kind: re.compile(r"((?:[{0}]\()*)(?:([{0}])|([{1}]))?(\)*)".format(
+def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any]:
+    """Import kind's layer and make its row and tables; KeyError for an unknown kind."""
+    name, make = _MAKE[kind]
+    layer = importlib.import_module(f"{__package__}.{name}")
+    row = make(layer)
+    # the one pattern over a literal's whitespace-free text, from the
+    # alphabet: the openings (wrapper letters each followed by "("), then a
+    # wrapper letter with no "(", a nullary letter or neither, then the
+    # closers.  It matches any text from its start; a literal is a match
+    # that took the nullary letter, closes each opening once and reaches the
+    # end, and any other match says where the literal goes wrong.
+    pattern = re.compile(r"((?:[{0}]\()*)(?:([{0}])|([{1}]))?(\)*)".format(
         "".join(c for c, k in row.alphabet.items() if k.__slots__),
         "".join(c for c, k in row.alphabet.items() if not k.__slots__)))
-    for kind, row in KINDS.items()
-}
+    _LETTERS.update((k, c) for c, k in row.alphabet.items())
+    if row.digits:
+        letters = _digit_letters(row)
+        _RUNS.update(dict.fromkeys(row.digits, (row.digits, str.maketrans("01", letters))))
+        to_bits = str.maketrans(letters, "01")
+    else:  # unary: its one wrapper's runs are counted by the layer's walk
+        _COUNTED[row.alphabet["S"]] = layer._layers
+        to_bits = None
+    built = _BUILT[kind] = (row, pattern, to_bits)
+    return built
+
+
+def _build_loaded() -> bool:
+    """Build the row of each kind whose layer is loaded and whose row is not;
+    whether there was one."""
+    new = [kind for kind, (name, _) in _MAKE.items()
+           if kind not in _BUILT and f"{__package__}.{name}" in sys.modules]
+    for kind in new:
+        _build(kind)
+    return bool(new)
+
+
+class _Kinds(Mapping):
+    """kind -> its row, made on the kind's first use; the four kinds in order.
+    Naming or listing the kinds imports no layer."""
+
+    def __getitem__(self, kind: str) -> _Kind:
+        built = _BUILT.get(kind)
+        return (built if built is not None else _build(kind))[0]
+
+    def __contains__(self, kind: object) -> bool:
+        return kind in _MAKE
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MAKE)
+
+    def __len__(self) -> int:
+        return len(_MAKE)
+
+
+KINDS: Mapping = _Kinds()
 
 
 def parse_numeral(text: str, kind: str) -> Any:
-    """Parse a literal of the given kind; whitespace-insensitive."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown numeral kind: {kind!r}")
+    """Parse a literal of the given kind; whitespace-insensitive.  An unknown
+    kind raises ValueError, quoting at most 60 characters of its repr."""
+    built = _BUILT.get(kind)
+    if built is None:
+        if kind not in _MAKE:
+            raise ValueError(f"unknown numeral kind: {_shown(repr(kind))}")
+        built = _build(kind)
+    row, pattern, to_bits = built
     compact = "".join(text.split())
-    m = _PATTERNS[kind].match(compact)
+    m = pattern.match(compact)
     if not m[3] or 2 * len(m[4]) != len(m[1]) or m.end() != len(compact):
         raise _syntax_error(text, m)
-    if kind == "unary":  # n openings are all S: the numeral n, off the shared tower
-        return unary.from_int(len(m[4]))
-    row = KINDS[kind]
-    bits = m[1][-2::-2].translate(_TO_BITS[kind])  # "A(B(" -> "10": innermost first
+    if to_bits is None:  # unary: n openings are all S, the numeral n, off the shared tower
+        return row.from_int(len(m[4]))
+    bits = m[1][-2::-2].translate(to_bits)  # "A(B(" -> "10": innermost first
     tail = row.alphabet[m[3]]()
     if row.canonical is not None and not row.canonical[0](bits[:1], tail):
         raise CanonicalityError(row.canonical[1])
@@ -148,21 +211,24 @@ def _syntax_error(text: str, m: re.Match) -> ParseError:
 def print_numeral(value: Any) -> str:
     """Canonical text of a numeral value; exact inverse of the parser."""
     parts = []  # the letters of each run of wrappers, outermost first
+    rest = value
     while True:
-        t = type(value)
+        t = type(rest)
         run = _RUNS.get(t)
         if run is not None:
-            bits, value = _bits(value, *run[0])
+            bits, rest = _bits(rest, *run[0])
             parts.append(bits[::-1].translate(run[1]))
-        elif t is unary.Succ:
-            n, value = unary._layers(value)
+        elif t in _COUNTED:
+            n, rest = _COUNTED[t](rest)
             parts.append(_LETTERS[t] * n)
         else:
             break
     try:
         parts.append(_LETTERS[t])
     except KeyError:
-        raise TypeError(f"not a printable numeral: {value!r}") from None
+        if _build_loaded():  # a kind not yet used: a value of it means its layer is loaded
+            return print_numeral(value)
+        raise TypeError(f"not a printable numeral: {rest!r}") from None
     letters = "".join(parts)
     return "(".join(letters) + ")" * (len(letters) - 1)
 

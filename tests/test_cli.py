@@ -241,6 +241,52 @@ def test_each_command_loads_only_the_tooling_layers_it_runs(argv, loaded):
     assert tooling_layers_loaded_by(code, stdin="access 0\n") == repr(loaded)
 
 
+@pytest.mark.parametrize("argv, code, modules", [
+    (["--help"], 0, []),
+    (["convert", "--kind", "unary", "--from", "literal", "--to", "int", "S(S(Z))"], 0, ["numio", "unary"]),
+    (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"], 0, ["numio"]),
+    (["convert", "--kind", "twoscomp", "--from", "int", "--to", "literal", "-5"], 0, ["numio", "twoscomp"]),
+    (["convert", "--kind", "twoscomp", "--from", "int", "--to", "bits", "-5"], 0, ["numio", "twoscomp"]),
+    (["convert", "--kind", "twoscomp", "--from", "bits", "--to", "int", "...1011"], 0, ["numio", "twoscomp"]),
+    (["convert", "--kind", "cd", "--from", "int", "--to", "literal", "12"], 0, ["braun", "numio"]),
+    (["eval", "--kind", "unary", "--op", "plus", "S(Z)", "S(Z)"], 0, ["numio", "unary"]),
+    (["eval", "--kind", "binary", "--op", "mul", "B(Z)", "B(B(Z))"], 0, ["numio"]),
+    (["eval", "--kind", "twoscomp", "--op", "add", "N", "N"], 0, ["numio", "twoscomp"]),
+    (["eval", "--kind", "cd", "--op", "add", "Z", "Z"], 2, ["numio"]),
+    (["braun", "--init", "a,b"], 0, ["braun"]),
+])
+def test_each_command_loads_only_the_layers_it_runs(argv, code, modules):
+    run = f"import numrep.cli; assert numrep.cli.main({argv!r}) == {code}"
+    expected = ["numrep", "numrep.binary", "numrep.cli", *(f"numrep.{m}" for m in modules)]
+    assert numrep_modules_loaded_by(run, stdin="access 0\n") == sorted(expected)
+
+
+def test_every_eval_operation_is_a_function_of_its_kinds_layer_with_its_arity():
+    assert len(cli._EVAL_OPS) == 10
+    for (kind, op), (layer, name, arity) in cli._EVAL_OPS.items():
+        fn = getattr(getattr(numrep, layer), name)
+        assert layer == numio._MAKE[kind][0]  # eval loads only the layer its literals load
+        assert (fn.__module__, fn.__code__.co_argcount, fn.__defaults__) == (f"numrep.{layer}", arity, None)
+
+
+def test_naming_the_kinds_loads_no_layer():
+    code = ("import numrep.numio as n; assert list(n.KINDS) == ['unary', 'binary', 'twoscomp', 'cd']; "
+            "assert 'cd' in n.KINDS and 'nope' not in n.KINDS and len(n.KINDS) == 4")
+    assert numrep_modules_loaded_by(code) == ["numrep", "numrep.binary", "numrep.numio"]
+
+
+@pytest.mark.parametrize("layer, value, text", [
+    ("braun", "cd_from_int(12)", "D(C(D(Z)))"),
+    ("unary", "from_int(2)", "S(S(Z))"),
+    ("twoscomp", "from_int(-5)", "B(B(A(N)))"),
+    ("binary", "from_int(4)", "A(A(B(Z)))"),
+])
+def test_a_numeral_prints_in_a_fresh_process_that_never_named_its_kind(layer, value, text):
+    code = (f"from numrep import {layer}, numio; assert not numio._BUILT; "
+            f"assert numio.print_numeral({layer}.{value}) == {text!r}")
+    assert numrep_modules_loaded_by(code) == sorted({"numrep", "numrep.binary", f"numrep.{layer}", "numrep.numio"})
+
+
 def test_measuring_does_not_import_inspect():
     # the meter builds its twins with ast, whose cleaned docstrings would import inspect (~7 ms)
     code = "import numrep.cli; numrep.cli.main(['bench', '--op', 'sumlist', '--sizes', '10']); assert 'inspect' not in sys.modules"
@@ -323,8 +369,8 @@ def test_eval_out_of_memory(capsys, monkeypatch):
     def exhausted(x, y):
         raise MemoryError
 
-    # the dispatch table holds the function objects, so patch the entry
-    monkeypatch.setitem(cli._EVAL_OPS, ("binary", "add"), (exhausted, 2))
+    # the dispatch table names the layer's function, found when eval runs it
+    monkeypatch.setattr(binary, "add_v2", exhausted)
     code, out, err = run(capsys, ["eval", "--kind", "binary", "--op", "add", "B(Z)", "B(Z)"])
     assert code == 1
     assert out == ""

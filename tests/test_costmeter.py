@@ -200,6 +200,23 @@ def test_unknown_operation_id():
         costmeter.worst_case_args("no_such_op", 4)
 
 
+def shown(value):
+    """value's repr as a message quotes it: its first 60 characters at most."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
+@pytest.mark.parametrize("op_id", ["no_such_op", "x" * 100_000])
+@pytest.mark.parametrize("call, args", [
+    ("measured", (1,)), ("worst_case_args", (4,)), ("check_schedule", ([4],)),
+    ("measure_schedule", ([4],)), ("check_bound", ([4], "linear")),
+])
+def test_an_unknown_operation_id_is_quoted_at_most_60_characters(op_id, call, args):
+    with pytest.raises(KeyError) as caught:
+        getattr(costmeter, call)(op_id, *args)
+    assert caught.value.args == (f"unknown operation id: {shown(op_id)}",)
+
+
 @pytest.mark.parametrize("op_id", ["bs_access", "bs_rest", "max_naive", "max_fast"])
 def test_no_worst_case_input_of_size_0(op_id):
     with pytest.raises(ValueError, match=f"^{op_id} has no worst-case input of size 0$"):
@@ -268,6 +285,13 @@ def test_check_bound_detects_violation():
 def test_check_bound_unknown_form():
     with pytest.raises(ValueError):
         costmeter.check_bound("sumlist", [10], "quadratic")
+
+
+@pytest.mark.parametrize("form", ["quadratic", "q" * 100_000])
+def test_an_unknown_bound_form_is_quoted_at_most_60_characters(form):
+    with pytest.raises(ValueError) as caught:
+        costmeter.check_bound("sumlist", [10], form)
+    assert caught.value.args == (f"unknown bound form: {shown(form)}",)
 
 
 # --- the benchmark's step ledger ------------------------------------------------

@@ -207,6 +207,18 @@ def test_parse_unknown_kind():
         numio.parse_numeral("Z", "ternary")
 
 
+@pytest.mark.parametrize("kind, shown", [
+    ("ternary", "'ternary'"), ("k" * 100_000, "'" + "k" * 59 + "..."), (5, "5"),
+])
+def test_an_unknown_kind_is_quoted_at_most_60_characters(kind, shown):
+    with pytest.raises(ValueError) as caught:
+        numio.parse_numeral("Z", kind)
+    assert caught.value.args == (f"unknown numeral kind: {shown}",)
+    assert kind not in numio.KINDS
+    with pytest.raises(KeyError):
+        numio.KINDS[kind]
+
+
 def test_kinds_are_four_rows_in_order():
     assert list(numio.KINDS) == ["unary", "binary", "twoscomp", "cd"]
 
