@@ -22,10 +22,10 @@ a reader that closed stdout early, 2 for usage and syntax errors
 (bad flags, malformed literals or numbers, numbers, a ``--seed`` or a
 ``--sizes`` longer than 131072 characters, unknown operation ids,
 ``bench`` sizes with no worst-case input or over the meter's step
-budget).  An error is one line, which names a number past 100 digits by
-its bit length and quotes at most 60 characters of a text.  argparse's
-own errors, a usage line and an error line, quote an argument, or the
-value after an option's ``=``, the same way.
+budget).  An error is one ``error:`` line, which names a number past 100
+digits by its bit length and quotes at most 60 characters of a text.
+argparse's own errors are such a line too, with no usage line, and quote
+an argument, or the value after an option's ``=``, the same way.
 """
 
 from __future__ import annotations
@@ -43,19 +43,19 @@ class _UsageError(Exception):
     pass
 
 
-# (kind, op) -> the layer and function that run it, found when eval runs
-# it, so that eval loads only its kind's layer, and its arity
+# (kind, op) -> the function that runs it, found in the kind's layer when
+# eval runs it, so that eval loads only that layer; rows in --op's order
 _EVAL_OPS = {
-    ("unary", "plus"): ("unary", "plus", 2),
-    ("unary", "add"): ("unary", "add", 2),
-    ("unary", "mul"): ("unary", "mult", 2),
-    ("binary", "add"): ("binary", "add_v2", 2),
-    ("binary", "add1"): ("binary", "add1", 1),
-    ("binary", "mul"): ("binary", "mult", 2),
-    ("twoscomp", "add"): ("twoscomp", "add", 2),
-    ("twoscomp", "add1"): ("twoscomp", "add1", 1),
-    ("twoscomp", "neg"): ("twoscomp", "neg", 1),
-    ("twoscomp", "sub"): ("twoscomp", "sub", 2),
+    ("unary", "plus"): "plus",
+    ("unary", "add"): "add",
+    ("binary", "add"): "add_v2",
+    ("twoscomp", "add"): "add",
+    ("binary", "add1"): "add1",
+    ("twoscomp", "add1"): "add1",
+    ("unary", "mul"): "mult",
+    ("binary", "mul"): "mult",
+    ("twoscomp", "neg"): "neg",
+    ("twoscomp", "sub"): "sub",
 }
 
 
@@ -119,15 +119,16 @@ def _cmd_eval(args) -> int:
     from . import numio
 
     try:
-        layer, name, arity = _EVAL_OPS[(args.kind, args.op)]
+        name = _EVAL_OPS[(args.kind, args.op)]
     except KeyError:
         raise _UsageError(
             f"operation {args.op!r} is not available for kind {args.kind!r}"
         ) from None
+    fn = getattr(importlib.import_module(f"{__package__}.{args.kind}"), name)
+    arity = fn.__code__.co_argcount
     if len(args.operands) != arity:
         raise _UsageError(f"{args.op} takes {arity} operand(s), got {len(args.operands)}")
     operands = [_literal(text, args.kind) for text in args.operands]
-    fn = getattr(importlib.import_module(f"{__package__}.{layer}"), name)
     print(numio.print_numeral(fn(*operands)))
     return 0
 
@@ -189,8 +190,10 @@ def _cmd_check(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors quote an argument by its :func:`_shown` form.
+    """An argument parser whose errors are usage errors quoting arguments by :func:`_shown`.
 
+    :meth:`error` raises :class:`_UsageError`, which :func:`main` prints
+    as one ``error:`` line, where argparse would print a usage line too.
     argparse echoes an offending argument whole, as its ``repr`` or as
     is; each parse records the texts it reads, and :meth:`error` shortens
     each over 60 characters, and each such value after a ``=``.
@@ -206,7 +209,7 @@ class _Parser(argparse.ArgumentParser):
         texts = {t for arg in self._texts for t in (arg, arg.partition("=")[2]) if len(t) > 60}
         for text in sorted(texts, key=len, reverse=True):
             message = message.replace(repr(text), repr(_shown(text))).replace(text, _shown(text))
-        super().error(message)
+        raise _UsageError(message)
 
 
 class _SubcommandParser(_Parser):
@@ -241,7 +244,7 @@ def _eval_arguments(e: argparse.ArgumentParser) -> None:
     from . import numio
 
     e.add_argument("--kind", required=True, choices=numio.KINDS)
-    e.add_argument("--op", required=True, choices=("plus", "add", "add1", "mul", "neg", "sub"))
+    e.add_argument("--op", required=True, choices=tuple(dict.fromkeys(op for _, op in _EVAL_OPS)))
     e.add_argument("operands", nargs="+")
 
 
@@ -304,9 +307,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        try:  # argparse lets --seed's _UsageError through, to the clause below
+        try:  # a usage error, argparse's own or --seed's, goes to the clause below
             args = parser.parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # --help
             return exc.code if isinstance(exc.code, int) else 2
         return args.handler(args)
     except _UsageError as exc:
