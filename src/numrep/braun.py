@@ -30,11 +30,16 @@ The tree is built and read by rows, in loops (Okasaki again): row k
 holds the elements 2^k - 1 to 2^(k+1) - 2, node j of a row w wide has
 children j and j + w of the row below, and so the row below is the left
 children of the row followed by its right children.  That is Okasaki's
-``fromList``; his ``copy`` is :func:`replicate`, n copies of one element
-in O(log n) nodes.  A tree's shape depends only on its size, so the two
-subtrees of a tree of size 2m+1 are one tree of size m, and those of a
-tree of size 2m+2 are trees of sizes m+1 and m: building the pair (size
-m+1, size m) up along n's index digits shares every equal subtree.
+``fromList``.  :func:`from_list` allocates a row's nodes with
+``object.__new__`` and then fills one slot of the whole row per ``map``
+pass, through the slot's setter, as ``binary._from_bits`` fills a digit:
+no node calls the class and so enters the generated ``__init__``, and
+each node is the value a class call makes.  Okasaki's ``copy`` is
+:func:`replicate`, n copies of one element in O(log n) nodes.  A tree's
+shape depends only on its size, so the two subtrees of a tree of size
+2m+1 are one tree of size m, and those of a tree of size 2m+2 are trees
+of sizes m+1 and m: building the pair (size m+1, size m) up along n's
+index digits shares every equal subtree.
 
 Sequences are persistent: every operation returns a new value and never
 touches the old one, sharing untouched subtrees.  ``BraunSeq`` carries
@@ -44,6 +49,8 @@ nodes themselves store no sizes.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from typing import Any, Iterable, List, Optional, Union
 
 from .binary import Numeral, Record, _bits, _from_bits, _number
@@ -75,12 +82,52 @@ _REPR_NODES = 1000  # the most nodes a tree's repr spells out
 class Node(Record):
     """One tree node: an element and its two subtrees.
 
-    ``repr`` spells out, in a loop, at most the first ``_REPR_NODES`` nodes
-    in preorder and prints each subtree past them as ``...``: a replicated
-    tree shares its nodes, but its text would spell out every position.
+    A replicated tree shares its nodes, but its positions are as many as
+    its length, so nothing here walks the positions.  ``repr`` spells out,
+    in a loop, at most the first ``_REPR_NODES`` nodes in preorder and
+    prints each subtree past them as ``...``.  ``==`` and ``hash`` keep
+    ``Record``'s meaning, the tuple of the fields, but are loops over an
+    explicit stack that visit each distinct pair of nodes, or each
+    distinct node, once.
     """
 
     __slots__ = ("elem", "left", "right")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        seen, todo = set(), [(self, other)]  # pairs of values in the same slot
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or not isinstance(a, Node):
+                if not a == b:  # a leaf, or a foreign value, compared as a tuple would
+                    return False
+                continue
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if not (a.elem is b.elem or a.elem == b.elem):
+                return False
+            todo += ((a.right, b.right), (a.left, b.left))  # in the tuple's order: left first
+        return True
+
+    def __hash__(self) -> int:
+        done = {}  # id of each node hashed -> a stand-in that hashes as it does
+        todo = [self]  # a path down from self: each node waits for its children
+        while todo:
+            x = todo[-1]
+            left, right = x.left, x.right
+            if isinstance(left, Node) and id(left) not in done:
+                todo.append(left)
+            elif isinstance(right, Node) and id(right) not in done:
+                todo.append(right)
+            else:
+                todo.pop()
+                fields = x.elem, done.get(id(left), left), done.get(id(right), right)
+                done[id(x)] = _Hashed(hash(fields))
+        return int(done[id(self)])
 
     def __repr__(self) -> str:
         parts, todo, budget = [], [(self, "")], _REPR_NODES
@@ -97,6 +144,14 @@ class Node(Record):
                 continue
             parts.append(tail)
         return "".join(parts)
+
+
+class _Hashed(int):
+    """A subtree's hash, standing in for the subtree in its parent's field
+    tuple: it hashes as itself, where a plain int's hash would reduce it."""
+
+    __slots__ = ()
+    __hash__ = int.__index__
 
 
 BraunTree = Optional[Node]  # None is the empty tree
@@ -132,13 +187,21 @@ def cd_to_int(ix: CdIndex) -> int:
 def from_list(xs: Iterable[Any]) -> BraunSeq:
     """Build a sequence; odd positions go left, even positions right."""
     items = list(xs)
+    new, fill_elem = object.__new__, Node.elem.__set__
+    fill_left, fill_right = Node.left.__set__, Node.right.__set__
     below: List[BraunTree] = []
     for k in reversed(range(len(items).bit_length())):
         w = 1 << k
         below += [None] * (2 * w - len(below))  # empty trees up to full width
-        # one map pairs node j of the row with children j and j + w of the
-        # row below; it stops at the row, the shortest of its three inputs
-        below = list(map(Node, items[w - 1 : 2 * w - 1], below, below[w:]))
+        row = items[w - 1 : 2 * w - 1]
+        # allocate the row's nodes, then fill one slot of every node per
+        # pass: node j gets element j of the row and children j and j + w
+        # of the row below; each pass stops at the row, its shortest input
+        nodes = list(map(new, repeat(Node, len(row))))
+        deque(map(fill_elem, nodes, row), maxlen=0)
+        deque(map(fill_left, nodes, below), maxlen=0)
+        deque(map(fill_right, nodes, below[w:]), maxlen=0)
+        below = nodes
     return BraunSeq(len(items), below[0] if below else None)
 
 

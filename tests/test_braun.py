@@ -131,6 +131,22 @@ def test_from_list_builds_the_trees_of_the_comprehension():
     for n in [*range(601), 4095, 4096, 4097, 2**17]:
         xs = list(range(n))
         assert braun.from_list(xs) == comprehension_from_list(xs)
+    xs = list(range(1000))
+    for other in (iter(xs), range(1000), tuple(xs)):  # an iterator is read once
+        assert braun.from_list(other) == comprehension_from_list(xs)
+    assert braun.from_list("braun tree") == comprehension_from_list(list("braun tree"))
+
+
+def test_from_list_makes_no_class_call_per_node(monkeypatch):
+    want = comprehension_from_list(range(4097))
+
+    def refuse(*args):
+        raise AssertionError("Node() called")
+
+    monkeypatch.setattr(braun.Node, "__init__", refuse)
+    with pytest.raises(AssertionError, match="Node"):
+        braun.Node(1, None, None)
+    assert braun.from_list(range(4097)) == want
 
 
 def test_from_list_is_foldr_cons_empty():
@@ -276,6 +292,56 @@ def test_the_repr_of_a_huge_tree_is_bounded():
     assert max(map(len, texts)) < 50_000
     assert texts[0].startswith("BraunSeq(length=1000000000000000000, tree=Node(elem='v', ")
     assert texts[0] == f"BraunSeq(length=1000000000000000000, tree={texts[1]})"
+
+
+def test_a_huge_tree_compares_and_hashes_in_its_distinct_nodes():
+    n = 10**18
+    r, again = braun.replicate(n, "v"), braun.replicate(n, "v")
+    written = braun.update(r, n - 1, "z")
+    for check in (lambda: r == again, lambda: again == r, lambda: hash(r) == hash(again),
+                  lambda: written != r, lambda: r != written):
+        start = time.perf_counter()
+        held = check()
+        assert time.perf_counter() - start < 0.5
+        assert held
+
+
+def field_tuples(node):
+    # the nested tuples of a tree's fields: what Record's == and hash compare
+    if not isinstance(node, braun.Node):
+        return node
+    return node.elem, field_tuples(node.left), field_tuples(node.right)
+
+
+def test_node_equality_and_hash_are_those_of_its_field_tuples():
+    for n in range(64):
+        s, t = braun.from_list(range(n)), braun.from_list(list(range(n)))
+        assert s == t and hash(s) == hash(t) == hash((n, field_tuples(s.tree)))
+        for i in range(n):
+            u = braun.update(s, i, -1)
+            assert u != s and s != u
+    nan = float("nan")
+    assert braun.from_list([nan]) == braun.from_list([nan])  # elements: identity first
+    assert braun.from_list([float("nan")]) != braun.from_list([float("nan")])
+    leaf = braun.Node(1, None, None)
+    assert leaf.__eq__((1, None, None)) is NotImplemented
+    assert braun.Node(0, leaf, 5) == braun.Node(0, braun.Node(1, None, None), 5)
+    assert braun.Node(0, leaf, 5) != braun.Node(0, leaf, 6)
+    assert braun.Node(0, leaf, None) != braun.Node(0, None, leaf)
+
+    class Sub(braun.Node):
+        __slots__ = ()
+
+    assert braun.Node(0, leaf, None) != braun.Node(0, Sub(1, None, None), None)  # type-exact below too
+    assert hash(braun.Node(0, Sub(1, None, None), -1)) == hash((0, (1, None, None), -1))
+
+
+def test_a_deep_chain_of_nodes_compares_and_hashes_at_any_recursion_limit():
+    a, b, c = braun.Node(0, None, None), braun.Node(0, None, None), braun.Node(-1, None, None)
+    for i in range(1, 100_000):  # far past any Braun tree's depth
+        a, b, c = braun.Node(i, a, None), braun.Node(i, b, None), braun.Node(i, c, None)
+    assert a == b and hash(a) == hash(b)
+    assert a != c  # only the deepest elements differ
 
 
 @pytest.mark.parametrize("n, cut", [(1000, 0), (1001, 1)])

@@ -57,6 +57,8 @@ CASES = [
     Case(["convert", "--kind", "twoscomp", "--from", "literal", "--to", "int", "B(A(N))"], stdout="-3\n"),
     Case(["braun"], stdin="cons x\nfirst\n", stdout="x\n"),
     Case(["braun", "--init", "a,b"], stdin="rest\naccess 0\n", stdout="b\n"),
+    Case(["braun", "--init", ",".join(map(str, range(1000)))],
+         stdin="access 999\nrest\naccess 0\nupdate 5 z\naccess 5\nfirst\n", stdout="999\n1\nz\n1\n"),
     Case(["eval", "--kind", "binary", "--op", "add", "B(Z", "Z"], 2, stdout="",
          stderr="error: expected ')' (at position 3)\n"),
     Case(["convert", "--kind", "unary", "--from", "int", "--to", "int", "1" + "0" * 30], 1, stdout="",

@@ -18,6 +18,7 @@ import pytest
 
 import numrep
 from numrep import binary, braun, checks, costmeter, twoscomp, unary
+from test_braun import comprehension_from_list
 
 
 class Pair(binary.Record):
@@ -183,6 +184,26 @@ def class_built(bits, tail, zero, one):
     return tail
 
 
+def assert_indistinguishable(built, want):
+    """A value from a builder that skips the class call against its class-built twin."""
+    assert built == want and want == built
+    assert hash(built) == hash(want)
+    assert repr(built) == repr(want)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(built, protocol) == pickle.dumps(want, protocol)
+        again = pickle.loads(pickle.dumps(built, protocol))
+        assert type(again) is type(want) and again == want
+    again = copy.deepcopy(built)
+    assert type(again) is type(want) and again == want
+    for value in (built, want):
+        for name in type(want).__match_args__:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+                delattr(value, name)
+    assert built == want
+
+
 @pytest.mark.parametrize("zero, one, tail", [
     (binary.Even, binary.Odd, binary.Zero()),
     (binary.Even, binary.Odd, twoscomp.MinusOne()),
@@ -196,21 +217,20 @@ def test_builder_digits_are_indistinguishable_from_class_built_ones(zero, one, t
         assert type(a) is type(b) is (one if bits[len(bits) - 1] == "1" else zero)
         a, b, bits = a.rest, b.rest, bits[:-1]
     assert b is tail
-    assert built == want and want == built
-    assert hash(built) == hash(want)
-    assert repr(built) == repr(want)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.dumps(built, protocol) == pickle.dumps(want, protocol)
-        again = pickle.loads(pickle.dumps(built, protocol))
-        assert type(again) is type(want) and again == want
-    again = copy.deepcopy(built)
-    assert type(again) is type(want) and again == want
-    for value in (built, want):
-        with pytest.raises(AttributeError, match="^cannot assign to field 'rest'$"):
-            value.rest = tail
-        with pytest.raises(AttributeError, match="^cannot delete field 'rest'$"):
-            del value.rest
-    assert built == want
+    assert_indistinguishable(built, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 100, 300])
+def test_builder_nodes_are_indistinguishable_from_class_built_ones(n):
+    built, want = braun.from_list(range(n)).tree, comprehension_from_list(range(n)).tree
+    todo = [(built, want)]
+    while todo:  # the same class at every node, each node against its twin
+        a, b = todo.pop()
+        assert type(a) is type(b)
+        if b is not None:
+            assert type(a) is braun.Node
+            assert_indistinguishable(a, b)
+            todo += ((a.left, b.left), (a.right, b.right))
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
