@@ -6,7 +6,10 @@ invariant, and returns a failure detail or None.  Randomized checks
 draw from a seeded generator so runs are reproducible.  Pair sweeps take
 their pairs from :func:`_pairs`; ``to_int`` oracles read results through
 :func:`_oracle`, and canonicality checks through :func:`_not_canonical`,
-both of which name the operation and its operands.
+both of which name the operation and its operands.  Each check imports
+its suite's layer when it runs: this module imports only
+:mod:`numrep.binary` and :mod:`numrep.costmeter`, which load no other
+layer, so naming the suites loads none and running one loads its own.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import binary, braun, costmeter, listlab, twoscomp, unary
+from . import binary, costmeter
 from .binary import CanonicalityError, Record, _shown
 
 DEFAULT_SEED = 12345
@@ -72,6 +75,8 @@ def _not_canonical(is_canonical, rows):
 # unary
 
 def _u_roundtrip(rng):
+    from . import unary
+
     for n in range(0, 2001):
         if unary.to_int(unary.from_int(n)) != n:
             return f"roundtrip failed at {n}"
@@ -79,6 +84,8 @@ def _u_roundtrip(rng):
 
 
 def _u_oracle(rng):
+    from . import unary
+
     for a, b, x, y in _pairs(rng, unary.from_int, range(61), 0, 60, 0):
         p, q = unary.plus(x, y), unary.add(x, y)
         if unary.to_int(p) != a + b:
@@ -91,6 +98,8 @@ def _u_oracle(rng):
 
 
 def _u_laws(rng):
+    from . import unary
+
     for a, b, x, y in _pairs(rng, unary.from_int, range(26), 0, 25, 0):
         if unary.to_int(unary.plus(x, y)) != unary.to_int(unary.plus(y, x)):
             return f"commutativity failed at ({a},{b})"
@@ -103,6 +112,8 @@ def _u_laws(rng):
 
 
 def _u_left_identity(rng):
+    from . import unary
+
     for n in range(101):
         y = unary.from_int(n)
         if unary.add(unary.Zero(), y) != y:
@@ -111,6 +122,8 @@ def _u_left_identity(rng):
 
 
 def _u_step_counts(rng):
+    from . import unary
+
     for _ in range(60):
         a, b = rng.randint(0, 40), rng.randint(0, 40)
         x, y = unary.from_int(a), unary.from_int(b)
@@ -125,6 +138,8 @@ def _u_step_counts(rng):
 # listlab
 
 def _l_accumulator(rng):
+    from . import listlab
+
     for _ in range(500):
         xs = [rng.randint(-100, 100) for _ in range(rng.randint(0, 50))]
         acc = rng.randint(-100, 100)
@@ -134,6 +149,8 @@ def _l_accumulator(rng):
 
 
 def _l_sum_variants(rng):
+    from . import listlab
+
     for _ in range(200):
         xs = [rng.randint(-100, 100) for _ in range(rng.randint(0, 50))]
         if not listlab.sumlist(xs) == listlab.sumlist2(xs) == sum(xs):
@@ -142,6 +159,8 @@ def _l_sum_variants(rng):
 
 
 def _l_max_agreement(rng):
+    from . import listlab
+
     for _ in range(80):
         xs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
         if not listlab.max_naive(xs) == listlab.max_fast(xs) == max(xs):
@@ -241,6 +260,8 @@ def _b_add_cost_bound(rng):
 # twoscomp
 
 def _t_roundtrip(rng):
+    from . import twoscomp
+
     for n in range(-512, 513):
         v = twoscomp.from_int(n)
         if twoscomp.to_int(v) != n or not twoscomp.is_canonical(v):
@@ -249,6 +270,8 @@ def _t_roundtrip(rng):
 
 
 def _t_arith_oracle(rng):
+    from . import twoscomp
+
     # neg first: sub(a, b) is add(a, neg(b)), so a wrong neg is named as itself
     negs = (("neg", (a,), twoscomp.neg(twoscomp.from_int(a)), -a) for a in range(-64, 65))
     return _oracle(twoscomp.to_int, negs) or _oracle(twoscomp.to_int, (
@@ -258,6 +281,8 @@ def _t_arith_oracle(rng):
 
 
 def _t_conservative(rng):
+    from . import twoscomp
+
     for a, b, x, y in _pairs(rng, binary.from_int, range(65), 0, 256, 300):
         if twoscomp.add(x, y) != binary.add_v2(x, y):
             return f"signed add deviates from binary add at ({a},{b})"
@@ -271,6 +296,8 @@ _BIT_TABLE = {
 
 
 def _t_bit_table(rng):
+    from . import twoscomp
+
     for n, want in _BIT_TABLE.items():
         got = twoscomp.render_bits(twoscomp.from_int(n))
         if got != want:
@@ -279,6 +306,8 @@ def _t_bit_table(rng):
 
 
 def _t_render_injective(rng):
+    from . import twoscomp
+
     seen = {twoscomp.render_bits(twoscomp.from_int(n)) for n in range(-512, 513)}
     if len(seen) != 1025:
         return "bit strings collide on -512..512"
@@ -286,6 +315,8 @@ def _t_render_injective(rng):
 
 
 def _t_involutions(rng):
+    from . import twoscomp
+
     for n in range(-256, 257):
         v = twoscomp.from_int(n)
         if twoscomp.complement(twoscomp.complement(v)) != v:
@@ -296,6 +327,8 @@ def _t_involutions(rng):
 
 
 def _t_canonical(rng):
+    from . import twoscomp
+
     # the one-operand ops on every value in the pairs' range, then the pair ops
     values = {a: twoscomp.from_int(a) for a in range(-256, 257)}
     ones = ((name, (a,), op(x)) for a, x in values.items()
@@ -327,6 +360,8 @@ def _digit_count(i: int) -> int:
 
 
 def _br_shape(rng):
+    from . import braun
+
     for length in (0, 1, 2, 3, 5, 10, 50, 200, 500):
         xs = [rng.randint(0, 999) for _ in range(length)]
         s = braun.from_list(xs)
@@ -341,6 +376,8 @@ def _br_shape(rng):
 
 
 def _br_list_oracle(rng):
+    from . import braun
+
     for length in (0, 1, 2, 3, 7, 20, 100, 300):
         xs = [rng.randint(0, 999) for _ in range(length)]
         s = braun.from_list(xs)
@@ -365,6 +402,8 @@ def _br_list_oracle(rng):
 
 
 def _br_persistence(rng):
+    from . import braun
+
     xs = [rng.randint(0, 999) for _ in range(200)]
     s = braun.from_list(xs)
     t = s
@@ -378,6 +417,8 @@ def _br_persistence(rng):
 
 
 def _br_depth_law(rng):
+    from . import braun
+
     s = braun.EMPTY
     for n in range(1, 1025):
         s = braun.cons(n, s)
@@ -387,6 +428,8 @@ def _br_depth_law(rng):
 
 
 def _br_access_cost(rng):
+    from . import braun
+
     for length in (1, 10, 100, 1000):
         s = braun.from_list(range(length))
         for i in {0, length - 1, rng.randrange(length)}:
@@ -397,6 +440,8 @@ def _br_access_cost(rng):
 
 
 def _br_deque_cost(rng):
+    from . import braun
+
     for length in (0, 1, 5, 33, 200, 1000):
         s = braun.from_list(range(length))
         bound = braun.depth(s) + 1
@@ -411,6 +456,8 @@ def _br_deque_cost(rng):
 
 
 def _br_index_bijection(rng):
+    from . import braun
+
     values = []
 
     def grow(ix, depth):

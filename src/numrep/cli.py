@@ -6,7 +6,9 @@ A command loads only the layers it runs.  This module imports only
 kind's layer (:mod:`numrep.braun` for ``cd``) when they first use the
 kind; ``braun`` loads :mod:`numrep.braun` alone.  ``bench`` imports
 :mod:`numrep.costmeter`, and ``check`` :mod:`numrep.checks` as well,
-when they are parsed or run; the two import every layer.  Each numeral
+when they are parsed or run; neither loads a layer of its own.
+``bench`` loads its op id's layer once its schedule is accepted, and
+``check`` each suite's layer as the suite runs.  Each numeral
 kind's conversions come from its row in :data:`numrep.numio.KINDS`, and
 ``eval`` finds each operation's function by name in its layer.  Every
 command reads and prints decimals past Python's 4300-digit int/str
@@ -163,13 +165,15 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in _capped(args.sizes, "--sizes").split(",")]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers: {_shown(args.sizes)!r}") from None
-    from . import costmeter, numio
+    from . import costmeter
 
     try:  # a refused schedule is a usage error, where a failed measurement exits 1
         costmeter.check_schedule(args.op, sizes)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     rows = costmeter.measure_schedule(args.op, sizes)
+    from . import numio
+
     sys.stdout.write(numio.csv_emit(rows))
     return 0
 

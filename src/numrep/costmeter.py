@@ -38,6 +38,12 @@ its carry helper, mult its additions); smart constructors such as
     bs_rest      braun._untop (one entry per spine node inspected)
     bs_access    braun.access (one per child descent)
 
+:data:`METERED` maps each op id to its plain entry function.  It is a
+read-only ``Mapping`` over the op ids, and each op's row in ``_OPS`` is
+made from its layer's module on the op's first use: naming, listing or
+testing the op ids imports no layer, and neither does refusing a
+schedule, so this module itself imports only :mod:`numrep.binary`.
+
 Each op id's row in ``_OPS`` also builds its worst-case input of size n.
 Sizes mean, per operation: the denoted value for the unary ops, the list
 length for the list ops, the digit count of an all-ones operand for the
@@ -66,12 +72,13 @@ recursion limit to at least 50,000 frames.
 from __future__ import annotations
 
 import collections
+import importlib
 import sys
 import threading
 import types
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-from . import binary, braun, listlab, twoscomp, unary
 from .binary import Record, _number, _shown
 
 
@@ -127,43 +134,82 @@ def _all_ones(module):
 # are its steps, its worst-case input of size n (the maxima's lists ascend,
 # so their guard always fails), its smallest size (a maximum, a last index
 # and a rest need an element) and a nondecreasing bound on its steps at
-# size n, cheap at any n (max_naive's stops growing past the budget)
+# size n, cheap at any n (max_naive's stops growing past the budget).  The
+# last two are plain data in _MAKE, with the layer's name and the maker of
+# the first three from the layer's module, on the op's first use.
 _Op = collections.namedtuple("_Op", "entry counted worst_case smallest steps")
-_OPS: Dict[str, _Op] = {
-    "u_plus": _Op(unary.plus, (unary.plus,), lambda n: (unary.from_int(n), unary.from_int(n)),
-                  0, lambda n: n + 1),
-    "u_add": _Op(unary.add, (unary.add,), lambda n: (unary.from_int(n), unary.from_int(n)),
-                 0, lambda n: n + 1),
-    "sumlist": _Op(listlab.sumlist, (listlab.sumlist,), lambda n: (range(n),), 0, lambda n: n + 1),
-    "sumlist2": _Op(listlab.sumlist2, (listlab.sumlist2, listlab.sumh), lambda n: (range(n),),
-                    0, lambda n: n + 2),
-    "filter_keep": _Op(listlab.filter_keep, (listlab.filter_keep,),
-                       lambda n: ((lambda v: v % 2 == 0), range(n)), 0, lambda n: n + 1),
-    "max_naive": _Op(listlab.max_naive, (listlab.max_naive,), lambda n: (range(1, n + 1),),
-                     1, lambda n: (1 << min(n, 64)) - 1),
-    "max_fast": _Op(listlab.max_fast, (listlab.max_fast,), lambda n: (range(1, n + 1),),
-                    1, lambda n: n),
-    "b_add1": _Op(binary.add1, (binary.add1,), lambda n: (binary.from_int((1 << n) - 1),),
-                  0, lambda n: n + 1),
-    "b_add_v1": _Op(binary.add_v1, (binary.add_v1, binary.add1), _all_ones(binary),
-                    0, lambda n: 2 * n + 1),
-    "b_add_v2": _Op(binary.add_v2, (binary.add_v2, binary.add_plus1), _all_ones(binary),
-                    0, lambda n: n + 1),
-    "b_mult": _Op(binary.mult, (binary.mult, binary.add_v2, binary.add_plus1), _all_ones(binary),
-                  0, lambda n: (n + 1) ** 2),
-    "i_add": _Op(twoscomp.add, (twoscomp.add, twoscomp.add_plus1), _all_ones(twoscomp),
-                 0, lambda n: n + 1),
-    "bs_access": _Op(braun.access, (braun.access,), lambda n: (braun.replicate(n, 0), n - 1),
-                     1, lambda n: n.bit_length() + 1),
-    "bs_cons": _Op(braun.cons, (braun._push,), lambda n: ("x", braun.replicate(n, 0)),
-                   0, lambda n: n.bit_length() + 1),
-    "bs_rest": _Op(braun.rest, (braun._untop,), lambda n: (braun.replicate(n, 0),),
-                   1, lambda n: n.bit_length() + 1),
+_Make = collections.namedtuple("_Make", "layer smallest steps make")
+_MAKE: Dict[str, _Make] = {
+    "u_plus": _Make("unary", 0, lambda n: n + 1,
+                    lambda m: (m.plus, (m.plus,), lambda n: (m.from_int(n), m.from_int(n)))),
+    "u_add": _Make("unary", 0, lambda n: n + 1,
+                   lambda m: (m.add, (m.add,), lambda n: (m.from_int(n), m.from_int(n)))),
+    "sumlist": _Make("listlab", 0, lambda n: n + 1,
+                     lambda m: (m.sumlist, (m.sumlist,), lambda n: (range(n),))),
+    "sumlist2": _Make("listlab", 0, lambda n: n + 2,
+                      lambda m: (m.sumlist2, (m.sumlist2, m.sumh), lambda n: (range(n),))),
+    "filter_keep": _Make("listlab", 0, lambda n: n + 1,
+                         lambda m: (m.filter_keep, (m.filter_keep,),
+                                    lambda n: ((lambda v: v % 2 == 0), range(n)))),
+    "max_naive": _Make("listlab", 1, lambda n: (1 << min(n, 64)) - 1,
+                       lambda m: (m.max_naive, (m.max_naive,), lambda n: (range(1, n + 1),))),
+    "max_fast": _Make("listlab", 1, lambda n: n,
+                      lambda m: (m.max_fast, (m.max_fast,), lambda n: (range(1, n + 1),))),
+    "b_add1": _Make("binary", 0, lambda n: n + 1,
+                    lambda m: (m.add1, (m.add1,), lambda n: (m.from_int((1 << n) - 1),))),
+    "b_add_v1": _Make("binary", 0, lambda n: 2 * n + 1,
+                      lambda m: (m.add_v1, (m.add_v1, m.add1), _all_ones(m))),
+    "b_add_v2": _Make("binary", 0, lambda n: n + 1,
+                      lambda m: (m.add_v2, (m.add_v2, m.add_plus1), _all_ones(m))),
+    "b_mult": _Make("binary", 0, lambda n: (n + 1) ** 2,
+                    lambda m: (m.mult, (m.mult, m.add_v2, m.add_plus1), _all_ones(m))),
+    "i_add": _Make("twoscomp", 0, lambda n: n + 1,
+                   lambda m: (m.add, (m.add, m.add_plus1), _all_ones(m))),
+    "bs_access": _Make("braun", 1, lambda n: n.bit_length() + 1,
+                       lambda m: (m.access, (m.access,), lambda n: (m.replicate(n, 0), n - 1))),
+    "bs_cons": _Make("braun", 0, lambda n: n.bit_length() + 1,
+                     lambda m: (m.cons, (m._push,), lambda n: ("x", m.replicate(n, 0)))),
+    "bs_rest": _Make("braun", 1, lambda n: n.bit_length() + 1,
+                     lambda m: (m.rest, (m._untop,), lambda n: (m.replicate(n, 0),))),
 }
+_BUILT: Dict[str, _Op] = {}  # each op id used so far -> its row; two threads may both make one
+
+
+def _build(op_id: str) -> _Op:
+    """Import op_id's layer and make its row; KeyError for an unknown op id."""
+    layer, smallest, steps, make = _MAKE[op_id]
+    row = _BUILT[op_id] = _Op(*make(importlib.import_module(f"{__package__}.{layer}")), smallest, steps)
+    return row
+
+
+class _Rows(Mapping):
+    """op id -> ``field(its row)``, the row made on the op's first use; the
+    15 op ids in order.  Naming, listing or testing the op ids imports no layer."""
+
+    __slots__ = ("_field",)
+
+    def __init__(self, field: Callable[[_Op], Any]) -> None:
+        self._field = field
+
+    def __getitem__(self, op_id: str) -> Any:
+        row = _BUILT.get(op_id)
+        return self._field(row if row is not None else _build(op_id))
+
+    def __contains__(self, op_id: object) -> bool:
+        return op_id in _MAKE
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MAKE)
+
+    def __len__(self) -> int:
+        return len(_MAKE)
+
+
+_OPS: Mapping = _Rows(lambda row: row)
 
 STEP_BUDGET = 1 << 20  # the most steps a schedule's sizes may predict
 
-METERED: Dict[str, Callable[..., Any]] = {op_id: row.entry for op_id, row in _OPS.items()}
+METERED: Mapping = _Rows(lambda row: row.entry)  # op id -> its plain entry function
 _twins = threading.local()  # per thread: op id -> (entry, steps)
 _building = threading.Lock()  # ast.parse and compile() of an AST can fail in two threads at once
 
@@ -177,11 +223,12 @@ def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
     cache = vars(_twins)
     if op_id not in cache:  # read the module once and build all its ops
         from . import _clauses  # only a process that measures pays for it, and for ast
-        module = _OPS[op_id].entry.__globals__
-        rows = {op: row for op, row in _OPS.items() if row.entry.__globals__ is module}
+        layer = _MAKE[op_id].layer
+        rows = {op: _OPS[op] for op, made in _MAKE.items() if made.layer == layer}
+        module = rows[op_id].entry.__globals__
         names = {fn.__name__ for row in rows.values() for fn in row.counted}
         with _building:
-            found = _clauses.twins(_clauses.read(module), _OPS[op_id].entry.__code__.co_filename, names)
+            found = _clauses.twins(_clauses.read(module), rows[op_id].entry.__code__.co_filename, names)
         for op, (entry, counted, *_) in rows.items():
             keys = [(fn.__code__.co_firstlineno, fn.__name__) for fn in counted]
             if not all(key in found for key in keys):
@@ -212,7 +259,7 @@ def _check_size(op_id: str, n: int) -> None:
         raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
     if n < 0:
         raise ValueError(f"{op_id} has no worst-case input of negative size {_number(n)}")
-    if n < _OPS[op_id].smallest:
+    if n < _MAKE[op_id].smallest:
         raise ValueError(f"{op_id} has no worst-case input of size {n}")
 
 
@@ -238,7 +285,7 @@ def check_schedule(op_id: str, sizes: Sequence[int]) -> None:
         raise ValueError("empty size schedule")
     _check_size(op_id, min(sizes))
     high = max(sizes)  # the step bounds never decrease
-    if _OPS[op_id].steps(high) > STEP_BUDGET:
+    if _MAKE[op_id].steps(high) > STEP_BUDGET:
         raise ValueError(f"{op_id} at size {_number(high)} is over the meter's budget of {STEP_BUDGET} steps")
 
 
@@ -283,18 +330,22 @@ def check_bound(
 
     The inexact forms check steps <= k*f(size) + k, with f the identity,
     the bit length, or 2**size.  The "exact" form requires the expected
-    closed form as a callable and checks equality.
+    closed form as a callable and checks equality.  An unknown form, or
+    the "exact" form without its closed form, raises ValueError before
+    anything is measured.
     """
-    samples = measure_schedule(op_id, sizes)
     if bound == "exact":
         if exact is None:
             raise ValueError("exact bound needs its closed form")
-        passed = all(steps == exact(n) for n, steps in samples)
-        worst = max(steps / max(exact(n), 1) for n, steps in samples)
+        f = exact
     elif bound in _BOUND_FORMS:
         f = _BOUND_FORMS[bound]
-        passed = all(steps <= k * f(n) + k for n, steps in samples)
-        worst = max(steps / max(f(n), 1) for n, steps in samples)
     else:
         raise ValueError(f"unknown bound form: {_shown(repr(bound))}")
+    samples = measure_schedule(op_id, sizes)
+    if bound == "exact":
+        passed = all(steps == f(n) for n, steps in samples)
+    else:
+        passed = all(steps <= k * f(n) + k for n, steps in samples)
+    worst = max(steps / max(f(n), 1) for n, steps in samples)
     return CostReport(op_id, tuple(samples), bound, k, passed, worst)

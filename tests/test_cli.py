@@ -255,6 +255,13 @@ def test_each_command_loads_only_the_tooling_layers_it_runs(argv, loaded):
     (["eval", "--kind", "twoscomp", "--op", "add", "N", "N"], 0, ["numio", "twoscomp"]),
     (["eval", "--kind", "cd", "--op", "add", "Z", "Z"], 2, ["numio"]),
     (["braun", "--init", "a,b"], 0, ["braun"]),
+    (["bench", "--help"], 0, ["costmeter"]),
+    (["bench", "--op", "sumlist", "--sizes", "10"], 0, ["_clauses", "costmeter", "listlab", "numio"]),
+    (["check", "--suite", "unary"], 0, ["_clauses", "checks", "costmeter", "unary"]),
+    (["check", "--suite", "listlab"], 0, ["_clauses", "checks", "costmeter", "listlab"]),
+    (["check", "--suite", "binary"], 0, ["_clauses", "checks", "costmeter"]),
+    (["check", "--suite", "twoscomp"], 0, ["checks", "costmeter", "twoscomp"]),
+    (["check", "--suite", "braun"], 0, ["_clauses", "braun", "checks", "costmeter"]),
 ])
 def test_each_command_loads_only_the_layers_it_runs(argv, code, modules):
     run = f"import numrep.cli; assert numrep.cli.main({argv!r}) == {code}"
@@ -275,6 +282,24 @@ def test_naming_the_kinds_loads_no_layer():
     code = ("import numrep.numio as n; assert list(n.KINDS) == ['unary', 'binary', 'twoscomp', 'cd']; "
             "assert 'cd' in n.KINDS and 'nope' not in n.KINDS and len(n.KINDS) == 4")
     assert numrep_modules_loaded_by(code) == ["numrep", "numrep.binary", "numrep.numio"]
+
+
+def test_naming_the_op_ids_and_the_suites_loads_no_layer():
+    code = ("from numrep import checks, costmeter as m; assert len(list(m.METERED)) == len(m.METERED) == 15; "
+            "assert 'bs_rest' in m.METERED and 'nope' not in m.METERED; "
+            "assert checks.SUITE_NAMES == ('unary', 'listlab', 'binary', 'twoscomp', 'braun', 'all')")
+    assert numrep_modules_loaded_by(code) == ["numrep", "numrep.binary", "numrep.checks", "numrep.costmeter"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bench", "--op", "max_naive", "--sizes", "30"],
+     "error: max_naive at size 30 is over the meter's budget of 1048576 steps\n"),
+    (["bench", "--op", "bs_rest", "--sizes", "0"], "error: bs_rest has no worst-case input of size 0\n"),
+])
+def test_a_refused_bench_loads_no_layer(capsys, argv, error):
+    assert run(capsys, argv) == (2, "", error)
+    loaded = numrep_modules_loaded_by(f"import numrep.cli; assert numrep.cli.main({argv!r}) == 2")
+    assert loaded == ["numrep", "numrep.binary", "numrep.cli", "numrep.costmeter"]
 
 
 @pytest.mark.parametrize("layer, value, text", [

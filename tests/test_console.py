@@ -73,7 +73,11 @@ CASES = [
          stderr="error: b_mult at size 1024 is over the meter's budget of 1048576 steps\n"),
     Case(["bench", "--op", "sumlist", "--sizes", "9" * 5000], 2, stdout="",
          stderr="error: sumlist at size of 16610 bits is over the meter's budget of 1048576 steps\n"),
+    Case(["check", "--suite", "unary", "--seed", "12345"], last_line="5/5 properties held"),
     Case(["check", "--suite", "listlab", "--seed", "12345"], last_line="4/4 properties held"),
+    Case(["check", "--suite", "binary", "--seed", "12345"], last_line="8/8 properties held"),
+    Case(["check", "--suite", "twoscomp", "--seed", "12345"], last_line="7/7 properties held"),
+    Case(["check", "--suite", "braun", "--seed", "12345"], last_line="7/7 properties held"),
     Case(["check", "--suite", "listlab", "--seed", "9" * 5000], last_line="4/4 properties held"),
     Case(["c" * 3000], 2, stdout=""),
     Case(["check", "--suite", "all", "--seed", "12345"], last_line="31/31 properties held"),

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -292,6 +293,20 @@ def test_an_unknown_bound_form_is_quoted_at_most_60_characters(form):
     with pytest.raises(ValueError) as caught:
         costmeter.check_bound("sumlist", [10], form)
     assert caught.value.args == (f"unknown bound form: {shown(form)}",)
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("nope", "unknown bound form: 'nope'"), ("exact", "exact bound needs its closed form"),
+])
+def test_check_bound_refuses_its_bound_before_measuring(monkeypatch, bound, message):
+    def measure_schedule(op_id, sizes):
+        raise AssertionError(f"measured {op_id} over {sizes}")
+
+    # unchecked, max_naive at 18 would run 2^18 - 1 steps before the refusal
+    monkeypatch.setattr(costmeter, "measure_schedule", measure_schedule)
+    with pytest.raises(ValueError) as caught:
+        costmeter.check_bound("max_naive", [18], bound)
+    assert caught.value.args == (message,)
 
 
 # --- the benchmark's step ledger ------------------------------------------------
@@ -606,6 +621,34 @@ def test_threads_building_their_twins_at_once():
         sys.setswitchinterval(old_interval)
         gc.set_threshold(*old_threshold)
     assert errors == []
+
+
+def test_threads_making_the_rows_at_once():
+    # in a fresh process no row is made yet, so six threads race to import
+    # each layer and make its rows; the rows they use must agree
+    code = textwrap.dedent("""
+        import threading
+        import numrep.costmeter as m
+        assert not m._BUILT
+        sys.setswitchinterval(1e-6)
+        found = []
+        def run():
+            found.append({op: (m.METERED[op], m.measure_schedule(op, [m._MAKE[op].smallest, 3])) for op in m.METERED})
+        threads = [threading.Thread(target=run) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        layers = {op: sys.modules[f"numrep.{m._MAKE[op].layer}"] for op in m.METERED}
+        want = {op: (getattr(layers[op], m.METERED[op].__name__), m.measure_schedule(op, [m._MAKE[op].smallest, 3]))
+                for op in m.METERED}
+        print(len(found), all(f == want for f in found))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "6 True\n")
 
 
 def test_deep_recursion_overlapping_in_two_threads():
