@@ -2,7 +2,9 @@
 
 :func:`derive` parses a module's source once, and from that one parse
 gives each named top-level function two things; :func:`twins`, which
-the meter builds with, gives the first alone.
+the meter builds with, gives the first alone, for every top-level
+function.  Source that does not parse, such as the bytecode a module
+shipped without its ``.py`` file reads as, has no functions.
 
 Its *twin*: the function's ``def`` compiled again from its source with
 ``_steps[0] += 1`` first in the body that repeats (the function's own, or
@@ -54,26 +56,27 @@ def read(module: Dict[str, Any]) -> bytes:
     return b""
 
 
-def twins(source: bytes, filename: str, names: Collection[str]) -> Dict[Tuple[int, str], Any]:
-    """(line, name) of each top-level function of source named in names ->
-    its twin, a code object compiled under filename."""
-    return {(node.lineno, node.name): _twin(node, filename) for node in _defs(source, names)}
+def twins(source: bytes, filename: str) -> Dict[Tuple[int, str], Any]:
+    """(line, name) of each top-level function of source -> its twin, a
+    code object compiled under filename."""
+    return {(node.lineno, node.name): _twin(node, filename) for node in _defs(source)}
 
 
 def derive(source: bytes, filename: str, names: Collection[str]) -> Dict[Tuple[int, str], Derived]:
     """(line, name) of each top-level function of source named in names ->
     its twin, as :func:`twins` gives it, and its clauses; the calls a
     clause lists are those to functions named in names."""
-    found = {}
-    for node in _defs(source, names):
-        clauses = _clauses(node, names)  # before _twin adds its count to node
-        found[node.lineno, node.name] = Derived(_twin(node, filename), clauses)
-    return found
+    # the clauses are read first: _twin adds its count to node
+    return {(node.lineno, node.name): Derived(clauses=_clauses(node, names), twin=_twin(node, filename))
+            for node in _defs(source) if node.name in names}
 
 
-def _defs(source: bytes, names: Collection[str]) -> List[ast.FunctionDef]:
-    """The top-level functions of source named in names, parsed once."""
-    return [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name in names]
+def _defs(source: bytes) -> List[ast.FunctionDef]:
+    """The top-level functions of source, parsed once; none if source does
+    not parse, as a module's bytecode does not."""
+    with contextlib.suppress(SyntaxError, ValueError):
+        return [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    return []
 
 
 def _twin(node: ast.FunctionDef, filename: str) -> Any:

@@ -32,12 +32,15 @@ constructor in the package derives from :class:`Numeral`, defined here
 next to that pair, and every immutable value in the package, numerals
 included, from :class:`Record`.  The package's error messages show an
 outside value by the two rules here: a text by at most its first 60
-characters, a number past 100 digits by its bit length.
+characters, a number past 100 digits by its bit length.  The read-only
+tables of :mod:`numrep.numio` and :mod:`numrep.costmeter` that make a row
+on its key's first use are instances of one class here, ``_OnFirstUse``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterator, Tuple, Union
 
 
 class CanonicalityError(ValueError):
@@ -60,6 +63,30 @@ def _number(n: int, noun: str = "") -> str:
     if isinstance(n, int) and not -_SHOWN_NUMBER < n < _SHOWN_NUMBER:
         return f"{noun} of {abs(n).bit_length()} bits".lstrip()
     return str(n)
+
+
+class _OnFirstUse(Mapping):
+    """A read-only table over the keys of ``keys``, in their order, whose
+    rows are made on first use: ``table[key]`` is ``field(built[key])``,
+    where a key not yet in ``built`` is first passed to ``make``, which
+    makes its row, keeps it in ``built`` and returns it, or raises
+    KeyError.  Naming, listing or testing the keys makes no row."""
+
+    def __init__(self, keys: Mapping, built: Dict[Any, Any], make: Callable[[Any], Any], field: Callable) -> None:
+        self._keys, self._built, self._make, self._field = keys, built, make, field
+
+    def __getitem__(self, key: Any) -> Any:
+        row = self._built.get(key)
+        return self._field(row if row is not None else self._make(key))
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._keys
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 class Record:

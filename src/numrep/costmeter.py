@@ -1,24 +1,47 @@
 """Step counts for the recursive operations, taken from their own definitions.
 
-A measurement counts every entry into the functions listed for its
-operation id, recursive entries and base clauses included, by running
-twins: copies compiled from their own source with ``_steps[0] += 1``
-first in the body that repeats (the function's own, or that of its
-top-level ``while`` or ``for`` if it descends in a loop), in a copy of
-the module's namespace, so that their calls and an uncounted entry's
-(``braun.cons``) reach the twins.  A twin adds no frame, and the plain
-functions pay nothing for the meter.  Each thread builds its own twins
-on first use, seeing the module's globals as they were then: the
-private module ``numrep._clauses`` reads a counted module's source
-through its loader and parses it once for the twins.  From one parse,
-the same module also derives each counted function's clause table (its
-returns and raises, the type tests that select each, and the counted
-calls it makes), which ``tests/clause_table.txt`` pins; the meter does
-not build the tables, and no parse tree outlives a build.  Without the source, :func:`measured` raises
-:class:`SourceUnavailable`, a ``RuntimeError``.  Helper bodies count
-toward their caller's total (add_v1 includes its increments, add_v2
-its carry helper, mult its additions); smart constructors such as
-``even`` and ``odd`` are not steps.
+The one entry point is :func:`count`: ``count(entry, counted, *args)``
+runs ``entry(*args)`` and returns its result and its steps, each entry
+into one of the functions in ``counted`` counting as one, recursive
+entries and base clauses included.  It runs twins: copies compiled from
+their own source with ``_steps[0] += 1`` first in the body that repeats
+(the function's own, or that of its top-level ``while`` or ``for`` if it
+descends in a loop), in a copy of the module's namespace, so that their
+calls and an uncounted entry's (``braun.cons``) reach the twins.  A twin
+adds no frame, and the plain functions pay nothing for the meter.  The
+private module ``numrep._clauses`` reads a module's source through its
+loader, and each thread parses a module once, on its first count, and
+compiles the twins of all its top-level defs; the twins see the
+module's globals as they were when the thread first metered the
+module, so a test that patches a module meters in a fresh thread.  A
+module that runs again, as ``importlib.reload`` runs it, is read again
+once a counted function is not the one the thread saw under its name.
+Modules are told apart by their namespace, not their name.  A thread
+keeps the twins it builds for an entry that its module names; an entry
+made anew on each call, such as a closure, gets new twins each time,
+from the same parse.  From one parse, the same module also derives
+each counted function's clause table (its returns and raises, the type
+tests that select each, and the counted calls it makes), which
+``tests/clause_table.txt`` pins; the meter does not build the tables,
+and no parse tree outlives a build.
+
+:func:`count` raises :class:`SourceUnavailable`, a ``RuntimeError``
+naming the function, for one it cannot meter: an entry or a counted
+function that is not a function written in Python (``len``), a counted
+function of another module than the entry's, a counted function that is
+no top-level def of its module's source (a nested function, a lambda, a
+method), and one whose module's source cannot be read, or does not
+parse, as a module shipped only as bytecode does not.  An entry that is
+not counted may be any function of the module, nested or not.
+
+:func:`measured` meters an operation by its op id: it looks up the op's
+row and returns ``count(row.entry, row.counted, *args)``, with the
+functions counted for each op listed below.  Helper bodies count toward
+their caller's total (add_v1 includes its increments, add_v2 its carry
+helper, mult its additions); smart constructors such as ``even`` and
+``odd`` are not steps.  Without the source, it raises
+:class:`SourceUnavailable` naming the op id and its module, and an
+unknown op id raises KeyError.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -38,9 +61,10 @@ its carry helper, mult its additions); smart constructors such as
     bs_rest      braun._untop (one entry per spine node inspected)
     bs_access    braun.access (one per child descent)
 
-:data:`METERED` maps each op id to its plain entry function.  It is a
-read-only ``Mapping`` over the op ids, and each op's row in ``_OPS`` is
-made from its layer's module on the op's first use: naming, listing or
+:data:`METERED` maps each op id to its plain entry function.  It and
+``_OPS`` are read-only ``Mapping`` tables over the op ids (``binary``'s
+on-first-use table, as ``numio.KINDS`` is), and each op's row is made
+from its layer's module on the op's first use: naming, listing or
 testing the op ids imports no layer, and neither does refusing a
 schedule, so this module itself imports only :mod:`numrep.binary`.
 
@@ -77,9 +101,9 @@ import sys
 import threading
 import types
 from collections.abc import Mapping
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from .binary import Record, _number, _shown
+from .binary import Record, _number, _OnFirstUse, _shown
 
 
 # Frozen linear-bound constants for the two addition algorithms: over all
@@ -101,7 +125,7 @@ _depth_saved = 0
 class deep_recursion:
     """Raise the interpreter recursion limit to at least 50,000 while inside.
 
-    A class rather than a generator context manager: :func:`measured`
+    A class rather than a generator context manager: :func:`count`
     enters it once per call, and a generator's enter and exit cost about
     twice as much as these two methods."""
 
@@ -172,86 +196,90 @@ _MAKE: Dict[str, _Make] = {
     "bs_rest": _Make("braun", 1, lambda n: n.bit_length() + 1,
                      lambda m: (m.rest, (m._untop,), lambda n: (m.replicate(n, 0),))),
 }
-_BUILT: Dict[str, _Op] = {}  # each op id used so far -> its row; two threads may both make one
+_BUILT: Dict[str, _Op] = {}  # each op id used so far -> its row; two threads may both make one, and keep the first
 
 
 def _build(op_id: str) -> _Op:
     """Import op_id's layer and make its row; KeyError for an unknown op id."""
     layer, smallest, steps, make = _MAKE[op_id]
-    row = _BUILT[op_id] = _Op(*make(importlib.import_module(f"{__package__}.{layer}")), smallest, steps)
-    return row
+    return _BUILT.setdefault(op_id, _Op(*make(importlib.import_module(f"{__package__}.{layer}")), smallest, steps))
 
 
-class _Rows(Mapping):
-    """op id -> ``field(its row)``, the row made on the op's first use; the
-    15 op ids in order.  Naming, listing or testing the op ids imports no layer."""
-
-    __slots__ = ("_field",)
-
-    def __init__(self, field: Callable[[_Op], Any]) -> None:
-        self._field = field
-
-    def __getitem__(self, op_id: str) -> Any:
-        row = _BUILT.get(op_id)
-        return self._field(row if row is not None else _build(op_id))
-
-    def __contains__(self, op_id: object) -> bool:
-        return op_id in _MAKE
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_MAKE)
-
-    def __len__(self) -> int:
-        return len(_MAKE)
-
-
-_OPS: Mapping = _Rows(lambda row: row)
+_OPS: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda row: row)
 
 STEP_BUDGET = 1 << 20  # the most steps a schedule's sizes may predict
 
-METERED: Mapping = _Rows(lambda row: row.entry)  # op id -> its plain entry function
-_twins = threading.local()  # per thread: op id -> (entry, steps)
+METERED: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda row: row.entry)  # op id -> its plain entry function
+# per thread: (entry, counted) -> (the entry run against the twins, their
+# step counter); id(a module's namespace) -> (that namespace, a copy of it,
+# the twin of each of its top-level defs by (line, name)).  Keeping the
+# namespace keeps its id from being reused.
+_twins = threading.local()
 _building = threading.Lock()  # ast.parse and compile() of an AST can fail in two threads at once
 
 
 class SourceUnavailable(RuntimeError):
-    """The meter cannot read the source of a counted module to build its twins."""
+    """The meter cannot build the twin of a function from its module's source."""
 
 
-def _twin(op_id: str) -> Tuple[Callable[..., Any], List[int]]:
-    """The operation's entry in its twins' namespace, and their step counter."""
-    cache = vars(_twins)
-    if op_id not in cache:  # read the module once and build all its ops
+def _twin(entry: Callable[..., Any], counted: Tuple[Callable, ...]) -> Tuple[Callable[..., Any], List[int]]:
+    """entry as it runs against new twins of counted, and their step counter,
+    kept for this thread unless entry is made anew on each call; each
+    module is read and parsed once per thread."""
+    for fn in (entry, *counted):
+        if not isinstance(fn, types.FunctionType):
+            raise SourceUnavailable(f"cannot meter {_shown(repr(fn))}: not a function defined in Python")
+        if fn.__globals__ is not entry.__globals__:
+            raise SourceUnavailable(f"cannot meter {fn.__qualname__}: not a function of {entry.__module__}")
+    cache, module = vars(_twins), entry.__globals__
+    # read and parse the module once, and compile all its defs; again if it ran again (a reload)
+    if id(module) not in cache or any(cache[id(module)][1].get(fn.__name__) is not fn for fn in counted):
         from . import _clauses  # only a process that measures pays for it, and for ast
-        layer = _MAKE[op_id].layer
-        rows = {op: _OPS[op] for op, made in _MAKE.items() if made.layer == layer}
-        module = rows[op_id].entry.__globals__
-        names = {fn.__name__ for row in rows.values() for fn in row.counted}
         with _building:
-            found = _clauses.twins(_clauses.read(module), rows[op_id].entry.__code__.co_filename, names)
-        for op, (entry, counted, *_) in rows.items():
-            keys = [(fn.__code__.co_firstlineno, fn.__name__) for fn in counted]
-            if not all(key in found for key in keys):
-                raise SourceUnavailable(
-                    f"cannot meter {op_id!r}: the source of {entry.__module__} is not available")
-            namespace = dict(module, _steps=[0])
-            for key in keys:
-                exec(found[key], namespace)
-            if entry not in counted:
-                namespace[entry.__name__] = types.FunctionType(entry.__code__, namespace)
-            cache[op] = namespace[entry.__name__], namespace["_steps"]
-    return cache[op_id]
+            found = _clauses.twins(_clauses.read(module), entry.__code__.co_filename)
+        cache[id(module)] = module, dict(module), found
+    _, globals_then, found = cache[id(module)]
+    namespace = dict(globals_then, _steps=[0])
+    for fn in counted:
+        twin = found.get((fn.__code__.co_firstlineno, fn.__name__))
+        if twin is None:
+            raise SourceUnavailable(f"cannot meter {fn.__qualname__}: " + (
+                f"not a top-level def in the source of {entry.__module__}" if found
+                else f"the source of {entry.__module__} is not available"))
+        exec(twin, namespace)
+    run = namespace[entry.__name__] if entry in counted else types.FunctionType(
+        entry.__code__, namespace, entry.__name__, entry.__defaults__, entry.__closure__)
+    run.__kwdefaults__ = entry.__kwdefaults__
+    if module.get(entry.__name__) is entry:  # kept only for an entry its module names, not one made per call
+        cache[entry, counted] = run, namespace["_steps"]
+    return run, namespace["_steps"]
+
+
+def count(entry: Callable[..., Any], counted: Sequence[Callable[..., Any]], *args: Any) -> Tuple[Any, int]:
+    """Run entry(*args) against twins of the functions in counted, and count
+    each entry into one of them as a step; return (result, steps).
+
+    Raises :class:`SourceUnavailable`, naming the function, for a function
+    it cannot meter, as the module docstring lists them.
+    """
+    key = entry, tuple(counted)
+    run, steps = vars(_twins).get(key) or _twin(*key)
+    steps[0] = 0
+    with deep_recursion():
+        result = run(*args)
+    return result, steps[0]
 
 
 def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     """Run the operation's twins and count its steps; return (result, steps)."""
-    if op_id not in METERED:
+    if op_id not in _MAKE:
         raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
-    entry, steps = _twin(op_id)
-    steps[0] = 0
-    with deep_recursion():
-        result = entry(*args)
-    return result, steps[0]
+    row = _BUILT.get(op_id) or _OPS[op_id]  # the plain dict first: a sweep measures once per sample
+    try:
+        return count(row.entry, row.counted, *args)
+    except SourceUnavailable as exc:
+        raise SourceUnavailable(
+            f"cannot meter {op_id!r}: the source of {row.entry.__module__} is not available") from exc
 
 
 def _check_size(op_id: str, n: int) -> None:

@@ -53,10 +53,10 @@ import itertools
 import re
 import sys
 from collections.abc import Mapping
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from . import binary
-from .binary import CanonicalityError, _bits, _from_bits, _shown
+from .binary import CanonicalityError, _bits, _from_bits, _OnFirstUse, _shown
 
 
 class ParseError(ValueError):
@@ -95,7 +95,8 @@ _MAKE: Dict[str, Tuple[str, Callable[[Any], _Kind]]] = {  # kind -> its layer, a
 # class's (its kind's digit classes, bit -> letter), with which the printer
 # reads a whole run of digits at once, and unary's wrapper -> the walk that
 # counts a run of it.  Two threads that build one kind at once store equal
-# entries, and a kind is in _BUILT only once its printing entries are in.
+# entries, _BUILT keeps the first row, and a kind is in _BUILT only once
+# its printing entries are in.
 _BUILT: Dict[str, Tuple[_Kind, "re.Pattern[str]", Any]] = {}
 _LETTERS: Dict[type, str] = {}
 _RUNS: Dict[type, Tuple[Tuple[type, type], Dict[int, int]]] = {}
@@ -129,8 +130,7 @@ def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any]:
     else:  # unary: its one wrapper's runs are counted by the layer's walk
         _COUNTED[row.alphabet["S"]] = layer._layers
         to_bits = None
-    built = _BUILT[kind] = (row, pattern, to_bits)
-    return built
+    return _BUILT.setdefault(kind, (row, pattern, to_bits))
 
 
 def _build_loaded() -> bool:
@@ -143,25 +143,7 @@ def _build_loaded() -> bool:
     return bool(new)
 
 
-class _Kinds(Mapping):
-    """kind -> its row, made on the kind's first use; the four kinds in order.
-    Naming or listing the kinds imports no layer."""
-
-    def __getitem__(self, kind: str) -> _Kind:
-        built = _BUILT.get(kind)
-        return (built if built is not None else _build(kind))[0]
-
-    def __contains__(self, kind: object) -> bool:
-        return kind in _MAKE
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_MAKE)
-
-    def __len__(self) -> int:
-        return len(_MAKE)
-
-
-KINDS: Mapping = _Kinds()
+KINDS: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda built: built[0])  # kind -> its row
 
 
 def parse_numeral(text: str, kind: str) -> Any:

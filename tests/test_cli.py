@@ -1,5 +1,7 @@
 import contextlib
+import importlib.util
 import io
+import marshal
 import os
 import subprocess
 import sys
@@ -629,12 +631,21 @@ class NoSource:
         raise FileNotFoundError(path)
 
 
-@pytest.mark.parametrize("argv", [
-    ["bench", "--op", "sumlist", "--sizes", "10"],
-    ["check", "--suite", "listlab"],
-], ids=["bench", "check"])
-def test_meter_without_the_source_is_one_error_line(capsys, monkeypatch, argv):
-    monkeypatch.setattr(listlab, "__loader__", NoSource())
+class Sourceless:
+    def get_data(self, path):
+        # what a SourcelessFileLoader's get_data reads: the module's .pyc
+        code = compile(Path(path).read_bytes(), path, "exec")
+        return importlib.util.MAGIC_NUMBER + bytes(12) + marshal.dumps(code)
+
+
+BENCH, CHECK = ["bench", "--op", "sumlist", "--sizes", "10"], ["check", "--suite", "listlab"]
+
+
+@pytest.mark.parametrize("argv, loader", [
+    (BENCH, NoSource()), (CHECK, NoSource()), (BENCH, Sourceless()), (CHECK, Sourceless()),
+], ids=["bench", "check", "bench-sourceless", "check-sourceless"])
+def test_meter_without_the_source_is_one_error_line(capsys, monkeypatch, argv, loader):
+    monkeypatch.setattr(listlab, "__loader__", loader)
     results = []
     # twins are built per thread, so a fresh thread reads the source anew
     thread = threading.Thread(target=lambda: results.append(run(capsys, argv)))

@@ -1,12 +1,15 @@
 import cProfile
 import gc
+import importlib.util
 import json
+import marshal
 import re
 import subprocess
 import sys
 import textwrap
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -527,7 +530,14 @@ class ChangedSource:
         return b"def add1(x):\n    return x\n"  # not the def the loaded code came from
 
 
-LOADERS = {"missing": NoSource(), "changed": ChangedSource(), "no-get-data": object()}
+class Sourceless:
+    def get_data(self, path):
+        # what a SourcelessFileLoader's get_data reads: the module's .pyc
+        code = compile(Path(path).read_bytes(), path, "exec")
+        return importlib.util.MAGIC_NUMBER + bytes(12) + marshal.dumps(code)
+
+
+LOADERS = {"missing": NoSource(), "changed": ChangedSource(), "no-get-data": object(), "sourceless": Sourceless()}
 
 
 @pytest.mark.parametrize("module, op_id, args, loader", [
@@ -554,6 +564,39 @@ def test_missing_source_is_one_clear_error(monkeypatch, module, op_id, args, loa
     assert [(type(exc), str(exc)) for exc in raised] == [
         (costmeter.SourceUnavailable, f"cannot meter {op_id!r}: the source of {module.__name__} is not available")
     ]
+
+
+def in_a_fresh_thread(call):
+    """call()'s result, or the exception it raised, in a thread that has
+    built no twins yet."""
+    out = []
+
+    def run():
+        try:
+            out.append(call())
+        except Exception as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def test_each_module_is_parsed_once_per_thread(monkeypatch):
+    parsed = []
+
+    def twins(source, filename):
+        parsed.append(filename)
+        return real(source, filename)
+
+    real = _clauses.twins
+    monkeypatch.setattr(_clauses, "twins", twins)
+    found = in_a_fresh_thread(lambda: [costmeter.measured(op, *costmeter.worst_case_args(op, 3))[1]
+                                       for op in costmeter.METERED])
+    assert sorted(parsed) == sorted(m.__file__ for m in (unary, listlab, binary, twoscomp, braun))
+    assert found == [costmeter.measured(op, *costmeter.worst_case_args(op, 3))[1] for op in costmeter.METERED]
 
 
 def test_measurements_in_two_threads_at_once():
@@ -851,3 +894,164 @@ def test_small_inputs_fire_every_clause_of_every_counted_function():
     assert len(clauses) == 79
     missed = clauses - lines_run({code for code, _ in clauses}, run_every_op_on_small_inputs)
     assert not missed, sorted((code.co_name, line) for code, line in missed)
+
+
+# --- metering a user's module -------------------------------------------------------
+
+STUDENT = """\
+def fib(n):
+    if n < 2:
+        return n
+    return fib(n - 1) + fib(n - 2)
+
+
+def fib_pair(n):
+    \"\"\"(F(n), F(n + 1)).\"\"\"
+    if n == 0:
+        return 0, 1
+    a, b = fib_pair(n - 1)
+    return b, a + b
+
+
+def fib_sum(n, *, start=0):
+    total = 0
+    for k in range(start, n + 1):
+        total += fib(k)
+    return total
+
+
+def fib_later(n):
+    return lambda: fib(n)
+
+
+def outer():
+    def go(n):
+        return 0 if n == 0 else go(n - 1)
+    return go
+
+
+twice = lambda n: 2 * n
+"""
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def import_file(path, name="student"):
+    """The module of the file at path, imported as name and left out of sys.modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def student(tmp_path):
+    path = tmp_path / "student.py"
+    path.write_text(STUDENT)
+    return import_file(path)
+
+
+def test_count_meters_a_users_functions_against_their_closed_forms(student):
+    for n in range(21):
+        assert costmeter.count(student.fib, [student.fib], n) == (fibonacci(n), 2 * fibonacci(n + 1) - 1)
+        assert costmeter.count(student.fib_pair, [student.fib_pair], n) == ((fibonacci(n), fibonacci(n + 1)), n + 1)
+
+
+def test_count_counts_only_the_counted_functions_an_entry_calls(student):
+    result, steps = costmeter.count(student.fib_sum, [student.fib], 12)
+    assert result == sum(fibonacci(k) for k in range(13))
+    assert steps == sum(2 * fibonacci(k + 1) - 1 for k in range(13))
+    assert costmeter.count(student.fib_sum, [], 12) == (result, 0)
+
+
+def test_an_entry_made_on_each_call_is_metered_and_not_kept(student):
+    def run():
+        kept = len(vars(costmeter._twins))
+        counts = [costmeter.count(student.fib_later(n), [student.fib]) for n in range(12)]
+        return counts, len(vars(costmeter._twins)) - kept
+
+    counts, kept = in_a_fresh_thread(run)
+    assert counts == [(fibonacci(n), 2 * fibonacci(n + 1) - 1) for n in range(12)]
+    assert kept == 1  # the module's parse, not one twin per entry
+
+
+def test_twins_see_the_globals_of_their_threads_first_count(student, monkeypatch):
+    fib_sum, fib_pair = student.fib_sum, student.fib_pair
+
+    def run():
+        before = costmeter.count(fib_sum, [fib_sum], 5)  # one step per pass of its loop
+        monkeypatch.setattr(student, "range", lambda start, stop: (), raising=False)
+        return before, costmeter.count(fib_sum, [fib_sum, fib_pair], 5)  # new twins, from the first globals
+
+    assert in_a_fresh_thread(run) == ((12, 6), (12, 6))
+    assert in_a_fresh_thread(lambda: costmeter.count(fib_sum, [fib_sum], 5)) == (0, 0)
+
+
+def test_a_module_run_again_from_changed_source_is_read_again(tmp_path):
+    path = tmp_path / "student.py"
+    path.write_text(STUDENT)
+    student = import_file(path)
+
+    def calls(n):
+        return 1 if n < 3 else 1 + calls(n - 1) + calls(n - 2)
+
+    def run():
+        first = costmeter.count(student.fib, [student.fib], 10)
+        # the same lines, a new base clause; the size changes, so no cached bytecode is used
+        path.write_text(STUDENT.replace("if n < 2:", "if n < 3:") + "\n")
+        student.__loader__.exec_module(student)  # as importlib.reload does
+        return first, costmeter.count(student.fib, [student.fib], 10)
+
+    assert in_a_fresh_thread(run) == ((55, 177), (89, calls(10)))
+
+
+def test_the_clause_table_of_a_users_function(student):
+    found = _clauses.derive(_clauses.read(vars(student)), student.__file__, {"fib"})
+    assert table_lines(student.__name__, found[1, "fib"].clauses) == [
+        "student.fib[_] | if n < 2 | return n",
+        "student.fib[_] | return fib(n - 1) + fib(n - 2) | calls fib(n - 1) | calls fib(n - 2)",
+    ]
+
+
+def test_two_modules_of_one_name_get_their_own_twins(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "student.py").write_text(STUDENT)
+    (tmp_path / "b" / "student.py").write_text("def fib(n, a=0, b=1):\n    return a if n == 0 else fib(n - 1, b, a + b)\n")
+    naive, linear = import_file(tmp_path / "a" / "student.py"), import_file(tmp_path / "b" / "student.py")
+    assert naive.__name__ == linear.__name__ and naive.fib.__code__.co_firstlineno == linear.fib.__code__.co_firstlineno
+
+    def both():
+        return [costmeter.count(m.fib, [m.fib], 10) for m in (naive, linear, naive)]
+
+    assert in_a_fresh_thread(both) == [(55, 177), (55, 11), (55, 177)]
+
+
+def test_count_refuses_a_function_of_another_module_even_of_the_same_text(student, tmp_path):
+    # its (line, name) is a def of the entry's module too, whose twin it is not
+    (tmp_path / "other.py").write_text(STUDENT)
+    other = import_file(tmp_path / "other.py", "other")
+    raised = in_a_fresh_thread(lambda: costmeter.count(student.fib_sum, [other.fib], 3))
+    assert (type(raised), str(raised)) == (costmeter.SourceUnavailable, "cannot meter fib: not a function of student")
+
+
+@pytest.mark.parametrize("refused, entry, counted", [
+    ("outer.<locals>.go", lambda s: s.fib, lambda s: [s.outer()]),
+    ("<lambda>", lambda s: s.fib, lambda s: [s.twice]),
+    ("<built-in function len>", lambda s: len, lambda s: [len]),
+    ("<built-in function len>", lambda s: s.fib_sum, lambda s: [s.fib, len]),
+    ("fib", lambda s: s.fib, lambda s: [s.fib]),
+], ids=["nested", "lambda", "builtin", "builtin-counted", "no-source"])
+def test_count_refuses_what_it_cannot_meter_naming_it(student, refused, entry, counted):
+    if refused == "fib":  # the same functions, run in a module that has no loader or file
+        student = types.ModuleType("student")
+        exec(STUDENT, vars(student))
+    entry, counted = entry(student), counted(student)
+    raised = in_a_fresh_thread(lambda: costmeter.count(entry, counted, 3))
+    assert type(raised) is costmeter.SourceUnavailable
+    assert str(raised).startswith(f"cannot meter {refused}: ")
