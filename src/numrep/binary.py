@@ -204,33 +204,27 @@ class Numeral(Record):
                 return h
             x = getattr(x, field)
 
-    def __repr__(self) -> str:
-        parts, x = [], self
-        while True:
-            tx = type(x)
-            field = _CHILD.get(tx)
-            if field is None:
-                parts.append(repr(x))
-                break
-            if not field:
-                parts.append(f"{tx.__qualname__}()")
-                break
-            parts.append(f"{tx.__qualname__}({field}=")
-            x = getattr(x, field)
-        return "".join(parts) + ")" * (len(parts) - 1)
-
-    def __reduce__(self) -> Tuple[Any, tuple]:
+    def _chain(self) -> Tuple[Tuple[type, ...], Any]:
+        """The wrapper classes, outermost first, and the tail: a nullary numeral or a foreign child."""
         classes, x = [], self
         while True:
             tx = type(x)
             field = _CHILD.get(tx)
             if not field:
-                break
+                return tuple(classes), x
             classes.append(tx)
             x = getattr(x, field)
+
+    def __repr__(self) -> str:
+        classes, tail = self._chain()
+        end = f"{type(tail).__qualname__}()" if type(tail) in _CHILD else repr(tail)
+        return "".join(f"{cls.__qualname__}({_CHILD[cls]}=" for cls in classes) + end + ")" * len(classes)
+
+    def __reduce__(self) -> Tuple[Any, tuple]:
+        classes, tail = self._chain()
         if not classes:
             return super().__reduce__()
-        return _rebuild, (tuple(classes), x)
+        return _rebuild, (classes, tail)
 
 
 # each numeral class -> the field that holds its child, or "" if it is

@@ -73,21 +73,25 @@ Sizes mean, per operation: the denoted value for the unary ops, the list
 length for the list ops, the digit count of an all-ones operand for the
 binary and signed ops (the worst carry chains, one operand passed
 twice), and the sequence length for the Braun ops (which access their
-last index).  The row also states the op's smallest size (1 where the
-input needs an element, else 0) and a bound on its steps at size n, and
-:func:`check_schedule` refuses, before anything is measured, a schedule
-with a size below the smallest or one whose bound is over
-``STEP_BUDGET`` = 2^20 steps: ``max_naive`` (2^n - 1 steps) is measured
-up to size 20, ``b_mult`` (at most (n + 1)^2 steps) up to 1023, and the
-linear ops up to about a million, though past 50,000 frames the
-recursion limit stops them.
+last index).  Its plain data in ``_MAKE`` states the op's smallest size
+(1 where the input needs an element, else 0) and a bound on its steps
+at size n, and :func:`check_schedule` refuses, before anything is
+measured, a schedule with a size below the smallest or one whose bound
+is over ``STEP_BUDGET`` = 2^20 steps: ``max_naive`` (2^n - 1 steps) is
+measured up to size 20, ``b_mult`` (at most (n + 1)^2 steps) up to
+1023, and the linear ops up to about a million, though past 50,000
+frames the recursion limit stops them.
 
 The list ops' worst-case inputs are ascending ``range`` objects, whose
 slices cost O(1) where a list's copy the rest, so ``xs[1:]`` does not
 make a run O(n^2) in time and memory; the steps are the lists' exactly.
 Likewise the Braun ops' inputs are n copies of one element built by
 :func:`braun.replicate` in O(log n) shared nodes, not n nodes: a Braun
-tree's shape, and so each step count, depends on its size alone.
+tree's shape, and so each step count, depends on its size alone.  Six
+op ids' steps depend on the size alone, so that every input of a size is
+a worst case: ``sumlist``, ``sumlist2``, ``filter_keep`` (whatever its
+predicate keeps) and ``max_fast`` on every list of one length, and
+``bs_cons`` and ``bs_rest`` on every sequence of one length.
 
 A measurement runs inside :class:`deep_recursion`, which raises the
 recursion limit to at least 50,000 frames.
@@ -154,14 +158,14 @@ def _all_ones(module):
     return lambda n: (module.from_int((1 << n) - 1),) * 2
 
 
-# op id -> its row: the plain entry function, the functions whose entries
-# are its steps, its worst-case input of size n (the maxima's lists ascend,
-# so their guard always fails), its smallest size (a maximum, a last index
-# and a rest need an element) and a nondecreasing bound on its steps at
-# size n, cheap at any n (max_naive's stops growing past the budget).  The
-# last two are plain data in _MAKE, with the layer's name and the maker of
-# the first three from the layer's module, on the op's first use.
-_Op = collections.namedtuple("_Op", "entry counted worst_case smallest steps")
+# op id -> its row, made from its layer's module on the op's first use:
+# the plain entry function, the functions whose entries are its steps, and
+# its worst-case input of size n (the maxima's lists ascend, so their guard
+# always fails).  _MAKE holds, as plain data, the layer's name, the op's
+# smallest size (a maximum, a last index and a rest need an element), a
+# nondecreasing bound on its steps at size n, cheap at any n (max_naive's
+# stops growing past the budget), and the maker of the row.
+_Op = collections.namedtuple("_Op", "entry counted worst_case")
 _Make = collections.namedtuple("_Make", "layer smallest steps make")
 _MAKE: Dict[str, _Make] = {
     "u_plus": _Make("unary", 0, lambda n: n + 1,
@@ -201,8 +205,8 @@ _BUILT: Dict[str, _Op] = {}  # each op id used so far -> its row; two threads ma
 
 def _build(op_id: str) -> _Op:
     """Import op_id's layer and make its row; KeyError for an unknown op id."""
-    layer, smallest, steps, make = _MAKE[op_id]
-    return _BUILT.setdefault(op_id, _Op(*make(importlib.import_module(f"{__package__}.{layer}")), smallest, steps))
+    layer, _, _, make = _MAKE[op_id]
+    return _BUILT.setdefault(op_id, _Op(*make(importlib.import_module(f"{__package__}.{layer}"))))
 
 
 _OPS: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda row: row)
@@ -270,11 +274,16 @@ def count(entry: Callable[..., Any], counted: Sequence[Callable[..., Any]], *arg
     return result, steps[0]
 
 
-def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
-    """Run the operation's twins and count its steps; return (result, steps)."""
+def _known(op_id: str) -> str:
+    """op_id, if it is an op id; else KeyError naming it."""
     if op_id not in _MAKE:
         raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
-    row = _BUILT.get(op_id) or _OPS[op_id]  # the plain dict first: a sweep measures once per sample
+    return op_id
+
+
+def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
+    """Run the operation's twins and count its steps; return (result, steps)."""
+    row = _BUILT.get(op_id) or _OPS[_known(op_id)]  # the plain dict first: a sweep measures once per sample
     try:
         return count(row.entry, row.counted, *args)
     except SourceUnavailable as exc:
@@ -283,11 +292,10 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
 
 
 def _check_size(op_id: str, n: int) -> None:
-    if op_id not in METERED:
-        raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
+    smallest = _MAKE[_known(op_id)].smallest
     if n < 0:
         raise ValueError(f"{op_id} has no worst-case input of negative size {_number(n)}")
-    if n < _MAKE[op_id].smallest:
+    if n < smallest:
         raise ValueError(f"{op_id} has no worst-case input of size {n}")
 
 
@@ -324,9 +332,9 @@ def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:
     any size is measured.
     """
     check_schedule(op_id, sizes)
-    samples = []
+    worst_case, samples = _OPS[op_id].worst_case, []
     for n in sorted(set(sizes)):
-        _, steps = measured(op_id, *worst_case_args(op_id, n))
+        _, steps = measured(op_id, *worst_case(n))
         samples.append((n, steps))
     return samples
 

@@ -1,26 +1,33 @@
-"""The ``numrep`` command's console cases, each run as a real process.
+"""The ``numrep`` command's one contract, and its console cases.
 
 A case is an argv, optional stdin, the exit code and the expected stdout
 (or its last line), and the expected stderr where the case pins it.
-:func:`run_cases` runs cases against a command prefix and also checks
-the CLI's contract on each one: exit 0 leaves stderr empty, and exit 1
-or 2 prints exactly one line, starting ``error: ``, shorter than 400
-bytes.  argparse words its errors and help differently across Python
+:func:`_faults` checks a case's outcome against those and against the
+CLI's contract, which every case meets: exit 0 leaves stderr empty, and
+exit 1 or 2 prints exactly one line, starting ``error: ``, shorter than
+400 bytes.  argparse words its errors and help differently across Python
 versions, so a case that reaches argparse's text pins only its exit
-code and the contract.
+code and the contract.  Two runners apply it:
 
-Run every case against an installed script or a module::
+- :func:`run_cases` runs each case as the process ``prefix + argv``,
+  here the console cases in :data:`CASES`;
+- :func:`run_in_process` calls a ``main(argv)`` in this process, as
+  ``tests/test_cli.py`` runs its table of cases against ``cli.main``.
+
+Run every console case against an installed script or a module::
 
     python tests/test_console.py numrep
     python tests/test_console.py python3 -m numrep
 
 pytest runs them as ``sys.executable -m numrep`` with ``src`` on the path.
-It needs only the standard library.
+This module needs only the standard library.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -132,6 +139,18 @@ def run_cases(prefix: Sequence[str], cases: Sequence[Case], env=None) -> List[st
     return failures
 
 
+def run_in_process(main, case: Case) -> List[str]:
+    """Call ``main(argv)`` on the case's argv and stdin, with stdout and stderr captured; its faults."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(case.stdin or "")  # as run_cases, an empty stdin where the case has none
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(case.argv))
+    finally:
+        sys.stdin = stdin
+    return _faults(case, code, out.getvalue().encode(), err.getvalue().encode())
+
+
 def _module_prefix():
     """``sys.executable -m numrep`` and an environment with this checkout's ``src`` on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -150,6 +169,14 @@ def test_the_runner_reports_a_wrong_stdout_byte_and_a_wrong_exit_code_with_the_a
     for wrong, fault in [(Case(argv, stdout="B(Y)\n"), "stdout b'B(Z)\\n', expected b'B(Y)\\n'"),
                          (Case(argv, 1, stdout="B(Z)\n"), "exit 0, expected 1")]:
         assert run_cases(prefix, [wrong], env) == [f"'eval' '--kind' 'binary' '--op' 'add1' 'Z': {fault}"]
+
+
+def test_the_runner_needs_only_the_standard_library():
+    # CI runs this file as a script against an installed command, without pytest or src on the path
+    script = str(Path(__file__).resolve())
+    proc = subprocess.run([sys.executable, "-S", "-I", script], capture_output=True, timeout=60)
+    usage = f"usage: {script} COMMAND [ARG...]  (a command prefix such as: numrep)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", usage.encode())
 
 
 if __name__ == "__main__":

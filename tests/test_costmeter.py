@@ -1,8 +1,10 @@
 import cProfile
 import gc
 import importlib.util
+import itertools
 import json
 import marshal
+import random
 import re
 import subprocess
 import sys
@@ -333,7 +335,7 @@ def test_schedule_matches_the_ledger(op_id):
 
 @pytest.mark.parametrize("op_id", sorted(LEDGER))
 def test_step_bound_holds_every_ledger_sample_and_small_size(op_id):
-    row = costmeter._OPS[op_id]
+    row = costmeter._MAKE[op_id]
     samples = [tuple(sample) for sample in LEDGER[op_id]]
     samples += costmeter.measure_schedule(op_id, range(row.smallest, 13))
     assert all(steps <= row.steps(n) for n, steps in samples), samples
@@ -341,7 +343,7 @@ def test_step_bound_holds_every_ledger_sample_and_small_size(op_id):
 
 @pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
 def test_step_bound_never_decreases_and_is_cheap_at_any_size(op_id):
-    bound = costmeter._OPS[op_id].steps
+    bound = costmeter._MAKE[op_id].steps
     sizes = [*range(200), 2**20, 2**64, 10**4299]
     values = [bound(n) for n in sizes]
     assert values == sorted(values)
@@ -358,7 +360,7 @@ FIRST_OVER_BUDGET = {
 
 @pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
 def test_check_schedule_refuses_the_first_size_over_the_budget(op_id):
-    row, first = costmeter._OPS[op_id], FIRST_OVER_BUDGET[op_id]
+    row, first = costmeter._MAKE[op_id], FIRST_OVER_BUDGET[op_id]
     assert row.steps(first - 1) <= costmeter.STEP_BUDGET < row.steps(first)
     costmeter.check_schedule(op_id, [first - 1, row.smallest])
     # the Braun ops' first size, past 100 digits, is named by its bit length
@@ -446,6 +448,40 @@ def test_braun_op_schedule_builds_no_n_node_tree(op_id):
     assert peak < 2**20
     assert size == n
     assert steps == digit_count(n - 1) if op_id == "bs_access" else steps <= n.bit_length() + 1
+
+
+def reached_sequences(n, rng):
+    """from_list(range(n)), then each sequence a seeded run of cons, rest and update reaches from it."""
+    seqs = [braun.from_list(range(n))]
+    for _ in range(16):
+        s = seqs[-1]
+        move = rng.choice(["cons", "rest", "update"] if s.length else ["cons"])
+        if move == "cons":
+            seqs.append(braun.cons("c", s))
+        elif move == "rest":
+            seqs.append(braun.rest(s))
+        else:
+            seqs.append(braun.update(s, rng.randrange(s.length), "u"))
+    return seqs
+
+
+PREDICATES = [lambda v: v % 2 == 0, lambda v: True, lambda v: False]
+
+
+@pytest.mark.parametrize("op_id", ["sumlist", "sumlist2", "filter_keep", "max_fast", "bs_cons", "bs_rest"])
+def test_steps_depend_on_the_size_alone(op_id):
+    # every input of a size takes the steps of the meter's worst-case input of that size
+    if op_id.startswith("bs_"):
+        rng = random.Random(op_id)
+        seqs = [s for n in range(65) for s in reached_sequences(n, rng) if s.length or op_id == "bs_cons"]
+        inputs = [(s.length, ("x", s) if op_id == "bs_cons" else (s,)) for s in seqs]
+    else:
+        lists = [xs for n in range(8) for xs in itertools.product((-1, 0, 1), repeat=n) if xs or op_id != "max_fast"]
+        predicates = PREDICATES if op_id == "filter_keep" else [None]
+        inputs = [(len(xs), (xs,) if p is None else (p, xs)) for xs in lists for p in predicates]
+    sizes = range(costmeter._MAKE[op_id].smallest, max(n for n, _ in inputs) + 1)
+    worst = dict(costmeter.measure_schedule(op_id, sizes))
+    assert [(n, args) for n, args in inputs if costmeter.measured(op_id, *args)[1] != worst[n]] == []
 
 
 def test_access_counts_each_pass_of_its_loop_at_a_100000_bit_index():
