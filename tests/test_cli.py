@@ -4,7 +4,9 @@ Most cases are rows of :data:`CLI_CASES`: an argv and stdin in, the exit
 code and outputs out.  ``test_console.run_in_process`` checks each row
 against what it pins and against the CLI's one contract, as
 ``tests/test_console.py`` checks its console cases as processes; a row
-that would repeat a console case is left to it.  The tests that stay
+that would repeat a console case is left to it.  The Braun index and
+bad-script-line rows are run the same way by the parametrized tests that
+first held them, under the same test ids.  The tests that stay
 functions need more than argv in, outputs out: they patch a layer, a
 loader, the int/str digit limit or the terminal width; they bound a
 command's time; they run a fresh interpreter (``python -m``, a closed
@@ -122,25 +124,8 @@ CLI_CASES = {
                              **error(2, "add takes 2 operand(s), got 1")),
     "braun-access": Case(["braun", "--init", "a,b,c"], stdin="access 1\n", stdout="b\n"),
     "braun-update": Case(["braun", "--init", "a,b,c"], stdin="update 1 z\naccess 1\naccess 0\n", stdout="z\na\n"),
-    "braun-index-access": Case(["braun", "--init", "a"], stdin="access 3\n",
-                               **error(1, "index 3 out of range for length 1")),
-    "braun-index-update": Case(["braun", "--init", "a"], stdin="update -1 v\n",
-                               **error(1, "index -1 out of range for length 1")),
-    # past Python's int/str digit limit
-    "braun-index-access-5000-digits": Case(["braun", "--init", "a"], stdin=f"access {ONE_AT_5000[:-1]}\n",
-                                           **error(1, "index of 16607 bits out of range for length 1")),
-    "braun-index-update-5000-digits": Case(["braun", "--init", "a"], stdin=f"update {ONE_AT_5000[:-1]} v\n",
-                                           **error(1, "index of 16607 bits out of range for length 1")),
     "braun-index-not-an-integer": Case(["braun", "--init", "a"], stdin="access " + "x" * 5000 + "\n",
                                        **error(2, "index is not an integer: '" + "x" * 60 + "...'")),
-    "braun-bad-line": Case(["braun", "--init", "a"], stdin="swizzle 3\n",
-                           **error(2, "bad script line: 'swizzle 3'")),
-    "braun-bad-line-wrong-arity": Case(["braun", "--init", "a"], stdin="access 1 2\n",
-                                       **error(2, "bad script line: 'access 1 2'")),
-    "braun-bad-line-60-characters": Case(["braun", "--init", "a"], stdin="swizzle " + "x" * 52 + "\n",
-                                         **error(2, "bad script line: 'swizzle " + "x" * 52 + "'")),  # shown whole
-    "braun-bad-line-5008-characters": Case(["braun", "--init", "a"], stdin="swizzle " + "x" * 5000 + "\n",
-                                           **error(2, "bad script line: 'swizzle " + "x" * 52 + "...'")),
     "bench-max-naive": Case(["bench", "--op", "max_naive", "--sizes", "8,10"], stdout="n,steps\n8,255\n10,1023\n"),
     # at sizes no n-node tree could hold
     "bench-bs-access-10^18": Case(["bench", "--op", "bs_access", "--sizes", f"1,1000,{BIG}"],
@@ -444,6 +429,51 @@ def test_eval_out_of_memory(capsys, monkeypatch):
 
 
 # --- braun ---------------------------------------------------------------------
+
+# an index out of range, and a bad script line, each after a line that printed
+def test_braun_access_out_of_range():
+    case = Case(["braun", "--init", "a,b,c"], stdin="access 0\naccess 3\n", code=1, stdout="a\n",
+                stderr="error: index 3 out of range for length 3\n")
+    assert run_in_process(cli.main, case) == []
+
+
+def test_braun_bad_script_line():
+    case = Case(["braun", "--init", "a,b,c"], stdin="access 0\nswizzle 3\n", code=2, stdout="a\n",
+                stderr="error: bad script line: 'swizzle 3'\n")
+    assert run_in_process(cli.main, case) == []
+
+
+# rows of the CLI_CASES kind, run by the tests these ids were first written for
+BRAUN_INDEX = {
+    "access": Case(["braun", "--init", "a"], stdin="access 3\n", **error(1, "index 3 out of range for length 1")),
+    "update": Case(["braun", "--init", "a"], stdin="update -1 v\n", **error(1, "index -1 out of range for length 1")),
+    # past Python's int/str digit limit
+    "access-5000-digits": Case(["braun", "--init", "a"], stdin=f"access {ONE_AT_5000[:-1]}\n",
+                               **error(1, "index of 16607 bits out of range for length 1")),
+    "update-5000-digits": Case(["braun", "--init", "a"], stdin=f"update {ONE_AT_5000[:-1]} v\n",
+                               **error(1, "index of 16607 bits out of range for length 1")),
+}
+BAD_LINE = {
+    "short": Case(["braun", "--init", "a"], stdin="swizzle 3\n", **error(2, "bad script line: 'swizzle 3'")),
+    "wrong-arity": Case(["braun", "--init", "a"], stdin="access 1 2\n", **error(2, "bad script line: 'access 1 2'")),
+    "60-characters": Case(["braun", "--init", "a"], stdin="swizzle " + "x" * 52 + "\n",
+                          **error(2, "bad script line: 'swizzle " + "x" * 52 + "'")),  # shown whole
+    "5008-characters": Case(["braun", "--init", "a"], stdin="swizzle " + "x" * 5000 + "\n",
+                            **error(2, "bad script line: 'swizzle " + "x" * 52 + "...'")),
+}
+
+
+@pytest.mark.parametrize("case", BRAUN_INDEX.values(), ids=list(BRAUN_INDEX))
+def test_braun_index_out_of_range_is_one_short_line(case):
+    assert run_in_process(cli.main, case) == []
+    assert len(case.stderr.encode()) <= 200
+
+
+@pytest.mark.parametrize("case", BAD_LINE.values(), ids=list(BAD_LINE))
+def test_braun_bad_script_line_echoes_a_bounded_prefix(case):
+    assert run_in_process(cli.main, case) == []
+    assert len(case.stderr.encode()) <= 200
+
 
 @pytest.mark.parametrize("digits, code", [(131072, 1), (131073, 2), (1_000_000, 2)])
 def test_braun_index_past_the_argument_cap_is_refused_before_parsing(capsys, monkeypatch, digits, code):
