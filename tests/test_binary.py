@@ -1,29 +1,16 @@
-import copy
-import pickle
-import threading
+"""Binary naturals; the chain builder and the class-call references of the
+smart constructors are in ``tests/shared.py``."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from numrep import binary, costmeter, twoscomp, unary
+from numrep import binary, costmeter, unary
 from numrep.binary import CanonicalityError, Even, Odd, Zero
-
-
-def build(bits_lsb_first):
-    v = Zero()
-    for b in reversed(bits_lsb_first):
-        v = Odd(v) if b else Even(v)
-    return v
-
-
-def divmod_digits(n):
-    # independent div/mod-2 oracle for the expected digit string
-    out = []
-    while n:
-        out.append(n % 2)
-        n //= 2
-    return out
+from shared import (
+    assert_builds_as, assert_the_same_with_the_class_call_references, binary_digits, reference_binary_odd,
+    reference_even, wrap,
+)
 
 
 def test_small_value_shapes():
@@ -35,7 +22,7 @@ def test_small_value_shapes():
 
 
 def test_five_matches_divmod_oracle():
-    assert divmod_digits(5) == [1, 0, 1]
+    assert binary_digits(5) == [Odd, Even, Odd]
     assert binary.from_int(5) == Odd(Even(Odd(Zero())))
 
 
@@ -49,7 +36,7 @@ def test_1024_is_ten_doublings_of_one():
 
 @given(st.integers(0, 100_000))
 def test_from_int_matches_divmod_oracle(n):
-    assert binary.from_int(n) == build(divmod_digits(n))
+    assert binary.from_int(n) == wrap(binary_digits(n), Zero())
 
 
 def test_from_int_rejects_negative():
@@ -67,7 +54,7 @@ def test_to_int_rejects_non_canonical():
         binary.to_int(Even(Zero()))
     # the error message embeds the value's repr, 1000 digits deep here
     with pytest.raises(CanonicalityError):
-        binary.to_int(build([1] * 999 + [0]))
+        binary.to_int(wrap([Odd] * 999 + [Even], Zero()))
 
 
 def test_is_canonical():
@@ -214,36 +201,10 @@ def test_a_message_quotes_at_most_60_characters():
     assert binary._shown("x" * 61) == "x" * 60 + "..."
 
 
-# The class-call smart constructors that even and odd replaced, kept as
-# references for the digits the shipped ones build without calling a class.
-def reference_even(x):
-    return x if type(x) is Zero else Even(x)
-
-
-def reference_odd(x):
-    return Odd(x)
-
-
-def assert_builds_as(build, reference, x):
-    got, want = build(x), reference(x)
-    assert type(got) is type(want) and got == want
-    if want is x:
-        assert got is x  # a collapse returns its argument
-    else:
-        assert got.rest is x
-    with pytest.raises(AttributeError):
-        got.rest = Zero()
-    with pytest.raises(AttributeError):
-        del got.rest
-    assert hash(got) == hash(want)
-    assert pickle.loads(pickle.dumps(got)) == got
-    assert copy.deepcopy(got) == got
-
-
 def test_smart_constructors_build_the_digits_of_the_class_call_references():
     for x in [Zero(), *map(binary.from_int, range(1025))]:
         assert_builds_as(binary.even, reference_even, x)
-        assert_builds_as(binary.odd, reference_odd, x)
+        assert_builds_as(binary.odd, reference_binary_odd, x)
 
 
 def results_and_steps():
@@ -262,13 +223,5 @@ def results_and_steps():
     return out
 
 
-def test_ops_build_and_count_the_same_with_the_class_call_references(monkeypatch):
-    # the meter's twins copy the module's globals when they are built, so
-    # each side gets its own twins; twoscomp imports binary's even by name
-    monkeypatch.setattr(costmeter, "_twins", threading.local())
-    shipped = results_and_steps()
-    for module in (binary, twoscomp):
-        monkeypatch.setattr(module, "even", reference_even)
-    monkeypatch.setattr(binary, "odd", reference_odd)
-    monkeypatch.setattr(costmeter, "_twins", threading.local())
-    assert results_and_steps() == shipped
+def test_ops_build_and_count_the_same_with_the_class_call_references():
+    assert_the_same_with_the_class_call_references(results_and_steps)

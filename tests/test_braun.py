@@ -1,3 +1,6 @@
+"""Braun sequences and index numerals; the reference ``from_list`` is
+``shared.comprehension_from_list``."""
+
 import functools
 import random
 import time
@@ -6,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numrep import braun
+from numrep import binary, braun
 from numrep.braun import EMPTY, IxEven, IxOdd, IxZero
+from shared import binary_digits, comprehension_from_list, index_digits
 
 elements = st.lists(st.integers(-1000, 1000), max_size=500)
 
@@ -71,24 +75,6 @@ def test_rejected_zero_based_digit_indexing_wastes_left_children():
     # binary digits as tree paths, the no-leading-zero rule makes every
     # path ending in the doubling digit unreachable, so the slot at every
     # left child would stay empty.  The 1/2-valued digits reach everything.
-    def ab_path(n):
-        path = []
-        while n:
-            path.append("even" if n % 2 == 0 else "odd")
-            n //= 2
-        return tuple(path)
-
-    def cd_path(n):
-        path = []
-        while n:
-            if n % 2:
-                path.append("odd")
-                n = (n - 1) // 2
-            else:
-                path.append("even")
-                n = (n - 2) // 2
-        return tuple(path)
-
     all_paths = set()
     frontier = [()]
     for _ in range(5):
@@ -96,11 +82,12 @@ def test_rejected_zero_based_digit_indexing_wastes_left_children():
         all_paths.update(frontier)
     all_paths.add(())
 
-    ab_reachable = {ab_path(n) for n in range(32)}  # all numerals of <= 5 digits
+    # all numerals of <= 5 digits
+    ab_reachable = {tuple("odd" if d is binary.Odd else "even" for d in binary_digits(n)) for n in range(32)}
     empty_slots = all_paths - ab_reachable
     assert empty_slots == {p for p in all_paths if p and p[-1] == "even"}
 
-    cd_reachable = {cd_path(n) for n in range(2 ** 6 - 1)}
+    cd_reachable = {tuple("odd" if d is IxOdd else "even" for d in index_digits(n)) for n in range(2 ** 6 - 1)}
     assert cd_reachable == all_paths
 
 
@@ -113,18 +100,6 @@ def test_empty_roundtrip():
 
 def test_small_roundtrip():
     assert braun.to_list(braun.from_list(["a", "b", "c"])) == ["a", "b", "c"]
-
-
-def comprehension_from_list(xs):
-    """from_list with each row built by a comprehension over the row: the reference."""
-    items = list(xs)
-    below = []
-    for k in reversed(range(len(items).bit_length())):
-        w = 1 << k
-        below += [None] * (2 * w - len(below))
-        row = items[w - 1 : 2 * w - 1]
-        below = [braun.Node(x, below[j], below[j + w]) for j, x in enumerate(row)]
-    return braun.BraunSeq(len(items), below[0] if below else None)
 
 
 def test_from_list_builds_the_trees_of_the_comprehension():

@@ -12,7 +12,9 @@ loader, the int/str digit limit or the terminal width; they bound a
 command's time; they run a fresh interpreter (``python -m``, a closed
 pipe, deep recursion, the layers a command loads); they feed one
 command's output to the next; or they pin argparse's help and usage
-texts at one terminal width.
+texts at one terminal width.  ``python -m`` runs with ``test_console``'s
+environment; ``python -S``, the fresh thread, the foreign loaders and the
+first sizes over the meter's budget come from ``tests/shared.py``.
 """
 
 import contextlib
@@ -20,13 +22,11 @@ import io
 import os
 import subprocess
 import sys
-import threading
 import time
-from pathlib import Path
 
 import pytest
-from test_console import BIG, Case, run_in_process
-from test_costmeter import FIRST_OVER_BUDGET, NoSource, Sourceless
+from shared import FIRST_OVER_BUDGET, NoSource, Sourceless, in_a_fresh_thread, run_python
+from test_console import BIG, Case, _module_prefix, run_in_process
 
 import numrep
 from numrep import binary, cli, costmeter, listlab, numio
@@ -247,8 +247,7 @@ def test_convert_int_to_literal_and_back_for_every_kind(capsys, kind, value, lit
 
 def run_module(module, argv, **kwargs):
     """Run the CLI as ``python -m module`` in a fresh interpreter."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    _, env = _module_prefix()
     kwargs = {"capture_output": True, "text": True, **kwargs}
     return subprocess.run([sys.executable, "-m", module, *argv], env=env, timeout=60, **kwargs)
 
@@ -274,13 +273,7 @@ def test_a_reader_that_closed_the_pipe_gets_exit_1_and_no_traceback():
 
 def numrep_modules_loaded_by(code, stdin=""):
     """Run code in a fresh ``python -S`` with src on sys.path; the numrep modules it loaded, sorted."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
-            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'numrep'))")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], input=stdin, capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python(f"{code}\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'numrep'))", stdin)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -569,13 +562,8 @@ BENCH, CHECK = ["bench", "--op", "sumlist", "--sizes", "10"], ["check", "--suite
 ], ids=["bench", "check", "bench-sourceless", "check-sourceless"])
 def test_meter_without_the_source_is_one_error_line(capsys, monkeypatch, argv, loader):
     monkeypatch.setattr(listlab, "__loader__", loader)
-    results = []
     # twins are built per thread, so a fresh thread reads the source anew
-    thread = threading.Thread(target=lambda: results.append(run(capsys, argv)))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    [(code, out, err)] = results
+    code, out, err = in_a_fresh_thread(lambda: run(capsys, argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot meter ") and err.count("\n") == 1
     assert err.endswith(": the source of numrep.listlab is not available\n")

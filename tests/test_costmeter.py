@@ -1,12 +1,13 @@
+"""The cost meter; the foreign loaders, the first sizes over the budget
+and the fresh-thread and fresh-process runners are in ``tests/shared.py``."""
+
 import cProfile
 import gc
 import importlib.util
 import itertools
 import json
-import marshal
 import random
 import re
-import subprocess
 import sys
 import textwrap
 import threading
@@ -19,15 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrep import _clauses, binary, braun, costmeter, listlab, twoscomp, unary
-
-
-def digit_count(i):
-    # independent oracle for the number of index digits
-    count = 0
-    while i:
-        i = (i - 1) // 2 if i % 2 else (i - 2) // 2
-        count += 1
-    return count
+from shared import FIRST_OVER_BUDGET, NoSource, Sourceless, in_a_fresh_thread, index_digits, run_python
 
 
 # --- exact closed-form counts -------------------------------------------------
@@ -118,7 +111,7 @@ def test_access_visits_equal_digit_count():
         s = braun.from_list(range(length))
         for i in (0, length // 2, length - 1):
             _, steps = costmeter.measured("bs_access", s, i)
-            assert steps == digit_count(i)
+            assert steps == len(index_digits(i))
 
 
 def test_cons_rest_visits_within_depth_plus_one():
@@ -349,15 +342,6 @@ def test_step_bound_never_decreases_and_is_cheap_at_any_size(op_id):
     assert values == sorted(values)
 
 
-# each op's first size whose step bound is over the budget of 2^20 steps
-FIRST_OVER_BUDGET = {
-    "u_plus": 1048576, "u_add": 1048576, "sumlist": 1048576, "sumlist2": 1048575,
-    "filter_keep": 1048576, "max_naive": 21, "max_fast": 1048577, "b_add1": 1048576,
-    "b_add_v1": 524288, "b_add_v2": 1048576, "b_mult": 1024, "i_add": 1048576,
-    "bs_access": 2**1048575, "bs_cons": 2**1048575, "bs_rest": 2**1048575,
-}
-
-
 @pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
 def test_check_schedule_refuses_the_first_size_over_the_budget(op_id):
     row, first = costmeter._MAKE[op_id], FIRST_OVER_BUDGET[op_id]
@@ -447,7 +431,7 @@ def test_braun_op_schedule_builds_no_n_node_tree(op_id):
         tracemalloc.stop()
     assert peak < 2**20
     assert size == n
-    assert steps == digit_count(n - 1) if op_id == "bs_access" else steps <= n.bit_length() + 1
+    assert steps == len(index_digits(n - 1)) if op_id == "bs_access" else steps <= n.bit_length() + 1
 
 
 def reached_sequences(n, rng):
@@ -556,21 +540,9 @@ def test_measured_installs_no_profile_hook(monkeypatch):
     assert costmeter.measured("max_naive", list(range(1, 9))) == (8, 2 ** 8 - 1)
 
 
-class NoSource:
-    def get_data(self, path):
-        raise FileNotFoundError(path)
-
-
 class ChangedSource:
     def get_data(self, path):
         return b"def add1(x):\n    return x\n"  # not the def the loaded code came from
-
-
-class Sourceless:
-    def get_data(self, path):
-        # what a SourcelessFileLoader's get_data reads: the module's .pyc
-        code = compile(Path(path).read_bytes(), path, "exec")
-        return importlib.util.MAGIC_NUMBER + bytes(12) + marshal.dumps(code)
 
 
 LOADERS = {"missing": NoSource(), "changed": ChangedSource(), "no-get-data": object(), "sourceless": Sourceless()}
@@ -585,39 +557,10 @@ LOADERS = {"missing": NoSource(), "changed": ChangedSource(), "no-get-data": obj
 ])
 def test_missing_source_is_one_clear_error(monkeypatch, module, op_id, args, loader):
     monkeypatch.setattr(module, "__loader__", loader)
-    raised = []
-
-    def measure():  # a fresh thread has built no twins yet
-        try:
-            costmeter.measured(op_id, *args)
-        except Exception as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=measure)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert [(type(exc), str(exc)) for exc in raised] == [
-        (costmeter.SourceUnavailable, f"cannot meter {op_id!r}: the source of {module.__name__} is not available")
-    ]
-
-
-def in_a_fresh_thread(call):
-    """call()'s result, or the exception it raised, in a thread that has
-    built no twins yet."""
-    out = []
-
-    def run():
-        try:
-            out.append(call())
-        except Exception as exc:
-            out.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    return out[0]
+    raised = in_a_fresh_thread(lambda: costmeter.measured(op_id, *args))
+    assert (type(raised), str(raised)) == (
+        costmeter.SourceUnavailable, f"cannot meter {op_id!r}: the source of {module.__name__} is not available"
+    )
 
 
 def test_each_module_is_parsed_once_per_thread(monkeypatch):
@@ -724,9 +667,7 @@ def test_threads_making_the_rows_at_once():
                 for op in m.METERED}
         print(len(found), all(f == want for f in found))
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(code)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "6 True\n")
 
 
@@ -850,9 +791,7 @@ def test_no_parse_tree_outlives_a_build():
             "[m.measured(op, *m.worst_case_args(op, 3)) for op in m.METERED]; "
             "import ast, gc; assert 'numrep._clauses' in sys.modules; gc.collect(); "
             "print(sum(isinstance(o, (ast.mod, ast.stmt, ast.expr)) for o in gc.get_objects()))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(code)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
 
 

@@ -1,4 +1,9 @@
-"""Equality, hashing, repr, pickle and deepcopy of the numeral constructors at any length."""
+"""Equality, hashing, repr, pickle and deepcopy of the numeral constructors at any length.
+
+The chain walkers and equality are checked against per-node references
+over the wrappers and tails of ``tests/shared.py``, which also holds the
+unary and canonicality references.
+"""
 
 import contextlib
 import copy
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 
 from numrep import binary, braun, costmeter, twoscomp, unary
 from numrep.binary import CanonicalityError
+from shared import TAILS, WRAPPERS, Digit, Layer, canonical_by_the_rules, outcome, unary_layers, wrap
 
 CHAIN_CLASSES = [
     unary.Zero, unary.Succ, binary.Zero, binary.Even, binary.Odd,
@@ -165,12 +171,6 @@ def test_long_chains_compare_at_the_default_recursion_limit(share):
         sys.setrecursionlimit(limit)
 
 
-class Digit(binary.Even):
-    """A subclass of a digit class that adds no field, as in test_numio."""
-
-    __slots__ = ()
-
-
 def test_a_subclass_that_adds_no_field_walks_its_inherited_child():
     one, three = Digit(binary.Odd(binary.Zero())), Digit(binary.Odd(binary.Odd(binary.Zero())))
     assert one != three and not one == three
@@ -181,17 +181,11 @@ def test_a_subclass_that_adds_no_field_walks_its_inherited_child():
     assert pickle.loads(pickle.dumps(three)) == three
 
 
-# Plain per-node versions of the chain walkers, kept as their reference:
-# each is the definition read one node a call, with no loop, table or
-# short-cut, and raises as its walker does.
-def reference_unary_to_int(x):
-    if type(x) is unary.Zero:
-        return 0
-    if type(x) is unary.Succ:
-        return 1 + reference_unary_to_int(x.pred)
-    raise TypeError(f"not a unary natural: {x!r}")
-
-
+# Per-node versions of the chain walkers, kept as their reference: each
+# reads the chain one node a step, with none of the walker's runs or
+# short-cuts, and raises as its walker does.  The value is the definition
+# read one node a call; the unary count and the canonicality rules are
+# shared.unary_layers and shared.canonical_by_the_rules.
 def reference_value(x, tails):
     """The digits of x over its tail, whose value tails gives by class."""
     if type(x) is binary.Even:
@@ -201,34 +195,14 @@ def reference_value(x, tails):
     return tails[type(x)]
 
 
-def reference_binary_is_canonical(x):
-    if type(x) is binary.Zero:
-        return True
-    if type(x) is binary.Even:
-        return type(x.rest) is not binary.Zero and reference_binary_is_canonical(x.rest)
-    if type(x) is binary.Odd:
-        return reference_binary_is_canonical(x.rest)
-    return False
-
-
-def reference_twoscomp_is_canonical(x):
-    if type(x) is binary.Zero or type(x) is twoscomp.MinusOne:
-        return True
-    if type(x) is binary.Even:
-        return type(x.rest) is not binary.Zero and reference_twoscomp_is_canonical(x.rest)
-    if type(x) is binary.Odd:
-        return type(x.rest) is not twoscomp.MinusOne and reference_twoscomp_is_canonical(x.rest)
-    return False
-
-
 def reference_binary_to_int(x):
-    if not reference_binary_is_canonical(x):
+    if not canonical_by_the_rules(binary, x):
         raise CanonicalityError(f"non-canonical binary natural: {x!r}")
     return reference_value(x, {binary.Zero: 0})
 
 
 def reference_twoscomp_to_int(x):
-    if not reference_twoscomp_is_canonical(x):
+    if not canonical_by_the_rules(twoscomp, x):
         raise CanonicalityError(f"non-canonical two's-complement value: {x!r}")
     return reference_value(x, {binary.Zero: 0, twoscomp.MinusOne: -1})
 
@@ -244,38 +218,20 @@ def reference_eq(a, b):
     return not fields or reference_eq(getattr(a, fields[0]), getattr(b, fields[0]))
 
 
+def innermost(x):
+    """What x's first fields lead to: a nullary numeral or a value that is not one."""
+    while isinstance(x, binary.Numeral) and type(x).__match_args__:
+        x = getattr(x, type(x).__match_args__[0])
+    return x
+
+
 WALKERS = {
-    "unary.to_int": (unary.to_int, reference_unary_to_int),
+    "unary.to_int": (unary.to_int, unary_layers),
     "binary.to_int": (binary.to_int, reference_binary_to_int),
     "twoscomp.to_int": (twoscomp.to_int, reference_twoscomp_to_int),
-    "binary.is_canonical": (binary.is_canonical, reference_binary_is_canonical),
-    "twoscomp.is_canonical": (twoscomp.is_canonical, reference_twoscomp_is_canonical),
+    "binary.is_canonical": (binary.is_canonical, lambda x: canonical_by_the_rules(binary, x)),
+    "twoscomp.is_canonical": (twoscomp.is_canonical, lambda x: canonical_by_the_rules(twoscomp, x)),
 }
-
-
-def outcome(f, *args):
-    """f's result, or its exception's type and message."""
-    try:
-        return "value", f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-class Layer(unary.Succ):
-    """A subclass of Succ: unary.to_int reads it as a foreign value."""
-
-    __slots__ = ()
-
-
-WRAPPERS = [unary.Succ, binary.Even, binary.Odd, braun.IxOdd, braun.IxEven, Digit, Layer]
-TAILS = [unary.Zero(), binary.Zero(), twoscomp.MinusOne(), braun.IxZero(), 5, "Z", None]
-
-
-def build(classes, tail):
-    """tail wrapped in classes, the first outermost, by calling each class."""
-    for cls in reversed(classes):
-        tail = cls(tail)
-    return tail
 
 
 # canonical values of every kind, and any wrappers over any tail: chains
@@ -285,9 +241,9 @@ CHAINS = st.one_of(
     st.integers(0, 2 ** 64).map(binary.from_int),
     st.integers(-(2 ** 64), 2 ** 64).map(twoscomp.from_int),
     st.integers(0, 2 ** 64).map(braun.cd_from_int),
-    st.builds(build, st.lists(st.sampled_from([binary.Even, binary.Odd]), max_size=12),
+    st.builds(wrap, st.lists(st.sampled_from([binary.Even, binary.Odd]), max_size=12),
               st.sampled_from([binary.Zero(), twoscomp.MinusOne()])),
-    st.builds(build, st.lists(st.sampled_from(WRAPPERS), max_size=12), st.sampled_from(TAILS)),
+    st.builds(wrap, st.lists(st.sampled_from(WRAPPERS), max_size=12), st.sampled_from(TAILS)),
     st.sampled_from(TAILS),
 )
 
@@ -315,13 +271,14 @@ def chain_pairs(draw):
     same = st.lists(st.sampled_from(WRAPPERS), max_size=6)
     classes = draw(same)
     other = classes if draw(st.booleans()) else draw(same)
-    return build(classes, tail), build(other, tail)
+    return wrap(classes, tail), wrap(other, tail)
 
 
 @given(chain_pairs())
 @example((unary.Succ(Layer(unary.Zero())), unary.Succ(Layer(unary.Zero()))))
 @example((Digit(binary.Odd(binary.Zero())), Digit(binary.Odd(binary.Odd(binary.Zero())))))
 @example((binary.Odd(1), binary.Odd(1.0)))
+@example((binary.Odd([1]), binary.Odd([1])))
 @settings(derandomize=True, max_examples=500, deadline=None)
 def test_equality_matches_its_per_node_reference(pair):
     a, b = pair
@@ -329,5 +286,5 @@ def test_equality_matches_its_per_node_reference(pair):
     assert (a == b) is equal
     assert (a != b) is not equal
     assert (b == a) is equal
-    if equal:
+    if equal and type(innermost(a)) is not list:  # a chain over a list is unhashable by design
         assert hash(a) == hash(b)

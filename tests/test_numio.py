@@ -1,3 +1,7 @@
+"""Literal parsing and printing, checked against the per-node parser and
+printer kept here as references; the foreign wrappers and tails are
+``tests/shared.py``'s."""
+
 import ast
 import random
 import re
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from numrep import binary, braun, numio, twoscomp, unary
 from numrep.numio import CanonicalityError, ParseError
+from shared import TAILS, WRAPPERS, Digit, Layer, index_digits, outcome, wrap
 
 
 def test_parse_unary():
@@ -291,10 +296,7 @@ def test_parse_print_roundtrip_10000_digits(module, kind, n):
 def test_index_and_bit_string_conversions_10000_digits():
     i = int("1011" * 2500, 2) * 2  # i + 1 has 10,001 bits
     text = numio.print_numeral(braun.cd_from_int(i))
-    digits, j = [], i  # independent digit oracle: odd j takes C, even j takes D
-    while j:
-        digits.append("C" if j % 2 else "D")
-        j = (j - 1) // 2 if j % 2 else (j - 2) // 2
+    digits = ["C" if d is braun.IxOdd else "D" for d in index_digits(i)]
     assert text == "(".join(digits + ["Z"]) + ")" * 10_000
     assert braun.cd_to_int(numio.parse_numeral(text, "cd")) == i
 
@@ -425,25 +427,6 @@ def reference_print(value):
     return "(".join(parts) + ")" * (len(parts) - 1)
 
 
-def outcome(f, *args):
-    """f's result, or its exception's type, message and position, if any."""
-    try:
-        return "value", f(*args)
-    except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "position", None)
-
-
-class Digit(binary.Even):
-    """A subclass of a digit class: no numeral kind has it."""
-
-    __slots__ = ()
-
-
-WRAPPERS = [unary.Succ, binary.Even, binary.Odd, braun.IxOdd, braun.IxEven, Digit]
-TAILS = [unary.Zero(), binary.Zero(), twoscomp.MinusOne(), braun.IxZero(), 5, "Z", None, 2.5,
-         [1], braun.Node(1, None, None), braun.EMPTY, Digit(binary.Zero())]
-
-
 @st.composite
 def near_literals(draw):
     """(text, kind): a literal of one kind, perhaps spaced, with up to three
@@ -467,20 +450,13 @@ def near_literals(draw):
     return "".join(text), read_as
 
 
-def reference_build(classes, tail):
-    """tail wrapped in classes, the first outermost, by calling each class."""
-    for cls in reversed(classes):
-        tail = cls(tail)
-    return tail
-
-
 LITERAL_TEXTS = st.one_of(
     near_literals(),
     st.tuples(st.text(st.sampled_from("ZSABNCD() \t"), max_size=24),
               st.sampled_from(list(REF_ALPHABETS))),
 )
 PRINTABLES = st.one_of(
-    st.builds(reference_build, st.lists(st.sampled_from(WRAPPERS), max_size=24), st.sampled_from(TAILS)),
+    st.builds(wrap, st.lists(st.sampled_from(WRAPPERS), max_size=24), st.sampled_from(TAILS)),
     VALUES.map(lambda kind_value: kind_value[1]),
     st.sampled_from(TAILS),
 )
@@ -502,6 +478,7 @@ def test_parse_matches_the_per_node_reference(text_kind):
 @example(binary.Even(5))
 @example(binary.Odd(Digit(binary.Zero())))
 @example(braun.IxEven(twoscomp.MinusOne()))
+@example(binary.Even(Layer(unary.Zero())))
 @settings(derandomize=True, max_examples=600, deadline=None)
 def test_print_matches_the_per_node_reference(value):
     assert outcome(numio.print_numeral, value) == outcome(reference_print, value)

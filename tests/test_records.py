@@ -3,22 +3,20 @@
 Every constructor class, numeral or not, builds positionally and by
 keyword, refuses a wrong argument count, refuses assignment and
 deletion, survives pickle and copy, and matches on its field names.
+A value its builder makes without the class call is checked against
+its class-built twin by ``shared.assert_indistinguishable``.
 """
 
 import copy
 import importlib
-import os
 import pickle
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import numrep
 from numrep import binary, braun, checks, costmeter, twoscomp, unary
-from test_braun import comprehension_from_list
+from shared import assert_indistinguishable, comprehension_from_list, run_python, wrap
 
 
 class Pair(binary.Record):
@@ -177,33 +175,6 @@ def test_equality_is_type_exact_and_hash_is_the_field_tuples(cls):
     assert len({value, cls(*args)}) == 1
 
 
-def class_built(bits, tail, zero, one):
-    """binary._from_bits's chain, built by calling the classes."""
-    for b in bits:
-        tail = one(tail) if b == "1" else zero(tail)
-    return tail
-
-
-def assert_indistinguishable(built, want):
-    """A value from a builder that skips the class call against its class-built twin."""
-    assert built == want and want == built
-    assert hash(built) == hash(want)
-    assert repr(built) == repr(want)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.dumps(built, protocol) == pickle.dumps(want, protocol)
-        again = pickle.loads(pickle.dumps(built, protocol))
-        assert type(again) is type(want) and again == want
-    again = copy.deepcopy(built)
-    assert type(again) is type(want) and again == want
-    for value in (built, want):
-        for name in type(want).__match_args__:
-            with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
-                setattr(value, name, None)
-            with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
-                delattr(value, name)
-    assert built == want
-
-
 @pytest.mark.parametrize("zero, one, tail", [
     (binary.Even, binary.Odd, binary.Zero()),
     (binary.Even, binary.Odd, twoscomp.MinusOne()),
@@ -211,7 +182,8 @@ def assert_indistinguishable(built, want):
 ], ids=["Even-Odd-on-Zero", "Even-Odd-on-MinusOne", "IxOdd-IxEven-on-IxZero"])
 @pytest.mark.parametrize("bits", ["0", "1", "10", "01", "0110", "1" * 40 + "0" * 40])
 def test_builder_digits_are_indistinguishable_from_class_built_ones(zero, one, tail, bits):
-    built, want = binary._from_bits(bits, tail, zero, one), class_built(bits, tail, zero, one)
+    built = binary._from_bits(bits, tail, zero, one)
+    want = wrap([one if b == "1" else zero for b in reversed(bits)], tail)
     a, b = built, want
     while a is not tail:  # the same class at every digit, over the same tail
         assert type(a) is type(b) is (one if bits[len(bits) - 1] == "1" else zero)
@@ -234,15 +206,7 @@ def test_builder_nodes_are_indistinguishable_from_class_built_ones(n):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import numrep.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_python("import numrep.cli; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -1,4 +1,5 @@
-import threading
+"""Two's-complement integers; the canonicality rules, the chain builder and
+the class-call references of the smart constructors are in ``tests/shared.py``."""
 
 import pytest
 from hypothesis import example, given
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from numrep import binary, costmeter, twoscomp, unary
 from numrep.twoscomp import CanonicalityError, Even, MinusOne, Odd, Zero
-from test_binary import assert_builds_as, reference_even
-from test_binary import reference_odd as reference_binary_odd
+from shared import (
+    RULES, TAILS, assert_builds_as, assert_the_same_with_the_class_call_references, canonical_by_the_rules,
+    reference_even, reference_twoscomp_odd, wrap,
+)
 
 
 def test_negative_value_shapes():
@@ -56,30 +59,7 @@ def test_to_int_rejects_non_canonical():
         twoscomp.to_int(v)
 
 
-# each layer's rules checked at every digit, not only the innermost: no
-# banned (digit, child) pair anywhere, and the chain ends in a tail
-RULES = {
-    binary: ({(Even, Zero)}, {Zero}),
-    twoscomp: ({(Even, Zero), (Odd, MinusOne)}, {Zero, MinusOne}),
-}
 LAYERS = pytest.mark.parametrize("layer", RULES, ids=["binary", "twoscomp"])
-TAILS = [Zero(), MinusOne(), unary.Zero(), unary.Succ(unary.Zero()), 0, 5, "x", None]
-
-
-def canonical_by_the_rules(layer, v):
-    banned, tails = RULES[layer]
-    while type(v) in (Even, Odd):
-        if (type(v), type(v.rest)) in banned:
-            return False
-        v = v.rest
-    return type(v) in tails
-
-
-def chain(digits, tail):
-    """digits[0] outermost, wrapped onto tail."""
-    for d in reversed(digits):
-        tail = d(tail)
-    return tail
 
 
 def chain_value(digits, tail):
@@ -95,7 +75,7 @@ def chain_value(digits, tail):
 @example([Odd], unary.Zero())
 @example([], 5)
 def test_to_int_raises_exactly_when_not_canonical(layer, digits, tail):
-    v = chain(digits, tail)
+    v = wrap(digits, tail)
     assert layer.is_canonical(v) == canonical_by_the_rules(layer, v)
     if layer.is_canonical(v):
         assert layer.to_int(v) == chain_value(digits, tail)
@@ -110,7 +90,7 @@ def test_to_int_raises_exactly_when_not_canonical(layer, digits, tail):
 ])
 def test_to_int_at_100000_digits(layer, inner, tail):
     digits = [Odd, Even] * 49_999 + [Even, inner]
-    v = chain(digits, tail)
+    v = wrap(digits, tail)
     if canonical_by_the_rules(layer, v):
         assert layer.is_canonical(v)
         assert layer.to_int(v) == chain_value(digits, tail)
@@ -269,17 +249,10 @@ def test_wildcard_clauses_accept_any_value():
     assert twoscomp.add_plus1(MinusOne(), "y") == "y"
 
 
-# The class-call odd that twoscomp.odd replaced, kept as a reference for
-# the digits the shipped one builds without calling a class; even is
-# binary's, whose reference is in tests/test_binary.py.
-def reference_odd(x):
-    return x if type(x) is MinusOne else Odd(x)
-
-
 def test_smart_constructors_build_the_digits_of_the_class_call_references():
     for x in [Zero(), MinusOne(), *map(twoscomp.from_int, range(-1024, 1025))]:
         assert_builds_as(twoscomp.even, reference_even, x)
-        assert_builds_as(twoscomp.odd, reference_odd, x)
+        assert_builds_as(twoscomp.odd, reference_twoscomp_odd, x)
 
 
 def signed_results_and_steps():
@@ -297,14 +270,5 @@ def signed_results_and_steps():
     return out
 
 
-def test_ops_build_and_count_the_same_with_the_class_call_references(monkeypatch):
-    # as in tests/test_binary.py: fresh twins on each side, and twoscomp's
-    # own binding of binary's even patched too
-    monkeypatch.setattr(costmeter, "_twins", threading.local())
-    shipped = signed_results_and_steps()
-    for module in (binary, twoscomp):
-        monkeypatch.setattr(module, "even", reference_even)
-    monkeypatch.setattr(twoscomp, "odd", reference_odd)
-    monkeypatch.setattr(binary, "odd", reference_binary_odd)
-    monkeypatch.setattr(costmeter, "_twins", threading.local())
-    assert signed_results_and_steps() == shipped
+def test_ops_build_and_count_the_same_with_the_class_call_references():
+    assert_the_same_with_the_class_call_references(signed_results_and_steps)

@@ -1,3 +1,5 @@
+"""Unary naturals; the layer-count reference is ``shared.unary_layers``."""
+
 import sys
 import threading
 import time
@@ -8,16 +10,7 @@ from hypothesis import strategies as st
 
 from numrep import costmeter, unary
 from numrep.unary import Succ, Zero
-
-
-def layers(x):
-    # independent oracle: count successor layers by hand
-    n = 0
-    while isinstance(x, Succ):
-        n += 1
-        x = x.pred
-    assert isinstance(x, Zero)
-    return n
+from shared import Layer, unary_layers
 
 
 def test_from_int_base_cases():
@@ -26,7 +19,7 @@ def test_from_int_base_cases():
 
 
 def test_from_int_layer_count():
-    assert layers(unary.from_int(10)) == 10
+    assert unary_layers(unary.from_int(10)) == 10
 
 
 def test_from_int_rejects_negative():
@@ -118,10 +111,6 @@ def test_to_int_small_values():
     assert unary.to_int(Zero()) == 0
     assert unary.to_int(Succ(Zero())) == 1
     assert unary.to_int(unary.from_int(97)) == 97
-
-
-class Layer(Succ):
-    __slots__ = ()
 
 
 class Nought(Zero):
