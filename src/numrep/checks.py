@@ -262,11 +262,8 @@ def _b_add_cost_bound(rng):
 def _t_roundtrip(rng):
     from . import twoscomp
 
-    for n in range(-512, 513):
-        v = twoscomp.from_int(n)
-        if twoscomp.to_int(v) != n or not twoscomp.is_canonical(v):
-            return f"roundtrip failed at {n}"
-    return None
+    return _oracle(twoscomp.to_int, (
+        ("from_int", (n,), twoscomp.from_int(n), n) for n in range(-512, 513)))
 
 
 def _t_arith_oracle(rng):

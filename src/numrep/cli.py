@@ -303,13 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    # Python (3.10.7 on) refuses int/str conversions past 4300 digits, which
+    # Python refuses int/str conversions past 4300 digits, which
     # bounds the quadratic cost of parsing untrusted text; here the text is
     # the user's own, and _capped bounds what int() reads to 131072
     # characters, while the arguments are parsed (--seed) and a command runs
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         try:  # a usage error, argparse's own or --seed's, goes to the clause below
             args = parser.parse_args(argv)
@@ -325,8 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -7,15 +7,16 @@ An "off" mutant returns the next value there (canonical, wrong value); a
 canonical).  The checks that catch it must report that pair, the oracle
 and canonicality checks with the operation's name; an oracle check that
 meets the padded value must name it as not canonical, and the other
-checks that can call the operation must still hold.  ``numrep check``
-must print every check's row whatever a check does.
+checks that can call the operation must still hold.  The two's-complement
+round trip names the value a wrong ``from_int`` fails on the same way.
+``numrep check`` must print every check's row whatever a check does.
 """
 
 import random
 
 import pytest
 
-from numrep import binary, checks, cli, twoscomp
+from numrep import binary, checks, cli, costmeter, twoscomp
 from numrep.binary import Even, Odd, Zero
 from numrep.twoscomp import MinusOne
 
@@ -25,6 +26,14 @@ SWEEPS = {
              checks._b_canonical, checks._t_conservative],
     twoscomp: [checks._t_arith_oracle, checks._t_conservative, checks._t_canonical],
 }
+
+
+@pytest.fixture(autouse=True)
+def real_meter_rows():
+    """The meter makes each op's row on first use, from the operation its layer
+    holds then: make them all before a test swaps one for a mutant, so that
+    the cost checks meter the real operations whichever test runs first."""
+    dict(costmeter.METERED)
 
 
 def padded(v):
@@ -122,6 +131,13 @@ def test_checks_name_the_pair_a_wrong_operation_fails_on(monkeypatch, capsys, mo
     held = sum(detail is None for _, detail in rows)
     assert cli.main(["check", "--suite", suite]) == 1
     assert capsys.readouterr() == (report(suite, rows) + f"{held}/{len(rows)} properties held\n", "")
+
+
+@pytest.mark.parametrize("mutant, detail", [("off", "from_int(5) != 5"), ("padded", "from_int(5) is not canonical")])
+def test_the_roundtrip_check_names_the_value_a_wrong_from_int_fails_on(monkeypatch, mutant, detail):
+    real, wrong = twoscomp.from_int, MUTANTS[mutant]
+    monkeypatch.setattr(twoscomp, "from_int", lambda n: wrong(real(n)) if n == 5 else real(n))
+    assert outcome(checks._t_roundtrip) == detail
 
 
 def test_a_check_that_raises_is_one_failed_row(monkeypatch, capsys):

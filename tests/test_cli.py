@@ -175,10 +175,7 @@ def test_convert_refuses_a_unary_value_over_the_height_bound_at_once(capsys, n):
 
 @contextlib.contextmanager
 def any_int_digits():
-    """Lift Python's int/str digit limit (3.10.7 on) for the oracle's own str()."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Lift Python's int/str digit limit for the oracle's own str()."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -202,7 +199,6 @@ def test_convert_decimals_past_pythons_int_str_digit_limit(capsys):
         == (0, "-" + decimal + "\n", "")
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7")
 @pytest.mark.parametrize("argv, code", [
     (["convert", "--kind", "binary", "--from", "int", "--to", "literal", "4"], 0),
     (["convert", "--kind", "unary", "--from", "int", "--to", "literal", "-1"], 1),
@@ -526,19 +522,11 @@ def test_bench_refuses_a_size_over_the_budget_at_once(capsys, op, size):
 
 
 # Each runs in a fresh interpreter and recurses 30,000 or 50,000 frames deep.
-# Before 3.11 every Python call also takes C stack, which that depth can overflow.
-deep_python_frames = pytest.mark.skipif(
-    sys.version_info < (3, 11), reason="Python frames use the C stack before 3.11",
-)
-
-
-@deep_python_frames
 def test_bench_sumlist_on_a_long_list():
     proc = run_module("numrep", ["bench", "--op", "sumlist", "--sizes", "30000"])
     assert (proc.returncode, proc.stdout) == (0, "n,steps\n30000,30001\n")
 
 
-@deep_python_frames
 def test_bench_sumlist_beyond_the_recursion_limit_is_one_error_line():
     proc = run_module("numrep", ["bench", "--op", "sumlist", "--sizes", "60000"])
     assert (proc.returncode, proc.stdout) == (1, "")
