@@ -4,12 +4,15 @@ Each check compares library operations against an independent oracle
 (machine integers, plain Python lists) or verifies a structural
 invariant, and returns a failure detail or None.  Randomized checks
 draw from a seeded generator so runs are reproducible.  Pair sweeps take
-their pairs from :func:`_pairs`; ``to_int`` oracles read results through
-:func:`_oracle`, and canonicality checks through :func:`_not_canonical`,
-both of which name the operation and its operands.  Each check imports
-its suite's layer when it runs: this module imports only
-:mod:`numrep.binary` and :mod:`numrep.costmeter`, which load no other
-layer, so naming the suites loads none and running one loads its own.
+their pairs from :func:`_pairs`.  A check yields its cases as rows to
+one reader per kind of property: values go through :func:`_oracle`,
+exact step counts through :func:`_costs` and canonicality through
+:func:`_not_canonical`.  Each reader names a failure by its operation
+and operands, as in ``add_v2(37,41) != 78`` or ``b_add1(0) took 2
+steps, expected 1``.  Each check imports its suite's layer when it runs:
+this module imports only :mod:`numrep.binary` and :mod:`numrep.costmeter`,
+which load no other layer, so naming the suites loads none and running
+one loads its own.
 """
 
 from __future__ import annotations
@@ -48,18 +51,34 @@ def _named(name, operands) -> str:
     return f"{name}({','.join(map(str, operands))})"
 
 
-def _oracle(to_int, rows):
-    """The first row (name, operands, result, expected) whose result to_int
-    does not read as expected or as canonical, named with its operands."""
+def _oracle(read, rows):
+    """The first row (name, operands, result, expected) whose result read
+    gives another value, or refuses as not canonical, named with its operands."""
     for name, operands, result, want in rows:
         try:
-            if to_int(result) == want:
+            if read(result) == want:
                 continue
             wrong = f"!= {want}"
         except CanonicalityError:
             wrong = "is not canonical"
         return f"{_named(name, operands)} {wrong}"
     return None
+
+
+def _costs(rows):
+    """The first row (op_id, operands, args, expected steps) whose op takes
+    another number of steps on args under the meter, named with its operands."""
+    for op, operands, args, want in rows:
+        _, steps = costmeter.measured(op, *args)
+        if steps != want:
+            return f"{_named(op, operands)} took {steps} steps, expected {want}"
+    return None
+
+
+def _same(value):
+    """The reader of results that are plain Python values: int() would read
+    a mutant's 3.5 as 3, or its "3" as 3."""
+    return value
 
 
 def _not_canonical(is_canonical, rows):
@@ -77,24 +96,18 @@ def _not_canonical(is_canonical, rows):
 def _u_roundtrip(rng):
     from . import unary
 
-    for n in range(0, 2001):
-        if unary.to_int(unary.from_int(n)) != n:
-            return f"roundtrip failed at {n}"
-    return None
+    return _oracle(unary.to_int, (("from_int", (n,), unary.from_int(n), n) for n in range(2001)))
 
 
 def _u_oracle(rng):
     from . import unary
 
-    for a, b, x, y in _pairs(rng, unary.from_int, range(61), 0, 60, 0):
-        p, q = unary.plus(x, y), unary.add(x, y)
-        if unary.to_int(p) != a + b:
-            return f"plus({a},{b}) != {a + b}"
-        if unary.to_int(q) != a + b:
-            return f"add({a},{b}) != {a + b}"
-        if p != q:
-            return f"plus and add disagree structurally at ({a},{b})"
-    return None
+    # to_int is type-exact: it reads a + b only from exactly a + b Succ over
+    # a Zero, so two results that both read a + b are the same structure
+    return _oracle(unary.to_int, (
+        (name, (a, b), op(x, y), a + b)
+        for a, b, x, y in _pairs(rng, unary.from_int, range(61), 0, 60, 0)
+        for name, op in (("plus", unary.plus), ("add", unary.add))))
 
 
 def _u_laws(rng):
@@ -114,24 +127,17 @@ def _u_laws(rng):
 def _u_left_identity(rng):
     from . import unary
 
-    for n in range(101):
-        y = unary.from_int(n)
-        if unary.add(unary.Zero(), y) != y:
-            return f"add(0, {n}) != {n}"
-    return None
+    # a value check is a structure check, as in _u_oracle
+    return _oracle(unary.to_int, (
+        ("add", (0, n), unary.add(unary.Zero(), unary.from_int(n)), n) for n in range(101)))
 
 
 def _u_step_counts(rng):
     from . import unary
 
-    for _ in range(60):
-        a, b = rng.randint(0, 40), rng.randint(0, 40)
-        x, y = unary.from_int(a), unary.from_int(b)
-        for op in ("u_plus", "u_add"):
-            _, steps = costmeter.measured(op, x, y)
-            if steps != b + 1:
-                return f"{op}({a},{b}) took {steps} steps, expected {b + 1}"
-    return None
+    return _costs(
+        (op, (a, b), (x, y), b + 1)
+        for a, b, x, y in _pairs(rng, unary.from_int, range(0), 0, 40, 60) for op in ("u_plus", "u_add"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,50 +146,40 @@ def _u_step_counts(rng):
 def _l_accumulator(rng):
     from . import listlab
 
-    for _ in range(500):
-        xs = [rng.randint(-100, 100) for _ in range(rng.randint(0, 50))]
-        acc = rng.randint(-100, 100)
-        if listlab.sumh(xs, acc) != acc + sum(xs):
-            return f"sumh({xs!r}, {acc}) != {acc + sum(xs)}"
-    return None
+    return _oracle(_same, (
+        ("sumh", (xs, acc), listlab.sumh(xs, acc), acc + sum(xs))
+        for xs in ([rng.randint(-100, 100) for _ in range(rng.randint(0, 50))] for _ in range(500))
+        for acc in (rng.randint(-100, 100),)))
 
 
 def _l_sum_variants(rng):
     from . import listlab
 
-    for _ in range(200):
-        xs = [rng.randint(-100, 100) for _ in range(rng.randint(0, 50))]
-        if not listlab.sumlist(xs) == listlab.sumlist2(xs) == sum(xs):
-            return f"sum variants disagree on {xs!r}"
-    return None
+    return _oracle(_same, (
+        (name, (xs,), op(xs), sum(xs))
+        for xs in ([rng.randint(-100, 100) for _ in range(rng.randint(0, 50))] for _ in range(200))
+        for name, op in (("sumlist", listlab.sumlist), ("sumlist2", listlab.sumlist2))))
 
 
 def _l_max_agreement(rng):
     from . import listlab
 
-    for _ in range(80):
-        xs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
-        if not listlab.max_naive(xs) == listlab.max_fast(xs) == max(xs):
-            return f"maxima disagree on {xs!r}"
-    return None
+    return _oracle(_same, (
+        (name, (xs,), op(xs), max(xs))
+        for xs in ([rng.randint(-50, 50) for _ in range(rng.randint(1, 12))] for _ in range(80))
+        for name, op in (("max_naive", listlab.max_naive), ("max_fast", listlab.max_fast))))
 
 
 def _l_step_counts(rng):
-    for n in (10, 100):
-        _, steps = costmeter.measured("sumlist", list(range(n)))
-        if steps != n + 1:
-            return f"sumlist length {n} took {steps} steps, expected {n + 1}"
-        _, steps = costmeter.measured("filter_keep", lambda v: v % 2 == 0, list(range(n)))
-        if steps != n + 1:
-            return f"filter length {n} took {steps} steps, expected {n + 1}"
-    for n in (8, 10):
-        _, steps = costmeter.measured("max_naive", list(range(1, n + 1)))
-        if steps != 2 ** n - 1:
-            return f"max_naive length {n} took {steps} steps, expected {2 ** n - 1}"
-        _, steps = costmeter.measured("max_fast", list(range(1, n + 1)))
-        if steps != n:
-            return f"max_fast length {n} took {steps} steps, expected {n}"
-    return None
+    def even(v):
+        return v % 2 == 0
+
+    linear = (row for n in (10, 100) for row in (
+        ("sumlist", (f"range({n})",), (list(range(n)),), n + 1),
+        ("filter_keep", ("even", f"range({n})"), (even, list(range(n))), n + 1)))
+    return _costs(linear) or _costs(
+        (op, (f"range(1, {n + 1})",), (list(range(1, n + 1)),), want)
+        for n in (8, 10) for op, want in (("max_naive", 2 ** n - 1), ("max_fast", n)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +229,13 @@ def _b_canonical(rng):
 
 
 def _b_size_law(rng):
-    for n in range(1, 4097):
-        if binary.size(binary.from_int(n)) != n.bit_length():
-            return f"size law failed at {n}"
-    return None
+    return _oracle(binary.size, (("size", (n,), binary.from_int(n), n.bit_length()) for n in range(1, 4097)))
 
 
 def _b_add1_cost(rng):
-    for t in range(13):
-        for n in ((1 << t) - 1, ((1 << t) - 1) + (1 << (t + 1))):
-            _, steps = costmeter.measured("b_add1", binary.from_int(n))
-            if steps != t + 1:
-                return f"add1 on {n} (trailing ones {t}) took {steps} steps"
-    return None
+    # n ends in t ones, so incrementing it takes t + 1 steps
+    return _costs(("b_add1", (n,), (binary.from_int(n),), t + 1)
+                  for t in range(13) for n in ((1 << t) - 1, ((1 << t) - 1) + (1 << (t + 1))))
 
 
 def _b_add_cost_bound(rng):
@@ -295,11 +285,8 @@ _BIT_TABLE = {
 def _t_bit_table(rng):
     from . import twoscomp
 
-    for n, want in _BIT_TABLE.items():
-        got = twoscomp.render_bits(twoscomp.from_int(n))
-        if got != want:
-            return f"render_bits({n}) = {got!r}, expected {want!r}"
-    return None
+    return _oracle(twoscomp.render_bits, (
+        ("render_bits", (n,), twoscomp.from_int(n), want) for n, want in _BIT_TABLE.items()))
 
 
 def _t_render_injective(rng):
@@ -427,13 +414,9 @@ def _br_depth_law(rng):
 def _br_access_cost(rng):
     from . import braun
 
-    for length in (1, 10, 100, 1000):
-        s = braun.from_list(range(length))
-        for i in {0, length - 1, rng.randrange(length)}:
-            _, steps = costmeter.measured("bs_access", s, i)
-            if steps != _digit_count(i):
-                return f"access({i}) visited {steps} nodes, digits {_digit_count(i)}"
-    return None
+    return _costs(("bs_access", (f"from_list(range({length}))", i), (s, i), _digit_count(i))
+                  for length in (1, 10, 100, 1000) for s in (braun.from_list(range(length)),)
+                  for i in {0, length - 1, rng.randrange(length)})
 
 
 def _br_deque_cost(rng):

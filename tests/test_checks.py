@@ -9,14 +9,17 @@ and canonicality checks with the operation's name; an oracle check that
 meets the padded value must name it as not canonical, and the other
 checks that can call the operation must still hold.  The two's-complement
 round trip names the value a wrong ``from_int`` fails on the same way.
-``numrep check`` must print every check's row whatever a check does.
+Each check that reads its rows through the value or step-count reader
+names the operation and operands a mutant is wrong on, and every check
+draws from its generator what it drew before.  ``numrep check`` must
+print every check's row whatever a check does.
 """
 
 import random
 
 import pytest
 
-from numrep import binary, checks, cli, costmeter, twoscomp
+from numrep import binary, checks, cli, costmeter, listlab, twoscomp, unary
 from numrep.binary import Even, Odd, Zero
 from numrep.twoscomp import MinusOne
 
@@ -138,6 +141,67 @@ def test_the_roundtrip_check_names_the_value_a_wrong_from_int_fails_on(monkeypat
     real, wrong = twoscomp.from_int, MUTANTS[mutant]
     monkeypatch.setattr(twoscomp, "from_int", lambda n: wrong(real(n)) if n == 5 else real(n))
     assert outcome(checks._t_roundtrip) == detail
+
+
+def one_more_step(result):
+    value, steps = result
+    return value, steps + 1
+
+
+# (check, module, operation, the leading arguments it is wrong at, what it
+# returns there instead, the check's detail); measured is wrong at an op id
+READS = [
+    (checks._u_roundtrip, unary, "from_int", (5,), unary.Succ, "from_int(5) != 5"),
+    (checks._u_oracle, unary, "plus", (unary.from_int(3), unary.from_int(4)), unary.Succ, "plus(3,4) != 7"),
+    (checks._u_left_identity, unary, "add", (unary.Zero(), unary.from_int(5)), unary.Succ, "add(0,5) != 5"),
+    (checks._l_accumulator, listlab, "sumh", ([7, -52], -59), lambda v: v + 1, "sumh([7, -52],-59) != -104"),
+    (checks._l_sum_variants, listlab, "sumlist2", ([],), lambda v: v + 1, "sumlist2([]) != 0"),
+    (checks._l_max_agreement, listlab, "max_fast", ([11, 29],), lambda v: v + 1, "max_fast([11, 29]) != 29"),
+    (checks._b_size_law, binary, "size", (binary.from_int(5),), lambda v: v + 1, "size(5) != 3"),
+    (checks._t_bit_table, twoscomp, "render_bits", (twoscomp.from_int(-3),), lambda v: v + "1",
+     "render_bits(-3) != ...101"),
+    (checks._u_step_counts, costmeter, "measured", ("u_add",), one_more_step,
+     "u_add(26,0) took 2 steps, expected 1"),
+    (checks._l_step_counts, costmeter, "measured", ("max_fast",), one_more_step,
+     "max_fast(range(1, 9)) took 9 steps, expected 8"),
+    (checks._b_add1_cost, costmeter, "measured", ("b_add1",), one_more_step,
+     "b_add1(0) took 2 steps, expected 1"),
+    (checks._br_access_cost, costmeter, "measured", ("bs_access",), one_more_step,
+     "bs_access(from_list(range(1)),0) took 1 steps, expected 0"),
+]
+
+
+@pytest.mark.parametrize("check, module, name, at, wrong, detail", READS, ids=[r[0].__name__ for r in READS])
+def test_the_readers_name_the_operation_and_operands_a_mutant_fails_on(monkeypatch, check, module, name, at, wrong,
+                                                                        detail):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(real(*args)) if args[:len(at)] == at else real(*args))
+    assert outcome(check) == detail
+
+
+# the generator's next random() after each check that draws, at seed 12345;
+# a check that draws nothing leaves the generator's first value next
+DRAWN = {
+    "_u_laws": 0.27329108920633216, "_u_step_counts": 0.0031849641925417727,
+    "_l_accumulator": 0.629843999951162, "_l_sum_variants": 0.5648506638998789,
+    "_l_max_agreement": 0.14994097639406978, "_b_add_oracle": 0.4025896334493596,
+    "_b_add_structural": 0.4025896334493596, "_b_mult_oracle": 0.33706124321247555,
+    "_b_canonical": 0.2608339010749946, "_t_arith_oracle": 0.5635243608790397,
+    "_t_conservative": 0.5024084995031307, "_t_canonical": 0.2608339010749946,
+    "_br_shape": 0.9126869152586609, "_br_list_oracle": 0.9135904352381923,
+    "_br_persistence": 0.31322206101922623, "_br_access_cost": 0.3684116894884757,
+}
+
+
+def test_each_check_draws_what_it_drew_before():
+    # what a check draws decides which pairs `check --seed S` tests
+    untouched = random.Random(checks.DEFAULT_SEED).random()
+    fns = [fn for entries in checks.SUITES.values() for _, fn in entries]
+    assert set(DRAWN) <= {fn.__name__ for fn in fns}
+    for fn in fns:
+        rng = random.Random(checks.DEFAULT_SEED)
+        assert fn(rng) is None
+        assert (fn.__name__, rng.random()) == (fn.__name__, DRAWN.get(fn.__name__, untouched))
 
 
 def test_a_check_that_raises_is_one_failed_row(monkeypatch, capsys):
