@@ -6,10 +6,17 @@ invariant, and returns a failure detail or None.  Randomized checks
 draw from a seeded generator so runs are reproducible.  Pair sweeps take
 their pairs from :func:`_pairs`.  A check yields its cases as rows to
 one reader per kind of property: values go through :func:`_oracle`,
-exact step counts through :func:`_costs` and canonicality through
-:func:`_not_canonical`.  Each reader names a failure by its operation
-and operands, as in ``add_v2(37,41) != 78`` or ``b_add1(0) took 2
-steps, expected 1``.  Each check imports its suite's layer when it runs:
+exact step counts through :func:`_costs`, two computations that must
+build the same structure through :func:`_identical`, and canonicality
+and the Braun shape through :func:`_not_canonical`.  Each reader names
+a failure by its operation and operands, as in ``add_v2(37,41) != 78``,
+``add_v1(37,41) != add_v2(37,41)`` or ``b_add1(0) took 2 steps,
+expected 1``.  Five checks keep code of their own, each for a property
+no row holds: ``_b_add_cost_bound`` reads one schedule per op through
+:func:`costmeter.check_bound`, ``_t_render_injective`` and
+``_br_index_bijection`` read a whole set, ``_br_deque_cost`` an upper
+bound and ``_br_persistence`` one comparison after a run of steps.
+Each check imports its suite's layer when it runs:
 this module imports only :mod:`numrep.binary` and :mod:`numrep.costmeter`,
 which load no other layer, so naming the suites loads none and running
 one loads its own.
@@ -81,12 +88,21 @@ def _same(value):
     return value
 
 
-def _not_canonical(is_canonical, rows):
-    """The first row (name, operands, result) whose result is not canonical,
-    named with its operands."""
+def _identical(rows):
+    """The first row (wording, operands, left, right) whose two structures
+    differ under type-exact ==, named by wording with its operands filled in."""
+    for wording, operands, left, right in rows:
+        if left != right:
+            return wording.format(*operands)
+    return None
+
+
+def _not_canonical(is_canonical, rows, broken="is not canonical"):
+    """The first row (name, operands, result) whose result is_canonical
+    refuses, named with its operands and what is broken."""
     for name, operands, result in rows:
         if not is_canonical(result):
-            return f"{_named(name, operands)} is not canonical"
+            return f"{_named(name, operands)} {broken}"
     return None
 
 
@@ -113,15 +129,13 @@ def _u_oracle(rng):
 def _u_laws(rng):
     from . import unary
 
-    for a, b, x, y in _pairs(rng, unary.from_int, range(26), 0, 25, 0):
-        if unary.to_int(unary.plus(x, y)) != unary.to_int(unary.plus(y, x)):
-            return f"commutativity failed at ({a},{b})"
-    for _ in range(300):
-        a, b, c = (rng.randint(0, 25) for _ in range(3))
-        x, y, z = (unary.from_int(v) for v in (a, b, c))
-        if unary.plus(unary.plus(x, y), z) != unary.plus(x, unary.plus(y, z)):
-            return f"associativity failed at ({a},{b},{c})"
-    return None
+    plus = unary.plus
+    swapped = (("plus({0},{1}) != plus({1},{0})", (a, b), plus(x, y), plus(y, x))
+               for a, b, x, y in _pairs(rng, unary.from_int, range(26), 0, 25, 0))
+    triples = ([rng.randint(0, 25) for _ in range(3)] for _ in range(300))
+    return _identical(swapped) or _identical(
+        ("plus(plus({0},{1}),{2}) != plus({0},plus({1},{2}))", abc, plus(plus(x, y), z), plus(x, plus(y, z)))
+        for abc in triples for x, y, z in (map(unary.from_int, abc),))
 
 
 def _u_left_identity(rng):
@@ -187,16 +201,12 @@ def _l_step_counts(rng):
 
 def _b_shapes(rng):
     Z, E, O = binary.Zero, binary.Even, binary.Odd
-    expected = {0: Z(), 1: O(Z()), 2: E(O(Z())), 3: O(O(Z())), 4: E(E(O(Z()))), 5: O(E(O(Z())))}
-    for n, want in expected.items():
-        if binary.from_int(n) != want:
-            return f"from_int({n}) built {binary.from_int(n)!r}"
-        if binary.to_int(want) != n:
-            return f"to_int round trip failed at {n}"
+    shapes = {0: Z(), 1: O(Z()), 2: E(O(Z())), 3: O(O(Z())), 4: E(E(O(Z()))), 5: O(E(O(Z())))}
     v = binary.from_int(1024)
-    if binary.size(v) != 11 or binary.to_int(v) != 1024:
-        return "1024 has the wrong representation"
-    return None
+    return (_identical(("from_int({0}) != {1!r}", (n, want), binary.from_int(n), want) for n, want in shapes.items())
+            or _oracle(binary.to_int, [*(("to_int", (want,), want, n) for n, want in shapes.items()),
+                                       ("from_int", (1024,), v, 1024)])
+            or _oracle(binary.size, [("size", (1024,), v, 11)]))
 
 
 def _b_add_oracle(rng):
@@ -207,10 +217,8 @@ def _b_add_oracle(rng):
 
 
 def _b_add_structural(rng):
-    for a, b, x, y in _pairs(rng, binary.from_int, range(97), 0, 512, 400):
-        if binary.add_v1(x, y) != binary.add_v2(x, y):
-            return f"addition algorithms disagree structurally at ({a},{b})"
-    return None
+    return _identical(("add_v1({0},{1}) != add_v2({0},{1})", (a, b), binary.add_v1(x, y), binary.add_v2(x, y))
+                      for a, b, x, y in _pairs(rng, binary.from_int, range(97), 0, 512, 400))
 
 
 def _b_mult_oracle(rng):
@@ -239,6 +247,7 @@ def _b_add1_cost(rng):
 
 
 def _b_add_cost_bound(rng):
+    # its own code: check_bound reads a whole schedule per op, not one row
     for op, k in (("b_add_v1", costmeter.K_ADD_V1), ("b_add_v2", costmeter.K_ADD_V2)):
         report = costmeter.check_bound(op, [1, 2, 4, 6, 8, 9], "linear", k=k)
         if not report.passed:
@@ -270,10 +279,8 @@ def _t_arith_oracle(rng):
 def _t_conservative(rng):
     from . import twoscomp
 
-    for a, b, x, y in _pairs(rng, binary.from_int, range(65), 0, 256, 300):
-        if twoscomp.add(x, y) != binary.add_v2(x, y):
-            return f"signed add deviates from binary add at ({a},{b})"
-    return None
+    return _identical(("add({0},{1}) != add_v2({0},{1})", (a, b), twoscomp.add(x, y), binary.add_v2(x, y))
+                      for a, b, x, y in _pairs(rng, binary.from_int, range(65), 0, 256, 300))
 
 
 _BIT_TABLE = {
@@ -292,6 +299,7 @@ def _t_bit_table(rng):
 def _t_render_injective(rng):
     from . import twoscomp
 
+    # its own code: injectivity is a property of the whole set, not of one row
     seen = {twoscomp.render_bits(twoscomp.from_int(n)) for n in range(-512, 513)}
     if len(seen) != 1025:
         return "bit strings collide on -512..512"
@@ -301,13 +309,11 @@ def _t_render_injective(rng):
 def _t_involutions(rng):
     from . import twoscomp
 
-    for n in range(-256, 257):
-        v = twoscomp.from_int(n)
-        if twoscomp.complement(twoscomp.complement(v)) != v:
-            return f"complement involution failed at {n}"
-        if twoscomp.add1(twoscomp.sub1(v)) != v or twoscomp.sub1(twoscomp.add1(v)) != v:
-            return f"add1/sub1 inversion failed at {n}"
-    return None
+    complement, add1, sub1 = twoscomp.complement, twoscomp.add1, twoscomp.sub1
+    return _identical(row for n in range(-256, 257) for v in (twoscomp.from_int(n),) for row in (
+        ("complement(complement({0})) != {0}", (n,), complement(complement(v)), v),
+        ("add1(sub1({0})) != {0}", (n,), add1(sub1(v)), v),
+        ("sub1(add1({0})) != {0}", (n,), sub1(add1(v)), v)))
 
 
 def _t_canonical(rng):
@@ -346,48 +352,47 @@ def _digit_count(i: int) -> int:
 def _br_shape(rng):
     from . import braun
 
-    for length in (0, 1, 2, 3, 5, 10, 50, 200, 500):
-        xs = [rng.randint(0, 999) for _ in range(length)]
-        s = braun.from_list(xs)
-        variants = [s, braun.cons(7, s)]
-        if length:
-            variants.append(braun.rest(s))
-            variants.append(braun.update(s, rng.randrange(length), -1))
-        for v in variants:
-            if not _shape_ok(v.tree):
-                return f"shape invariant broken at length {length}"
-    return None
+    def rows():
+        for length in (0, 1, 2, 3, 5, 10, 50, 200, 500):
+            s = braun.from_list([rng.randint(0, 999) for _ in range(length)])
+            seq = f"from_list(<length {length}>)"  # a failure names the drawn list by its length
+            yield "from_list", (f"<length {length}>",), s.tree
+            yield "cons", (7, seq), braun.cons(7, s).tree
+            if length:
+                yield "rest", (seq,), braun.rest(s).tree
+                i = rng.randrange(length)
+                yield "update", (seq, i, -1), braun.update(s, i, -1).tree
+
+    return _not_canonical(_shape_ok, rows(), "is not a Braun tree")
 
 
 def _br_list_oracle(rng):
     from . import braun
 
-    for length in (0, 1, 2, 3, 7, 20, 100, 300):
-        xs = [rng.randint(0, 999) for _ in range(length)]
-        s = braun.from_list(xs)
-        if braun.to_list(s) != xs:
-            return f"to_list round trip failed at length {length}"
-        for i in ([*range(length)] if length <= 40 else rng.sample(range(length), 20)):
-            if braun.access(s, i) != xs[i]:
-                return f"access({i}) wrong at length {length}"
-            if braun.access_cd(s, braun.cd_from_int(i)) != xs[i]:
-                return f"access_cd({i}) wrong at length {length}"
-        t = braun.cons(-7, s)
-        if braun.to_list(t) != [-7] + xs or braun.first(t) != -7:
-            return f"cons/first wrong at length {length}"
-        if braun.to_list(braun.rest(t)) != xs:
-            return f"rest(cons(...)) wrong at length {length}"
-        if length:
-            i = rng.randrange(length)
-            u = braun.update(s, i, -9)
-            if braun.to_list(u) != xs[:i] + [-9] + xs[i + 1:]:
-                return f"update({i}) wrong at length {length}"
-    return None
+    def rows():
+        for length in (0, 1, 2, 3, 7, 20, 100, 300):
+            xs = [rng.randint(0, 999) for _ in range(length)]
+            s, seq = braun.from_list(xs), f"from_list(<length {length}>)"
+            yield "to_list", (seq,), braun.to_list(s), xs
+            for i in ([*range(length)] if length <= 40 else rng.sample(range(length), 20)):
+                yield "access", (seq, i), braun.access(s, i), xs[i]
+                yield "access_cd", (seq, i), braun.access_cd(s, braun.cd_from_int(i)), xs[i]
+            t, consed = braun.cons(-7, s), f"cons(-7,{seq})"
+            yield "to_list", (consed,), braun.to_list(t), [-7] + xs
+            yield "first", (consed,), braun.first(t), -7
+            yield "to_list", (f"rest({consed})",), braun.to_list(braun.rest(t)), xs
+            if length:
+                i = rng.randrange(length)
+                updated = braun.to_list(braun.update(s, i, -9))
+                yield "to_list", (f"update({seq},{i},-9)",), updated, xs[:i] + [-9] + xs[i + 1:]
+
+    return _oracle(_same, rows())
 
 
 def _br_persistence(rng):
     from . import braun
 
+    # its own code: one comparison after a run of steps, not a row per step
     xs = [rng.randint(0, 999) for _ in range(200)]
     s = braun.from_list(xs)
     t = s
@@ -403,12 +408,13 @@ def _br_persistence(rng):
 def _br_depth_law(rng):
     from . import braun
 
-    s = braun.EMPTY
-    for n in range(1, 1025):
-        s = braun.cons(n, s)
-        if braun.depth(s) != n.bit_length():
-            return f"depth at {n} is {braun.depth(s)}, expected {n.bit_length()}"
-    return None
+    def conses():
+        s = braun.EMPTY
+        for n in range(1, 1025):
+            s = braun.cons(n, s)
+            yield "depth", (f"cons({n},...)",), s, n.bit_length()
+
+    return _oracle(braun.depth, conses())
 
 
 def _br_access_cost(rng):
@@ -422,6 +428,7 @@ def _br_access_cost(rng):
 def _br_deque_cost(rng):
     from . import braun
 
+    # its own code: it reads an upper bound, where _costs reads exact counts
     for length in (0, 1, 5, 33, 200, 1000):
         s = braun.from_list(range(length))
         bound = braun.depth(s) + 1
@@ -448,12 +455,10 @@ def _br_index_bijection(rng):
         grow(braun.IxEven(ix), depth + 1)
 
     grow(braun.IxZero(), 0)
+    # its own code: coverage of every digit string is a property of the whole set
     if sorted(values) != list(range(2 ** 13 - 1)):
         return "digit strings of <= 12 digits do not cover 0..8190 uniquely"
-    for n in (0, 1, 2, 5, 997, 8190):
-        if braun.cd_to_int(braun.cd_from_int(n)) != n:
-            return f"index numeral roundtrip failed at {n}"
-    return None
+    return _oracle(braun.cd_to_int, (("cd_from_int", (n,), braun.cd_from_int(n), n) for n in (0, 1, 2, 5, 997, 8190)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,20 @@ and canonicality checks with the operation's name; an oracle check that
 meets the padded value must name it as not canonical, and the other
 checks that can call the operation must still hold.  The two's-complement
 round trip names the value a wrong ``from_int`` fails on the same way.
-Each check that reads its rows through the value or step-count reader
-names the operation and operands a mutant is wrong on, and every check
-draws from its generator what it drew before.  ``numrep check`` must
-print every check's row whatever a check does.
+Each check that reads its rows through a reader names the operation and
+operands a mutant is wrong on; every check but five ends in its only
+return, of reader calls; and every check draws from its generator what
+it drew before.  ``numrep check`` must print every check's row whatever
+a check does.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from numrep import binary, checks, cli, costmeter, listlab, twoscomp, unary
+from numrep import binary, braun, checks, cli, costmeter, listlab, twoscomp, unary
 from numrep.binary import Even, Odd, Zero
 from numrep.twoscomp import MinusOne
 
@@ -54,22 +57,22 @@ MUTANTS = {"off": twoscomp.add1, "padded": padded}
 CASES = [
     (binary, "add_v2", (37, 41), "off", {
         "_b_add_oracle": "add_v2(37,41) != 78",
-        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
-        "_t_conservative": "signed add deviates from binary add at (37,41)",
+        "_b_add_structural": "add_v1(37,41) != add_v2(37,41)",
+        "_t_conservative": "add(37,41) != add_v2(37,41)",
     }),
     (binary, "add_v2", (37, 41), "padded", {
         "_b_add_oracle": "add_v2(37,41) is not canonical",
-        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+        "_b_add_structural": "add_v1(37,41) != add_v2(37,41)",
         "_b_canonical": "add_v2(37,41) is not canonical",
-        "_t_conservative": "signed add deviates from binary add at (37,41)",
+        "_t_conservative": "add(37,41) != add_v2(37,41)",
     }),
     (binary, "add_v1", (37, 41), "off", {
         "_b_add_oracle": "add_v1(37,41) != 78",
-        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+        "_b_add_structural": "add_v1(37,41) != add_v2(37,41)",
     }),
     (binary, "add_v1", (37, 41), "padded", {
         "_b_add_oracle": "add_v1(37,41) is not canonical",
-        "_b_add_structural": "addition algorithms disagree structurally at (37,41)",
+        "_b_add_structural": "add_v1(37,41) != add_v2(37,41)",
         "_b_canonical": "add_v1(37,41) is not canonical",
     }),
     (binary, "mult", (6, 7), "off", {"_b_mult_oracle": "mult(6,7) != 42"}),
@@ -81,11 +84,11 @@ CASES = [
     # before sub(a, -b) only when b <= 0; the conservative check needs b >= 0
     (twoscomp, "add", (9, 0), "off", {
         "_t_arith_oracle": "add(9,0) != 9",
-        "_t_conservative": "signed add deviates from binary add at (9,0)",
+        "_t_conservative": "add(9,0) != add_v2(9,0)",
     }),
     (twoscomp, "add", (9, 0), "padded", {
         "_t_arith_oracle": "add(9,0) is not canonical",
-        "_t_conservative": "signed add deviates from binary add at (9,0)",
+        "_t_conservative": "add(9,0) != add_v2(9,0)",
         "_t_canonical": "add(9,0) is not canonical",
     }),
     (twoscomp, "sub", (5, 3), "off", {"_t_arith_oracle": "sub(5,3) != 2"}),
@@ -148,6 +151,12 @@ def one_more_step(result):
     return value, steps + 1
 
 
+def swapped(s):
+    """s with its root's subtrees swapped: the same elements, no Braun tree past length 1."""
+    t = s.tree
+    return braun.BraunSeq(s.length, braun.Node(t.elem, t.right, t.left))
+
+
 # (check, module, operation, the leading arguments it is wrong at, what it
 # returns there instead, the check's detail); measured is wrong at an op id
 READS = [
@@ -168,6 +177,19 @@ READS = [
      "b_add1(0) took 2 steps, expected 1"),
     (checks._br_access_cost, costmeter, "measured", ("bs_access",), one_more_step,
      "bs_access(from_list(range(1)),0) took 1 steps, expected 0"),
+    # the structure reader names both sides; a padded result has the right value
+    (checks._u_laws, unary, "plus", (unary.from_int(3), unary.from_int(4)), unary.Succ, "plus(3,4) != plus(4,3)"),
+    (checks._b_shapes, binary, "from_int", (2,), binary.add1, "from_int(2) != Even(rest=Odd(rest=Zero()))"),
+    (checks._b_add_structural, binary, "add_v1", (binary.from_int(5), binary.from_int(9)), padded,
+     "add_v1(5,9) != add_v2(5,9)"),
+    (checks._t_conservative, binary, "add_v2", (binary.from_int(5), binary.from_int(9)), binary.add1,
+     "add(5,9) != add_v2(5,9)"),
+    # sub1(add1(4)) calls sub1 at 5 before the rows of 5 do
+    (checks._t_involutions, twoscomp, "sub1", (twoscomp.from_int(5),), twoscomp.add1, "sub1(add1(4)) != 4"),
+    (checks._br_shape, braun, "cons", (7,), swapped, "cons(7,from_list(<length 1>)) is not a Braun tree"),
+    (checks._br_list_oracle, braun, "first", (), lambda v: v + 1, "first(cons(-7,from_list(<length 0>))) != -7"),
+    (checks._br_depth_law, braun, "depth", (), lambda v: v + 1, "depth(cons(1,...)) != 1"),
+    (checks._br_index_bijection, braun, "cd_from_int", (5,), braun.IxOdd, "cd_from_int(5) != 5"),
 ]
 
 
@@ -177,6 +199,29 @@ def test_the_readers_name_the_operation_and_operands_a_mutant_fails_on(monkeypat
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: wrong(real(*args)) if args[:len(at)] == at else real(*args))
     assert outcome(check) == detail
+
+
+# the readers, and the checks that keep code of their own: a bound read per
+# schedule or per op, a property of a whole set, one comparison after a run of steps
+READERS = {"_oracle", "_costs", "_not_canonical", "_identical"}
+OWN_CODE = {"_b_add_cost_bound", "_t_render_injective", "_br_persistence", "_br_deque_cost", "_br_index_bijection"}
+
+
+def test_every_other_check_ends_in_its_only_return_of_readers():
+    def returns(fn):  # fn's own, not those of the functions it defines
+        inner = {id(n) for d in fn.body for f in ast.walk(d) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        return [n for n in ast.walk(fn) if isinstance(n, ast.Return) and id(n) not in inner]
+
+    def reads(e):
+        calls = e.values if isinstance(e, ast.BoolOp) and isinstance(e.op, ast.Or) else [e]
+        return all(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id in READERS for c in calls)
+
+    defs = {node.name: node for node in ast.parse(Path(checks.__file__).read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    names = {fn.__name__ for entries in checks.SUITES.values() for _, fn in entries}
+    reading = {name for name in names
+               if returns(defs[name]) == defs[name].body[-1:] and reads(defs[name].body[-1].value)}
+    assert names - reading == OWN_CODE
 
 
 # the generator's next random() after each check that draws, at seed 12345;

@@ -25,11 +25,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from shared import FIRST_OVER_BUDGET, NoSource, Sourceless, in_a_fresh_thread, run_python
 from test_console import BIG, Case, _module_prefix, run_in_process
 
 import numrep
-from numrep import binary, cli, costmeter, listlab, numio
+from numrep import binary, cli, costmeter, listlab, numio, twoscomp, unary
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -583,6 +585,120 @@ def test_check_detects_broken_addition(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "add agrees with machine addition" in out
+
+
+# --- convert and eval on generated inputs -------------------------------------------
+
+class Usage(Exception):
+    """What the command must refuse with exit 2, as a usage or syntax error."""
+
+
+def refused(errors, read, *args):
+    """read(*args), where an error of the types errors is a Usage."""
+    try:
+        return read(*args)
+    except errors:
+        raise Usage from None
+
+
+def read_literal(text, kind):
+    # a ParseError only: a non-canonical literal is a ValueError of the domain, exit 1
+    return refused(numio.ParseError, numio.parse_numeral, text, kind)
+
+
+def outcome(argv, library):
+    """The case argv must meet: the library's output with exit 0, or exit 2
+    for what it refuses as usage, or exit 1 for a ValueError of the domain."""
+    try:
+        out = library()
+    except Usage:
+        return Case(argv, 2, stdout="")
+    except ValueError:
+        return Case(argv, 1, stdout="")
+    return Case(argv, 0, stdout=f"{out}\n")
+
+
+KIND_NAMES, FORMS = ("unary", "binary", "twoscomp", "cd"), ("int", "literal", "bits")
+# (kind, --op) -> the library's function that eval applies
+EVAL_FNS = {("unary", "plus"): unary.plus, ("unary", "add"): unary.add, ("unary", "mul"): unary.mult,
+            ("binary", "add"): binary.add_v2, ("binary", "add1"): binary.add1, ("binary", "mul"): binary.mult,
+            ("twoscomp", "add"): twoscomp.add, ("twoscomp", "add1"): twoscomp.add1,
+            ("twoscomp", "neg"): twoscomp.neg, ("twoscomp", "sub"): twoscomp.sub}
+# ints in the small range and far past it, past unary's height bound of 2**20 both ways
+ints = st.integers(-300, 300) | st.integers(2**21, 2**80) | st.integers(-2**80, -2**21)
+
+
+@st.composite
+def texts(draw, kind, form):
+    """An int, a bit string or a literal of kind, as form asks.  unary.mult
+    recurses once per unit of its result, so a unary value is at most 24,
+    far below the recursion limit; test_eval_too_deep_for_the_recursion_limit
+    pins a deeper one's exit 1."""
+    v = draw(st.integers(0, 24) if kind == "unary" else st.integers(-2**70, 2**70))
+    if form == "int":
+        return str(draw(ints))
+    if form == "bits":
+        return twoscomp.render_bits(twoscomp.from_int(v))
+    return numio.print_numeral(numio.KINDS[kind].from_int(v if kind == "twoscomp" else abs(v)))
+
+
+@st.composite
+def mutated(draw, t):
+    """t unbalanced, spaced, non-canonical or misspelt, or another kind's or form's text."""
+    at, letter = draw(st.integers(0, len(t))), draw(st.sampled_from("ABCDNSZx"))
+    how = draw(st.sampled_from(["dropped", "opened", "closed", "spaced", "non-canonical", "misspelt", "other"]))
+    return {
+        "dropped": lambda: t[:at] + t[at + 1:],  # unbalanced, or a digit or sign gone
+        "opened": lambda: t[:at] + "(" + t[at:],
+        "closed": lambda: t[:at] + ")" + t[at:],
+        "spaced": lambda: "\t" + t[:at] + "  \n" + t[at:],
+        "non-canonical": lambda: t.replace("Z", "A(Z)").replace("N", "B(N)"),  # in binary and twoscomp
+        "misspelt": lambda: t[:at] + letter + t[at + 1:],
+        "other": lambda: draw(texts(draw(st.sampled_from(KIND_NAMES)), draw(st.sampled_from(FORMS)))),
+    }[how]()
+
+
+@given(st.sampled_from(KIND_NAMES), st.sampled_from(FORMS), st.sampled_from(FORMS), st.booleans(), st.data())
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_convert_meets_the_contract_and_the_library_on_generated_inputs(kind, src, dst, whole, data):
+    text = data.draw(texts(kind, src))
+    text = text if whole else data.draw(mutated(text))
+
+    def library():
+        if "bits" in (src, dst) and kind != "twoscomp":
+            raise Usage
+        row = numio.KINDS[kind]
+        value = (row.from_int(refused(ValueError, int, text)) if src == "int"
+                 else read_literal(text, kind) if src == "literal" else refused(ValueError, twoscomp.parse_bits, text))
+        return (row.to_int(value) if dst == "int" else numio.print_numeral(value) if dst == "literal"
+                else twoscomp.render_bits(value))
+
+    argv = ["convert", "--kind", kind, "--from", src, "--to", dst, text]
+    assert run_in_process(cli.main, outcome(argv, library)) == []
+
+
+@given(st.sampled_from(list(EVAL_FNS)), st.sampled_from([None] * 3 + ["operand", "kind", "arity"]), st.data())
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_eval_meets_the_contract_and_the_library_on_generated_inputs(kind_op, fault, data):
+    # an op's own operands, or one fault: a mutated operand, another kind or another operand count
+    (kind, op), arity = kind_op, EVAL_FNS[kind_op].__code__.co_argcount
+    operands = [data.draw(texts(kind, "literal")) for _ in range(arity)]
+    if fault == "operand":
+        i = data.draw(st.integers(0, arity - 1))
+        operands[i] = data.draw(mutated(operands[i]))
+    elif fault == "kind":
+        kind = data.draw(st.sampled_from(KIND_NAMES))
+    elif fault == "arity":
+        operands = (operands * 3)[:data.draw(st.sampled_from([n for n in (1, 2, 3) if n != arity]))]
+    fn = EVAL_FNS.get((kind, op))
+
+    def library():
+        if fn is None or len(operands) != fn.__code__.co_argcount:
+            raise Usage
+        return numio.print_numeral(fn(*[read_literal(text, kind) for text in operands]))
+
+    argv = ["eval", "--kind", kind, "--op", op, *operands]
+    assert run_in_process(cli.main, outcome(argv, library)) == []
 
 
 # --- help and usage text -----------------------------------------------------------

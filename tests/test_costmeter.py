@@ -468,6 +468,62 @@ def test_steps_depend_on_the_size_alone(op_id):
     assert [(n, args) for n, args in inputs if costmeter.measured(op_id, *args)[1] != worst[n]] == []
 
 
+def signed_digits(v):
+    """The digit count of v's two's-complement numeral: 0 is Z and -1 is N, no digit."""
+    return (v if v >= 0 else ~v).bit_length()
+
+
+def unary_pairs():
+    nums = [unary.from_int(v) for v in range(64)]
+    return ((b, (nums[a], nums[b])) for a in range(64) for b in range(64))
+
+
+def binary_pairs():
+    nums = [binary.from_int(v) for v in range(128)]
+    return ((max(a.bit_length(), b.bit_length()), (nums[a], nums[b])) for a in range(128) for b in range(128))
+
+
+def signed_pairs():
+    nums = {v: twoscomp.from_int(v) for v in range(-128, 128)}
+    return ((max(signed_digits(a), signed_digits(b)), (x, y)) for a, x in nums.items() for b, y in nums.items())
+
+
+def every_index():
+    return ((length, (s, i)) for length in range(1, 128) for s in (braun.from_list(range(length)),)
+            for i in range(length))
+
+
+# op id -> every input of each size up to a small one, as (size, arguments):
+# every unary pair below 64, whose size is the value the op recurses on;
+# every operand below 2**7, whose size is the digit count of the longer one;
+# every signed pair in -128..127, which holds each numeral of up to 7 digits;
+# every ordering of 1..n for n up to 6; every index of every length below 128
+EVERY_INPUT = {
+    "u_plus": unary_pairs,
+    "u_add": unary_pairs,
+    "b_add1": lambda: ((a.bit_length(), (binary.from_int(a),)) for a in range(128)),
+    "b_add_v1": binary_pairs,
+    "b_add_v2": binary_pairs,
+    "b_mult": binary_pairs,
+    "i_add": signed_pairs,
+    "max_naive": lambda: ((n, (xs,)) for n in range(1, 7) for xs in itertools.permutations(range(1, n + 1))),
+    "bs_access": every_index,
+}
+
+
+@pytest.mark.parametrize("op_id", EVERY_INPUT)
+def test_no_input_takes_more_steps_than_the_worst_case_input_of_its_size(op_id):
+    """The most steps of every input of each size are the worst-case input's,
+    within the op's step bound.  The sizes are this test's own: the ROADMAP
+    (item 11) moves each op's size function into its ``_MAKE`` row."""
+    most = {}
+    for n, args in EVERY_INPUT[op_id]():
+        most[n] = max(most.get(n, 0), costmeter.measured(op_id, *args)[1])
+    worst = dict(costmeter.measure_schedule(op_id, sorted(most)))
+    assert most == worst
+    assert [n for n, steps in worst.items() if steps > costmeter._MAKE[op_id].steps(n)] == []
+
+
 def test_access_counts_each_pass_of_its_loop_at_a_100000_bit_index():
     # the twin counts the for loop's passes far past the ledger's sizes;
     # index 2**100_000 - 1 has 100,000 digits, all IxOdd.  The assertion
