@@ -158,16 +158,18 @@ class Numeral(Record):
     """Base of the numeral constructors: a chain of one-slot wrappers ending
     in a nullary constructor.
 
-    Equality, hashing, ``repr`` and pickling walk the chain in a loop, so
-    values of any length compare, hash, print, pickle and deep-copy at any
-    recursion limit.  Each loop tests a node's class with ``type(x) is``
-    and looks its child's field up in one table per class.  Equality is
-    structural and type-exact, and stops at a tail the two chains share;
-    ``repr`` is the keyword form, such as ``Odd(rest=Zero())``; a value
-    reduces to the flat tuple of its wrapper classes plus its tail.  A
-    subclass's first field, its own or inherited, names its child, if
-    any; a child that is not a numeral ends the chain and is compared,
-    hashed, printed and pickled as itself.
+    Equality and :meth:`_chain` walk the chain in a loop, so values of
+    any length compare, hash, print, pickle and deep-copy at any recursion
+    limit.  Each loop tests a node's class with ``type(x) is`` and looks
+    its child's field up in one table per class.  Equality is structural
+    and type-exact, and stops at a tail the two chains share.  Hashing,
+    ``repr`` and pickling read the one walk of :meth:`_chain`: the flat
+    tuple of the wrapper classes and the tail.  A value hashes as that
+    tuple, with a nullary tail's class standing in for it; ``repr`` is the
+    keyword form, such as ``Odd(rest=Zero())``; a value reduces to the
+    tuple of classes plus its tail.  A subclass's first field, its own or
+    inherited, names its child, if any; a child that is not a numeral ends
+    the chain and is compared, hashed, printed and pickled as itself.
     """
 
     __slots__ = ()
@@ -193,16 +195,9 @@ class Numeral(Record):
         return True
 
     def __hash__(self) -> int:
-        h, x = 0, self
-        while True:
-            tx = type(x)
-            field = _CHILD.get(tx)
-            if field is None:
-                return hash((h, x))
-            h = hash((h, tx))
-            if not field:
-                return h
-            x = getattr(x, field)
+        classes, tail = self._chain()
+        # a nullary class stands in for its values, which are all equal
+        return hash((classes, type(tail) if type(tail) in _CHILD else tail))
 
     def _chain(self) -> Tuple[Tuple[type, ...], Any]:
         """The wrapper classes, outermost first, and the tail: a nullary numeral or a foreign child."""

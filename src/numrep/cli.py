@@ -1,5 +1,9 @@
 """Command-line front door: convert, eval, braun, bench, check.
 
+Each command is one row of a table: its help line, its handler, and the
+function that adds its arguments to its parser, which runs when the
+command is first parsed.  Every parser is one ``argparse`` subclass.
+
 A command loads only the layers it runs.  This module imports only
 :mod:`numrep.binary`, and that is all ``--help`` loads.  ``convert`` and
 ``eval`` import :mod:`numrep.numio` when they are parsed, and their
@@ -200,29 +204,14 @@ class _Parser(argparse.ArgumentParser):
     as one ``error:`` line, where argparse would print a usage line too.
     argparse echoes an offending argument whole, as its ``repr`` or as
     is; each parse records the texts it reads, and :meth:`error` shortens
-    each over 60 characters, and each such value after a ``=``.
+    each over 60 characters, and each such value after a ``=``.  A parser
+    made with ``add_arguments`` runs ``add_arguments(parser)`` once,
+    before its first parse, so a subcommand whose choices come from a
+    layer imports that layer only when the subcommand is used (``bench
+    --help`` included); the subcommands' parsers are of this class too.
     """
 
     _texts: Sequence[str] = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._texts = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message):
-        texts = {t for arg in self._texts for t in (arg, arg.partition("=")[2]) if len(t) > 60}
-        for text in sorted(texts, key=len, reverse=True):
-            message = message.replace(repr(text), repr(_shown(text))).replace(text, _shown(text))
-        raise _UsageError(message)
-
-
-class _SubcommandParser(_Parser):
-    """A subcommand's parser that can add its arguments when it first parses.
-
-    ``add_arguments(parser)`` runs once, before the first parse, so a
-    subcommand whose choices come from a layer imports that layer only
-    when the subcommand is used (``bench --help`` included).
-    """
 
     def __init__(self, *args, add_arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -232,7 +221,14 @@ class _SubcommandParser(_Parser):
         if self._add_arguments is not None:
             add, self._add_arguments = self._add_arguments, None
             add(self)
+        self._texts = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        texts = {t for arg in self._texts for t in (arg, arg.partition("=")[2]) if len(t) > 60}
+        for text in sorted(texts, key=len, reverse=True):
+            message = message.replace(repr(text), repr(_shown(text))).replace(text, _shown(text))
+        raise _UsageError(message)
 
 
 def _convert_arguments(c: argparse.ArgumentParser) -> None:
@@ -250,6 +246,10 @@ def _eval_arguments(e: argparse.ArgumentParser) -> None:
     e.add_argument("--kind", required=True, choices=numio.KINDS)
     e.add_argument("--op", required=True, choices=tuple(dict.fromkeys(op for _, op in _EVAL_OPS)))
     e.add_argument("operands", nargs="+")
+
+
+def _braun_arguments(b: argparse.ArgumentParser) -> None:
+    b.add_argument("--init", default="", help="comma-separated initial elements (default: empty)")
 
 
 def _bench_arguments(n: argparse.ArgumentParser) -> None:
@@ -270,34 +270,24 @@ def _check_arguments(k: argparse.ArgumentParser) -> None:
     k.add_argument("--seed", type=_seed, default=checks.DEFAULT_SEED)
 
 
+# command -> its help line, its handler and what adds its arguments, in --help's order
+_COMMANDS = {
+    "convert": ("convert a value between int, literal and bit-string forms", _cmd_convert, _convert_arguments),
+    "eval": ("apply an arithmetic operation to numeral literals", _cmd_eval, _eval_arguments),
+    "braun": ("run a sequence script (access/first/cons/rest/update) from stdin", _cmd_braun, _braun_arguments),
+    "bench": ("measure step counts on worst-case inputs, CSV to stdout", _cmd_bench, _bench_arguments),
+    "check": ("run property suites; nonzero exit on any failure", _cmd_check, _check_arguments),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="numrep",
         description="Inductive number representations and Braun-tree sequences.",
     )
-    sub = p.add_subparsers(dest="command", required=True, metavar="command",
-                           parser_class=_SubcommandParser)
-
-    c = sub.add_parser("convert", help="convert a value between int, literal and bit-string forms",
-                       add_arguments=_convert_arguments)
-    c.set_defaults(handler=_cmd_convert)
-
-    e = sub.add_parser("eval", help="apply an arithmetic operation to numeral literals",
-                       add_arguments=_eval_arguments)
-    e.set_defaults(handler=_cmd_eval)
-
-    b = sub.add_parser("braun", help="run a sequence script (access/first/cons/rest/update) from stdin")
-    b.add_argument("--init", default="", help="comma-separated initial elements (default: empty)")
-    b.set_defaults(handler=_cmd_braun)
-
-    n = sub.add_parser("bench", help="measure step counts on worst-case inputs, CSV to stdout",
-                       add_arguments=_bench_arguments)
-    n.set_defaults(handler=_cmd_bench)
-
-    k = sub.add_parser("check", help="run property suites; nonzero exit on any failure",
-                       add_arguments=_check_arguments)
-    k.set_defaults(handler=_cmd_check)
-
+    sub = p.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_line, handler, add_arguments) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line, add_arguments=add_arguments).set_defaults(handler=handler)
     return p
 
 

@@ -85,6 +85,12 @@ frames the recursion limit stops them.
 The list ops' worst-case inputs are ascending ``range`` objects, whose
 slices cost O(1) where a list's copy the rest, so ``xs[1:]`` does not
 make a run O(n^2) in time and memory; the steps are the lists' exactly.
+:func:`measured` runs a list op's list or tuple argument as a zero-copy
+suffix view of it, whose ``[k:]`` is another view, so a list op's
+metered memory is linear in the length of any input, with the plain
+list's result and steps.  :func:`count` passes its arguments as they
+are: a learner's list recursion metered through it still keeps a copy
+of the rest in each pending frame, memory quadratic in its depth.
 Likewise the Braun ops' inputs are n copies of one element built by
 :func:`braun.replicate` in O(log n) shared nodes, not n nodes: a Braun
 tree's shape, and so each step count, depends on its size alone.  Six
@@ -281,9 +287,43 @@ def _known(op_id: str) -> str:
     return op_id
 
 
+class _Suffix:
+    """A list or tuple from index ``start`` on, without a copy: its ``[k:]``
+    is another view, O(1) as a range's slice is, so a list op's pending
+    frames hold no copies of the rest.  It has a length, and so a truth
+    value, and integer indexing, negative included."""
+
+    __slots__ = ("_items", "_start")
+
+    def __init__(self, items: Sequence[Any], start: int = 0) -> None:
+        self._items, self._start = items, start
+
+    def __len__(self) -> int:
+        return len(self._items) - self._start
+
+    def __getitem__(self, k: Any) -> Any:
+        if type(k) is slice:
+            if k.stop is not None or k.step is not None:
+                raise TypeError("a suffix view slices only as [k:]")
+            return _Suffix(self._items, self._start + k.indices(len(self))[0])
+        if k < 0:
+            k += len(self)
+            if k < 0:
+                raise IndexError("index out of range")
+        return self._items[self._start + k]
+
+
+_LIST_OPS = frozenset(op_id for op_id, make in _MAKE.items() if make.layer == "listlab")
+
+
 def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
-    """Run the operation's twins and count its steps; return (result, steps)."""
+    """Run the operation's twins and count its steps; return (result, steps).
+
+    A list op's list or tuple argument runs as a :class:`_Suffix` view of
+    itself, so that its metered memory is linear in its length."""
     row = _BUILT.get(op_id) or _OPS[_known(op_id)]  # the plain dict first: a sweep measures once per sample
+    if op_id in _LIST_OPS:
+        args = tuple(_Suffix(a) if type(a) is list or type(a) is tuple else a for a in args)
     try:
         return count(row.entry, row.counted, *args)
     except SourceUnavailable as exc:

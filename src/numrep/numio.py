@@ -39,10 +39,13 @@ does.
 Literals convert through :mod:`numrep.binary`'s builder and walker, like
 every other conversion in the package.  The wrapper letters of a binary,
 twoscomp or cd literal translate to the builder's bits, and one builder
-call wraps them onto the tail.  The printer loops over runs: binary's
-walker reads each run of digits off as bits, which translate back to
-letters, a run of ``S`` is counted, and the tail ends the text or starts
-the next run.  It never recurses, so a chain of any length prints.
+call wraps them onto the tail.  The printer loops over runs: each wrapper
+class has one reader, which reads a whole run of its kind's wrappers and
+returns the run's letters and what follows it.  A digit's reader is
+binary's walker, whose bits translate back to letters; unary's wrapper's
+is the walk that :func:`numrep.unary.to_int` counts with, repeating the
+wrapper's letter.  What follows a run ends the text or starts the next
+run.  The printer never recurses, so a chain of any length prints.
 """
 
 from __future__ import annotations
@@ -91,16 +94,14 @@ _MAKE: Dict[str, Tuple[str, Callable[[Any], _Kind]]] = {  # kind -> its layer, a
 }
 
 # each built kind -> (its row, its pattern, its parsing table: digit letter
-# -> bit, or None); printing tables: each class's letter, each digit
-# class's (its kind's digit classes, bit -> letter), with which the printer
-# reads a whole run of digits at once, and unary's wrapper -> the walk that
-# counts a run of it.  Two threads that build one kind at once store equal
-# entries, _BUILT keeps the first row, and a kind is in _BUILT only once
-# its printing entries are in.
+# -> bit, or None); printing tables: each class's letter, and each wrapper
+# class's reader, which reads a whole run of its kind's wrappers at once and
+# returns (the run's letters, outermost first; what follows the run).  Two
+# threads that build one kind at once store equal entries, _BUILT keeps the
+# first row, and a kind is in _BUILT only once its printing entries are in.
 _BUILT: Dict[str, Tuple[_Kind, "re.Pattern[str]", Any]] = {}
 _LETTERS: Dict[type, str] = {}
-_RUNS: Dict[type, Tuple[Tuple[type, type], Dict[int, int]]] = {}
-_COUNTED: Dict[type, Callable[[Any], Tuple[int, Any]]] = {}
+_RUNS: Dict[type, Callable[[Any], Tuple[str, Any]]] = {}
 
 
 def _digit_letters(row: _Kind) -> str:
@@ -123,12 +124,21 @@ def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any]:
         "".join(c for c, k in row.alphabet.items() if k.__slots__),
         "".join(c for c, k in row.alphabet.items() if not k.__slots__)))
     _LETTERS.update((k, c) for c, k in row.alphabet.items())
-    if row.digits:
+    if row.digits:  # binary's walker reads a run of digits as bits
         letters = _digit_letters(row)
-        _RUNS.update(dict.fromkeys(row.digits, (row.digits, str.maketrans("01", letters))))
-        to_bits = str.maketrans(letters, "01")
-    else:  # unary: its one wrapper's runs are counted by the layer's walk
-        _COUNTED[row.alphabet["S"]] = layer._layers
+        to_letters, to_bits = str.maketrans("01", letters), str.maketrans(letters, "01")
+
+        def read(x: Any) -> Tuple[str, Any]:
+            bits, rest = _bits(x, *row.digits)
+            return bits[::-1].translate(to_letters), rest
+        _RUNS.update(dict.fromkeys(row.digits, read))
+    else:  # unary: the layer's walk counts a run of its one wrapper
+        (letter, wrapper), = ((c, k) for c, k in row.alphabet.items() if k.__slots__)
+
+        def read(x: Any) -> Tuple[str, Any]:
+            n, rest = layer._layers(x)
+            return letter * n, rest
+        _RUNS[wrapper] = read
         to_bits = None
     return _BUILT.setdefault(kind, (row, pattern, to_bits))
 
@@ -194,19 +204,11 @@ def print_numeral(value: Any) -> str:
     """Canonical text of a numeral value; exact inverse of the parser."""
     parts = []  # the letters of each run of wrappers, outermost first
     rest = value
-    while True:
-        t = type(rest)
-        run = _RUNS.get(t)
-        if run is not None:
-            bits, rest = _bits(rest, *run[0])
-            parts.append(bits[::-1].translate(run[1]))
-        elif t in _COUNTED:
-            n, rest = _COUNTED[t](rest)
-            parts.append(_LETTERS[t] * n)
-        else:
-            break
+    while (read := _RUNS.get(type(rest))) is not None:
+        letters, rest = read(rest)
+        parts.append(letters)
     try:
-        parts.append(_LETTERS[t])
+        parts.append(_LETTERS[type(rest)])
     except KeyError:
         if _build_loaded():  # a kind not yet used: a value of it means its layer is loaded
             return print_numeral(value)

@@ -587,6 +587,85 @@ def test_check_detects_broken_addition(capsys, monkeypatch):
     assert "add agrees with machine addition" in out
 
 
+# the script commands' arities, and index tokens: in range for short
+# sequences mostly, else negative, past the end, huge or no integer
+BRAUN_ARITY = {"access": 1, "first": 0, "cons": 1, "rest": 0, "update": 2}
+INDEX_TEXTS = st.sampled_from([str(i) for i in range(3)] * 10 + [
+    "-1", "9", "x", "1.5", "0x1", "--1", "+2", "1_0", "1" + "0" * 5000, "-" + "9" * 5000, "18446744073709551616"])
+ELEMENTS = st.text("abxyz01-", min_size=1, max_size=3)
+# the commands of a script's good lines, cons most, so that its sequence grows, and blank lines
+BRAUN_WEIGHTS = ["access"] * 4 + ["first"] * 2 + ["cons"] * 6 + ["rest"] * 2 + ["update"] * 3 + [""]
+
+
+@st.composite
+def braun_scripts(draw):
+    """Script lines: commands with their operands and blank lines, and at one
+    place, in most scripts, one command with an operand too many or too few
+    or an unknown command."""
+    def line(cmd, arity):
+        operands = [draw(INDEX_TEXTS if cmd in ("access", "update") and k == 0 else ELEMENTS) for k in range(arity)]
+        return draw(st.sampled_from([" ", "\t "])).join([cmd, *operands])
+
+    lines = [line(cmd, BRAUN_ARITY[cmd]) if cmd else draw(st.sampled_from(["", "  \t"]))
+             for cmd in draw(st.lists(st.sampled_from(BRAUN_WEIGHTS), max_size=12))]
+    cmd = draw(st.sampled_from([None, None, *BRAUN_ARITY, "swizzle", "ACCESS"]))
+    if cmd is not None:
+        arity = BRAUN_ARITY.get(cmd)
+        arity = 1 if arity is None else arity + draw(st.sampled_from([1] if arity == 0 else [-1, 1]))
+        lines.insert(draw(st.integers(0, len(lines))), line(cmd, arity))
+    return lines
+
+
+def braun_case(init, lines):
+    """What ``braun --init init`` must do on the script: a Python list's
+    outputs up to the first failing line, then exit 2 for a usage error or 1
+    for an index out of range or an empty sequence's first or rest."""
+    seq, out = init.split(",") if init else [], []
+
+    def case(code=0):
+        return Case(["braun", "--init", init], code, stdout="".join(f"{x}\n" for x in out),
+                    stdin="".join(f"{line}\n" for line in lines))
+
+    for line in lines:
+        if not line.split():
+            continue
+        cmd, *args = line.split()
+        if BRAUN_ARITY.get(cmd) != len(args):
+            return case(2)
+        if cmd in ("access", "update"):
+            try:
+                i = int(args[0])
+            except ValueError:
+                return case(2)
+            if not 0 <= i < len(seq):
+                return case(1)
+        if cmd in ("first", "rest") and not seq:
+            return case(1)
+        if cmd == "access":
+            out.append(seq[i])
+        elif cmd == "first":
+            out.append(seq[0])
+        elif cmd == "cons":
+            seq.insert(0, args[0])
+        elif cmd == "rest":
+            del seq[0]
+        elif cmd == "update":
+            seq[i] = args[1]
+    return case()
+
+
+@given(st.lists(st.text("abc", max_size=2), max_size=8).map(",".join), braun_scripts())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_braun_meets_the_contract_and_a_list_on_generated_scripts(init, lines):
+    limit = sys.get_int_max_str_digits()  # the model reads indices past 4300 digits, as the command does
+    sys.set_int_max_str_digits(0)
+    try:
+        case = braun_case(init, lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert run_in_process(cli.main, case) == []
+
+
 # --- convert and eval on generated inputs -------------------------------------------
 
 class Usage(Exception):
@@ -704,7 +783,7 @@ def test_eval_meets_the_contract_and_the_library_on_generated_inputs(kind_op, fa
 # --- help and usage text -----------------------------------------------------------
 
 # Captured from a parser that added every subcommand's arguments when it was
-# built; bench and check add theirs when they first parse, to the same bytes.
+# built; each subcommand now adds its own when it first parses, to the same bytes.
 # A usage error is one error line, with no usage line.
 OPS = ("{b_add1,b_add_v1,b_add_v2,b_mult,bs_access,bs_cons,bs_rest,filter_keep,i_add,"
        "max_fast,max_naive,sumlist,sumlist2,u_add,u_plus}")

@@ -418,6 +418,51 @@ def test_list_op_schedule_does_not_copy_its_input(op_id):
     assert peak < 4 * 2**20
 
 
+def test_list_op_on_a_45000_element_list_measures_in_linear_memory():
+    # a copy of xs[1:] in each pending frame would take about 4 * n**2 bytes,
+    # 8 GB here: the child's cap turns that into a MemoryError, not a kill.
+    # Each gives its range input's result and steps, stated here as the
+    # builtins' result and the ledger's closed form: measuring the range
+    # inputs too doubles the time, filter_keep's list building being most of it
+    proc = run_python(textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from numrep import costmeter
+        n = 45_000
+        def even(v):
+            return v % 2 == 0
+        ascending, descending = list(range(n)), list(range(n, 0, -1))  # max_naive: one call a level
+        for op_id, args, want in [
+                ("sumlist", (ascending,), (sum(ascending), n + 1)),
+                ("sumlist2", (ascending,), (sum(ascending), n + 2)),
+                ("filter_keep", (even, ascending), (ascending[::2], n + 1)),
+                ("max_fast", (ascending,), (n - 1, n)),
+                ("max_naive", (descending,), (n, n))]:
+            assert costmeter.measured(op_id, *args) == want, op_id
+            print(op_id)
+    """))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["sumlist", "sumlist2", "filter_keep", "max_fast", "max_naive"]
+
+
+def item(seq, k):
+    try:
+        return seq[k]
+    except IndexError:
+        return IndexError
+
+
+@pytest.mark.parametrize("items", [[], (7,), list(range(5)), tuple("abcd")])
+def test_the_list_ops_suffix_view_reads_as_the_suffix(items):
+    for start in range(len(items) + 1):
+        view, suffix = costmeter._Suffix(items, start), items[start:]
+        assert (len(view), bool(view)) == (len(suffix), bool(suffix))
+        for k in range(-len(suffix) - 2, len(suffix) + 2):
+            assert item(view, k) == item(suffix, k)
+            tail = view[k:]
+            assert [item(tail, j) for j in range(len(tail))] == list(suffix[k:])
+
+
 @pytest.mark.parametrize("op_id", ["bs_access", "bs_cons", "bs_rest"])
 def test_braun_op_schedule_builds_no_n_node_tree(op_id):
     # a tree of 2**60 nodes fits in no memory; 2**60 copies of one element

@@ -1,5 +1,6 @@
-"""The README's ``>>>`` quickstart runs as written, and the README, the
-package metadata and the CI matrix state one lowest Python version."""
+"""The README's ``>>>`` quickstart runs as written, the README, the
+package metadata and the CI matrix state one lowest Python version, and
+CI installs for the tests exactly the metadata's ``test`` extra."""
 
 import doctest
 import re
@@ -24,3 +25,12 @@ def test_the_python_floor_is_the_same_in_metadata_ci_and_readme():
     install = README.read_text().split("## Install\n", 1)[1].split("\n## ", 1)[0]
     readme = re.search(r"Python (\d+\.\d+) or newer", install)[1]
     assert (requires, ci, readme) == (">=" + ci, ci, ci)
+
+
+def test_ci_installs_the_test_extra_for_the_tests():
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text()
+    step = re.search(r"- name: Install the test dependencies\n\s+run: python -m pip install (.*)\n", workflow)
+    assert step is not None, "no step installs the test dependencies"
+    assert sorted(step[1].split()) == sorted(extra)
