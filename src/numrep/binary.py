@@ -32,9 +32,11 @@ constructor in the package derives from :class:`Numeral`, defined here
 next to that pair, and every immutable value in the package, numerals
 included, from :class:`Record`.  The package's error messages show an
 outside value by the two rules here: a text by at most its first 60
-characters, a number past 100 digits by its bit length.  The read-only
-tables of :mod:`numrep.numio` and :mod:`numrep.costmeter` that make a row
-on its key's first use are instances of one class here, ``_OnFirstUse``.
+characters, a number past 100 digits by its bit length.  The two
+read-only tables that make a row on its key's first use,
+:data:`numrep.numio.KINDS` and :data:`numrep.costmeter.METERED`, are
+instances of one class here, ``_OnFirstUse``, made from the keys and
+the one function that reads a key's row.
 """
 
 from __future__ import annotations
@@ -67,17 +69,15 @@ def _number(n: int, noun: str = "") -> str:
 
 class _OnFirstUse(Mapping):
     """A read-only table over the keys of ``keys``, in their order, whose
-    rows are made on first use: ``table[key]`` is ``field(built[key])``,
-    where a key not yet in ``built`` is first passed to ``make``, which
-    makes its row, keeps it in ``built`` and returns it, or raises
-    KeyError.  Naming, listing or testing the keys makes no row."""
+    rows are made on first use: ``table[key]`` is ``value(key)``, which
+    makes and keeps the key's row on its first use, or raises KeyError.
+    Naming, listing or testing the keys makes no row."""
 
-    def __init__(self, keys: Mapping, built: Dict[Any, Any], make: Callable[[Any], Any], field: Callable) -> None:
-        self._keys, self._built, self._make, self._field = keys, built, make, field
+    def __init__(self, keys: Mapping, value: Callable[[Any], Any]) -> None:
+        self._keys, self._value = keys, value
 
     def __getitem__(self, key: Any) -> Any:
-        row = self._built.get(key)
-        return self._field(row if row is not None else self._make(key))
+        return self._value(key)
 
     def __contains__(self, key: object) -> bool:
         return key in self._keys

@@ -35,11 +35,11 @@ parse, as a module shipped only as bytecode does not.  An entry that is
 not counted may be any function of the module, nested or not.
 
 :func:`measured` meters an operation by its op id: it looks up the op's
-row and returns ``count(row.entry, row.counted, *args)``, with the
-functions counted for each op listed below.  Helper bodies count toward
-their caller's total (add_v1 includes its increments, add_v2 its carry
-helper, mult its additions); smart constructors such as ``even`` and
-``odd`` are not steps.  Without the source, it raises
+entry and counted functions and returns ``count(entry, counted,
+*args)``, with the functions counted for each op listed below.  Helper
+bodies count toward their caller's total (add_v1 includes its
+increments, add_v2 its carry helper, mult its additions); smart
+constructors such as ``even`` and ``odd`` are not steps.  Without the source, it raises
 :class:`SourceUnavailable` naming the op id and its module, and an
 unknown op id raises KeyError.
 
@@ -61,23 +61,30 @@ unknown op id raises KeyError.
     bs_rest      braun._untop (one entry per spine node inspected)
     bs_access    braun.access (one per child descent)
 
-:data:`METERED` maps each op id to its plain entry function.  It and
-``_OPS`` are read-only ``Mapping`` tables over the op ids (``binary``'s
-on-first-use table, as ``numio.KINDS`` is), and each op's row is made
-from its layer's module on the op's first use: naming, listing or
-testing the op ids imports no layer, and neither does refusing a
-schedule, so this module itself imports only :mod:`numrep.binary`.
+:data:`METERED` maps each op id to its plain entry function, a
+read-only ``Mapping`` over the op ids (``binary``'s on-first-use table,
+as ``numio.KINDS`` is).  Each op id has one row in ``_MAKE``, plain
+data that names no function object: the op's layer, the names there of
+its entry and of its counted functions, its smallest size, a bound on
+its steps at size n, and its worst-case input of size n, built from the
+layer's module as ``worst_case(layer, n)``.  ``_build`` imports an op's
+layer on the op's first use, resolves the row's names there once and
+keeps them in ``_BUILT``, which :func:`measured`,
+:func:`worst_case_args`, :func:`measure_schedule` and :data:`METERED`
+all read: naming, listing or testing the op ids imports no layer, and
+neither does refusing a schedule, so this module itself imports only
+:mod:`numrep.binary`.
 
-Each op id's row in ``_OPS`` also builds its worst-case input of size n.
 Sizes mean, per operation: the denoted value for the unary ops, the list
 length for the list ops, the digit count of an all-ones operand for the
 binary and signed ops (the worst carry chains, one operand passed
 twice), and the sequence length for the Braun ops (which access their
-last index).  Its plain data in ``_MAKE`` states the op's smallest size
-(1 where the input needs an element, else 0) and a bound on its steps
-at size n, and :func:`check_schedule` refuses, before anything is
-measured, a schedule with a size below the smallest or one whose bound
-is over ``STEP_BUDGET`` = 2^20 steps: ``max_naive`` (2^n - 1 steps) is
+last index).  The smallest size is 1 where the input needs an element,
+else 0.  Before anything is measured, :func:`check_schedule` refuses a
+schedule with a size that is not an integer (by ``operator.index``, a
+TypeError naming the op id and the size, the same for every op id),
+with a size below the smallest, or with one whose bound is over
+``STEP_BUDGET`` = 2^20 steps: ``max_naive`` (2^n - 1 steps) is
 measured up to size 20, ``b_mult`` (at most (n + 1)^2 steps) up to
 1023, and the linear ops up to about a million, though past 50,000
 frames the recursion limit stops them.
@@ -107,6 +114,7 @@ from __future__ import annotations
 
 import collections
 import importlib
+import operator
 import sys
 import threading
 import types
@@ -158,68 +166,59 @@ class deep_recursion:
                 sys.setrecursionlimit(_depth_saved)
 
 
-def _all_ones(module):
-    """Two operands of n one-digits each, the full carry chain, from n:
-    one value, built once and passed twice."""
-    return lambda n: (module.from_int((1 << n) - 1),) * 2
+def _all_ones(m: types.ModuleType, n: int) -> Tuple[Any, Any]:
+    """Two operands of n one-digits each, the full carry chain: one value,
+    built once and passed twice."""
+    return (m.from_int((1 << n) - 1),) * 2
 
 
-# op id -> its row, made from its layer's module on the op's first use:
-# the plain entry function, the functions whose entries are its steps, and
-# its worst-case input of size n (the maxima's lists ascend, so their guard
-# always fails).  _MAKE holds, as plain data, the layer's name, the op's
-# smallest size (a maximum, a last index and a rest need an element), a
-# nondecreasing bound on its steps at size n, cheap at any n (max_naive's
-# stops growing past the budget), and the maker of the row.
-_Op = collections.namedtuple("_Op", "entry counted worst_case")
-_Make = collections.namedtuple("_Make", "layer smallest steps make")
-_MAKE: Dict[str, _Make] = {
-    "u_plus": _Make("unary", 0, lambda n: n + 1,
-                    lambda m: (m.plus, (m.plus,), lambda n: (m.from_int(n), m.from_int(n)))),
-    "u_add": _Make("unary", 0, lambda n: n + 1,
-                   lambda m: (m.add, (m.add,), lambda n: (m.from_int(n), m.from_int(n)))),
-    "sumlist": _Make("listlab", 0, lambda n: n + 1,
-                     lambda m: (m.sumlist, (m.sumlist,), lambda n: (range(n),))),
-    "sumlist2": _Make("listlab", 0, lambda n: n + 2,
-                      lambda m: (m.sumlist2, (m.sumlist2, m.sumh), lambda n: (range(n),))),
-    "filter_keep": _Make("listlab", 0, lambda n: n + 1,
-                         lambda m: (m.filter_keep, (m.filter_keep,),
-                                    lambda n: ((lambda v: v % 2 == 0), range(n)))),
-    "max_naive": _Make("listlab", 1, lambda n: (1 << min(n, 64)) - 1,
-                       lambda m: (m.max_naive, (m.max_naive,), lambda n: (range(1, n + 1),))),
-    "max_fast": _Make("listlab", 1, lambda n: n,
-                      lambda m: (m.max_fast, (m.max_fast,), lambda n: (range(1, n + 1),))),
-    "b_add1": _Make("binary", 0, lambda n: n + 1,
-                    lambda m: (m.add1, (m.add1,), lambda n: (m.from_int((1 << n) - 1),))),
-    "b_add_v1": _Make("binary", 0, lambda n: 2 * n + 1,
-                      lambda m: (m.add_v1, (m.add_v1, m.add1), _all_ones(m))),
-    "b_add_v2": _Make("binary", 0, lambda n: n + 1,
-                      lambda m: (m.add_v2, (m.add_v2, m.add_plus1), _all_ones(m))),
-    "b_mult": _Make("binary", 0, lambda n: (n + 1) ** 2,
-                    lambda m: (m.mult, (m.mult, m.add_v2, m.add_plus1), _all_ones(m))),
-    "i_add": _Make("twoscomp", 0, lambda n: n + 1,
-                   lambda m: (m.add, (m.add, m.add_plus1), _all_ones(m))),
-    "bs_access": _Make("braun", 1, lambda n: n.bit_length() + 1,
-                       lambda m: (m.access, (m.access,), lambda n: (m.replicate(n, 0), n - 1))),
-    "bs_cons": _Make("braun", 0, lambda n: n.bit_length() + 1,
-                     lambda m: (m.cons, (m._push,), lambda n: ("x", m.replicate(n, 0)))),
-    "bs_rest": _Make("braun", 1, lambda n: n.bit_length() + 1,
-                     lambda m: (m.rest, (m._untop,), lambda n: (m.replicate(n, 0),))),
+# op id -> its row, as plain data: its layer's name; the names, in that
+# layer, of the plain entry function and of the functions whose entries are
+# its steps; its smallest size (a maximum, a last index and a rest need an
+# element); a nondecreasing bound on its steps at size n, cheap at any n
+# (max_naive's stops growing past the budget); and its worst-case input of
+# size n, built from the layer's module (the maxima's lists ascend, so their
+# guard always fails)
+_Row = collections.namedtuple("_Row", "layer entry counted smallest steps worst_case")
+_MAKE: Dict[str, _Row] = {
+    "u_plus": _Row("unary", "plus", ("plus",), 0, lambda n: n + 1, lambda m, n: (m.from_int(n), m.from_int(n))),
+    "u_add": _Row("unary", "add", ("add",), 0, lambda n: n + 1, lambda m, n: (m.from_int(n), m.from_int(n))),
+    "sumlist": _Row("listlab", "sumlist", ("sumlist",), 0, lambda n: n + 1, lambda m, n: (range(n),)),
+    "sumlist2": _Row("listlab", "sumlist2", ("sumlist2", "sumh"), 0, lambda n: n + 2, lambda m, n: (range(n),)),
+    "filter_keep": _Row("listlab", "filter_keep", ("filter_keep",), 0, lambda n: n + 1,
+                        lambda m, n: ((lambda v: v % 2 == 0), range(n))),
+    "max_naive": _Row("listlab", "max_naive", ("max_naive",), 1, lambda n: (1 << min(n, 64)) - 1,
+                      lambda m, n: (range(1, n + 1),)),
+    "max_fast": _Row("listlab", "max_fast", ("max_fast",), 1, lambda n: n, lambda m, n: (range(1, n + 1),)),
+    "b_add1": _Row("binary", "add1", ("add1",), 0, lambda n: n + 1, lambda m, n: (m.from_int((1 << n) - 1),)),
+    "b_add_v1": _Row("binary", "add_v1", ("add_v1", "add1"), 0, lambda n: 2 * n + 1, _all_ones),
+    "b_add_v2": _Row("binary", "add_v2", ("add_v2", "add_plus1"), 0, lambda n: n + 1, _all_ones),
+    "b_mult": _Row("binary", "mult", ("mult", "add_v2", "add_plus1"), 0, lambda n: (n + 1) ** 2, _all_ones),
+    "i_add": _Row("twoscomp", "add", ("add", "add_plus1"), 0, lambda n: n + 1, _all_ones),
+    "bs_access": _Row("braun", "access", ("access",), 1, lambda n: n.bit_length() + 1,
+                      lambda m, n: (m.replicate(n, 0), n - 1)),
+    "bs_cons": _Row("braun", "cons", ("_push",), 0, lambda n: n.bit_length() + 1,
+                    lambda m, n: ("x", m.replicate(n, 0))),
+    "bs_rest": _Row("braun", "rest", ("_untop",), 1, lambda n: n.bit_length() + 1, lambda m, n: (m.replicate(n, 0),)),
 }
-_BUILT: Dict[str, _Op] = {}  # each op id used so far -> its row; two threads may both make one, and keep the first
+# each op id used so far -> its layer's module, its entry function and its
+# counted functions; two threads may both build one, and keep the first
+_BUILT: Dict[str, Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {}
 
 
-def _build(op_id: str) -> _Op:
-    """Import op_id's layer and make its row; KeyError for an unknown op id."""
-    layer, _, _, make = _MAKE[op_id]
-    return _BUILT.setdefault(op_id, _Op(*make(importlib.import_module(f"{__package__}.{layer}"))))
+def _build(op_id: str) -> Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]:
+    """op_id's entry in _BUILT, made on first use: import its layer and
+    resolve its row's names there; KeyError for an unknown op id."""
+    if op_id not in _BUILT:
+        row = _MAKE[op_id]
+        layer = importlib.import_module(f"{__package__}.{row.layer}")
+        _BUILT.setdefault(op_id, (layer, getattr(layer, row.entry), tuple(getattr(layer, f) for f in row.counted)))
+    return _BUILT[op_id]
 
-
-_OPS: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda row: row)
 
 STEP_BUDGET = 1 << 20  # the most steps a schedule's sizes may predict
 
-METERED: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda row: row.entry)  # op id -> its plain entry function
+METERED: Mapping = _OnFirstUse(_MAKE, lambda op_id: _build(op_id)[1])  # op id -> its plain entry function
 # per thread: (entry, counted) -> (the entry run against the twins, their
 # step counter); id(a module's namespace) -> (that namespace, a copy of it,
 # the twin of each of its top-level defs by (line, name)).  Keeping the
@@ -313,7 +312,7 @@ class _Suffix:
         return self._items[self._start + k]
 
 
-_LIST_OPS = frozenset(op_id for op_id, make in _MAKE.items() if make.layer == "listlab")
+_LIST_OPS = frozenset(op_id for op_id, row in _MAKE.items() if row.layer == "listlab")
 
 
 def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
@@ -321,18 +320,28 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
 
     A list op's list or tuple argument runs as a :class:`_Suffix` view of
     itself, so that its metered memory is linear in its length."""
-    row = _BUILT.get(op_id) or _OPS[_known(op_id)]  # the plain dict first: a sweep measures once per sample
+    # the plain dict first: a sweep measures once per sample
+    _, entry, counted = _BUILT.get(op_id) or _build(_known(op_id))
     if op_id in _LIST_OPS:
         args = tuple(_Suffix(a) if type(a) is list or type(a) is tuple else a for a in args)
     try:
-        return count(row.entry, row.counted, *args)
+        return count(entry, counted, *args)
     except SourceUnavailable as exc:
         raise SourceUnavailable(
-            f"cannot meter {op_id!r}: the source of {row.entry.__module__} is not available") from exc
+            f"cannot meter {op_id!r}: the source of {entry.__module__} is not available") from exc
 
 
-def _check_size(op_id: str, n: int) -> None:
+def _check_size(op_id: str, sizes: Sequence[int]) -> None:
+    """Refuse, before op_id's layer loads, a size that is not an integer,
+    then a least size that is negative or below op_id's smallest; KeyError
+    for an unknown op id."""
     smallest = _MAKE[_known(op_id)].smallest
+    for n in sizes:
+        try:
+            operator.index(n)
+        except TypeError:
+            raise TypeError(f"{op_id} size is not an integer: {_shown(repr(n))}") from None
+    n = min(sizes)
     if n < 0:
         raise ValueError(f"{op_id} has no worst-case input of negative size {_number(n)}")
     if n < smallest:
@@ -342,24 +351,25 @@ def _check_size(op_id: str, n: int) -> None:
 def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
     """Canonical worst-case input of size n for an operation id.
 
-    Raises KeyError for an unknown op id, and ValueError for a negative
-    size and for size 0 of an op whose input needs an element.
+    Raises KeyError for an unknown op id, TypeError for a size that is
+    not an integer (one ``operator.index`` refuses), and ValueError for a
+    negative size and for size 0 of an op whose input needs an element.
     """
-    _check_size(op_id, n)
-    return _OPS[op_id].worst_case(n)
+    _check_size(op_id, (n,))
+    return _MAKE[op_id].worst_case(_build(op_id)[0], n)
 
 
 def check_schedule(op_id: str, sizes: Sequence[int]) -> None:
     """Refuse a size schedule that the meter would not measure whole.
 
-    Raises ValueError for an empty schedule, for a size that
-    :func:`worst_case_args` refuses, with its message, and for a size
-    whose step bound is over :data:`STEP_BUDGET`; KeyError for an
-    unknown op id.
+    Raises ValueError for an empty schedule, TypeError and ValueError for
+    a size that :func:`worst_case_args` refuses, with its message, and
+    ValueError for a size whose step bound is over :data:`STEP_BUDGET`;
+    KeyError for an unknown op id.  No layer loads.
     """
     if not sizes:
         raise ValueError("empty size schedule")
-    _check_size(op_id, min(sizes))
+    _check_size(op_id, sizes)
     high = max(sizes)  # the step bounds never decrease
     if _MAKE[op_id].steps(high) > STEP_BUDGET:
         raise ValueError(f"{op_id} at size {_number(high)} is over the meter's budget of {STEP_BUDGET} steps")
@@ -368,15 +378,13 @@ def check_schedule(op_id: str, sizes: Sequence[int]) -> None:
 def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:
     """(size, steps) samples over a size schedule, worst-case inputs.
 
-    The schedule is refused whole, as :func:`check_schedule` says, before
-    any size is measured.
+    The schedule is refused whole, as :func:`check_schedule` says (a size
+    that is not an integer with its TypeError), before any size is
+    measured or the op's layer loads.
     """
     check_schedule(op_id, sizes)
-    worst_case, samples = _OPS[op_id].worst_case, []
-    for n in sorted(set(sizes)):
-        _, steps = measured(op_id, *worst_case(n))
-        samples.append((n, steps))
-    return samples
+    layer, worst_case = _build(op_id)[0], _MAKE[op_id].worst_case
+    return [(n, measured(op_id, *worst_case(layer, n))[1]) for n in sorted(set(sizes))]
 
 
 class CostReport(Record):

@@ -153,7 +153,7 @@ def _build_loaded() -> bool:
     return bool(new)
 
 
-KINDS: Mapping = _OnFirstUse(_MAKE, _BUILT, _build, lambda built: built[0])  # kind -> its row
+KINDS: Mapping = _OnFirstUse(_MAKE, lambda kind: (_BUILT.get(kind) or _build(kind))[0])  # kind -> its row
 
 
 def parse_numeral(text: str, kind: str) -> Any:

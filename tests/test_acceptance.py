@@ -273,6 +273,8 @@ def test_c6_cost_separations():
 # --- criterion 7: linear-time binary addition ----------------------------------------
 
 def test_c7_linear_addition_bound(binary_sweep):
+    # the steps read here are the metered adds', which return the plain adds' sums on every pair
+    assert binary_sweep["transparent"], "a metered addition differs from the plain one"
     ok = binary_sweep["bound_v1"] and binary_sweep["bound_v2"]
     ok = ok and costmeter.K_ADD_V1 == 2 and costmeter.K_ADD_V2 == 1
     report(7, "both addition variants within K*(max digits + 1) over all pairs "

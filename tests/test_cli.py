@@ -17,6 +17,7 @@ environment; ``python -S``, the fresh thread, the foreign loaders and the
 first sizes over the meter's budget come from ``tests/shared.py``.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -31,7 +32,7 @@ from shared import FIRST_OVER_BUDGET, NoSource, Sourceless, in_a_fresh_thread, r
 from test_console import BIG, Case, _module_prefix, run_in_process
 
 import numrep
-from numrep import binary, cli, costmeter, listlab, numio, twoscomp, unary
+from numrep import binary, checks, cli, costmeter, listlab, numio, twoscomp, unary
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -778,6 +779,144 @@ def test_eval_meets_the_contract_and_the_library_on_generated_inputs(kind_op, fa
 
     argv = ["eval", "--kind", kind, "--op", op, *operands]
     assert run_in_process(cli.main, outcome(argv, library)) == []
+
+
+# --- bench and check on generated inputs --------------------------------------------
+
+OP_IDS = sorted(costmeter.METERED)
+# the largest size of each op measured here: linear ops to 64, b_mult's (n + 1)^2 to 16,
+# max_naive's 2^n - 1 to 10, and the logarithmic Braun ops to 10^18
+LARGEST = {**dict.fromkeys(OP_IDS, 64), "b_mult": 16, "max_naive": 10,
+           **dict.fromkeys(("bs_access", "bs_cons", "bs_rest"), 10**18)}
+# the Braun ops' first size over the budget, 2^1048575, is past the argument cap: a 5,000-digit size stands in
+FIRST_OVER = {op: str(n) if n < 10**5000 else ONE_AT_5000 for op, n in FIRST_OVER_BUDGET.items()}
+MALFORMED = ["x", "1.5", "0x1", ""]
+PAST_THE_CAP = ["1" * 131073, "1," * 65537]  # longer than the 131072-character argument cap
+LONG_INTS = [ONE_AT_5000, "-" + "9" * 5000]
+UNKNOWN_FLAG = "--frobnicate"
+
+
+def quoted(text):
+    """text as the CLI's own parse messages quote it: the repr of at most its first 60 characters."""
+    return repr(text if len(text) <= 60 else text[:60] + "...")
+
+
+def taken_for_an_option(text):
+    """Whether argparse reads text after an option as another option, not as
+    its value, as Python 3.11's argparse reads ``-1,2``."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--sizes")
+    try:
+        probe.parse_args(["--sizes", text])
+    except argparse.ArgumentError:
+        return True
+    return False
+
+
+@st.composite
+def misspelt_name(draw, names):
+    """One of names with a letter dropped, one added or inserted, upper-cased or spaced."""
+    name = draw(st.sampled_from(names))
+    at = draw(st.integers(0, len(name) - 1))
+    return draw(st.sampled_from([name[:at] + name[at + 1:], name + "x", name[:at] + "_" + name[at:],
+                                 name.upper(), " " + name]))
+
+
+@st.composite
+def sizes_text(draw, op):
+    """A --sizes text: sizes op measures, and at one place, in most texts, size
+    0, a negative size, the first over the budget, a 5,000-digit size or a
+    malformed token; or a text of only a comma or past the cap."""
+    whole = draw(st.sampled_from([None] * 8 + [",", *PAST_THE_CAP]))
+    if whole is not None:
+        return whole
+    tokens = [str(n) for n in draw(st.lists(st.integers(1, LARGEST[op]), min_size=1, max_size=3))]
+    odd = draw(st.sampled_from([None] * 4 + ["0", "negative", FIRST_OVER[op], *LONG_INTS, *MALFORMED]))
+    if odd is not None:
+        odd = str(draw(st.integers(-10**20, -1))) if odd == "negative" else odd
+        tokens.insert(draw(st.integers(0, len(tokens))), odd)
+    return ",".join(tokens)
+
+
+def refusal(argv, message):
+    return Case(argv, 2, stdout="", stderr=f"error: {message}\n")
+
+
+def bench_case(argv, op, text, flag):
+    """What bench must do: print the CSV of the library's own measurement, or
+    refuse with exit 2 and argparse's line, the CLI's pinned parse line or
+    check_schedule's own message, whichever comes first."""
+    if op not in costmeter.METERED:
+        return Case(argv, 2, stdout="", stderr=GOLDEN["bench --op frobnicate --sizes 4"][2].replace(
+            "'frobnicate'", repr(op)))
+    if taken_for_an_option(text):
+        return refusal(argv, "argument --sizes: expected one argument")
+    if flag:
+        return refusal(argv, f"unrecognized arguments: {UNKNOWN_FLAG}")
+    if len(text) > 131072:
+        return refusal(argv, f"--sizes is longer than 131072 characters: {quoted(text)}")
+    try:
+        sizes = [int(token) for token in text.split(",")]
+    except ValueError:
+        return refusal(argv, f"--sizes must be comma-separated integers: {quoted(text)}")
+    try:
+        costmeter.check_schedule(op, sizes)
+    except ValueError as exc:
+        return refusal(argv, str(exc))
+    return Case(argv, 0, stdout=numio.csv_emit(costmeter.measure_schedule(op, sizes)), stderr="")
+
+
+@given(st.sampled_from(OP_IDS), st.sampled_from([None] * 4 + ["op", "flag"]), st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_bench_meets_the_contract_and_the_library_on_generated_inputs(op, fault, data):
+    # and one fault at most: a misspelt op id or an unknown flag
+    text = data.draw(sizes_text(op))
+    if fault == "op":
+        op = data.draw(misspelt_name(OP_IDS))
+    argv = ["bench", "--op", op, "--sizes", text]
+    if fault == "flag":
+        argv.insert(data.draw(st.sampled_from([1, len(argv)])), UNKNOWN_FLAG)
+    with any_int_digits():  # the model reads and prints sizes past 4300 digits, as the command does
+        case = bench_case(argv, op, text, fault == "flag")
+    assert run_in_process(cli.main, case) == []
+
+
+GOOD_SEEDS = st.integers(-2**70, 2**70).map(str) | st.sampled_from(LONG_INTS)
+BAD_SEEDS = st.sampled_from(MALFORMED + PAST_THE_CAP)
+
+
+def check_case(argv, suite, seed, flag):
+    """What check must do: print what listlab's checks print when all hold,
+    or refuse with exit 2 and argparse's line or the CLI's pinned parse line."""
+    if suite not in checks.SUITE_NAMES:
+        return refusal(argv, f"argument --suite: invalid choice: {suite!r} "
+                             "(choose from 'unary', 'listlab', 'binary', 'twoscomp', 'braun', 'all')")
+    if len(seed) > 131072:
+        return refusal(argv, f"--seed is longer than 131072 characters: {quoted(seed)}")
+    try:
+        int(seed)
+    except ValueError:
+        return refusal(argv, f"--seed is not an integer: {quoted(seed)}")
+    if flag:
+        return refusal(argv, f"unrecognized arguments: {UNKNOWN_FLAG}")
+    return Case(argv, 0, stdout=held(suite), stderr="")
+
+
+@given(st.sampled_from(["listlab"] * 4 + list(checks.SUITE_NAMES)), st.sampled_from([None] * 3 + ["suite", "seed", "flag"]),
+       st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_check_meets_the_contract_and_its_output_on_generated_inputs(suite, fault, data):
+    # only listlab runs, to bound the time: another suite gets a seed that is refused
+    if fault == "suite":
+        suite = data.draw(misspelt_name(checks.SUITE_NAMES))
+    runs = suite in checks.SUITE_NAMES and fault != "flag"
+    seed = data.draw(BAD_SEEDS if fault == "seed" or runs and suite != "listlab" else GOOD_SEEDS)
+    argv = ["check", "--suite", suite, "--seed", seed]
+    if fault == "flag":
+        argv.insert(data.draw(st.sampled_from([1, len(argv)])), UNKNOWN_FLAG)
+    with any_int_digits():
+        case = check_case(argv, suite, seed, fault == "flag")
+    assert run_in_process(cli.main, case) == []
 
 
 # --- help and usage text -----------------------------------------------------------

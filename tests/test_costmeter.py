@@ -187,9 +187,9 @@ def test_docstring_table_names_each_op_ids_counted_functions():
     stated = {}
     for line in table.splitlines():
         op_id, counted = line.split(None, 1)
-        names = counted.split(" (")[0].split(", ")  # a parenthesis only comments
-        stated[op_id] = tuple(getattr(globals()[module], fn) for module, fn in (n.split(".") for n in names))
-    assert stated == {op_id: row[1] for op_id, row in costmeter._OPS.items()}
+        stated[op_id] = tuple(counted.split(" (")[0].split(", "))  # a parenthesis only comments
+    assert stated == {op_id: tuple(f"{row.layer}.{name}" for name in row.counted)
+                      for op_id, row in costmeter._MAKE.items()}
 
 
 def test_unknown_operation_id():
@@ -376,6 +376,37 @@ def test_measure_schedule_refuses_before_it_measures(monkeypatch, op_id, sizes):
     assert calls == []
 
 
+@pytest.mark.parametrize("size", [2.5, "3", None, "9" * 100], ids=["float", "text", "none", "long-text"])
+@pytest.mark.parametrize("op_id", sorted(costmeter.METERED))
+def test_a_size_that_is_not_an_integer_is_one_type_error_for_every_op_id(op_id, size):
+    # alone and among good sizes, first, last or inside; a text is quoted by its first 60 characters
+    message = f"{op_id} size is not an integer: {binary._shown(repr(size))}"
+    good = costmeter._MAKE[op_id].smallest
+    calls = [lambda: costmeter.worst_case_args(op_id, size)]
+    for sizes in ([size], [good, size, 3], [size, good], [3, good, size]):
+        calls += [lambda s=sizes: costmeter.check_schedule(op_id, s),
+                  lambda s=sizes: costmeter.measure_schedule(op_id, s)]
+    for call in calls:
+        with pytest.raises(TypeError) as refusal:
+            call()
+        assert str(refusal.value) == message
+
+
+def test_refusing_a_size_that_is_not_an_integer_loads_no_layer():
+    proc = run_python(
+        "from numrep import costmeter as m\n"
+        "refused = 0\n"
+        "for op_id in m.METERED:\n"
+        "    for call in (m.check_schedule, m.measure_schedule):\n"
+        "        try:\n"
+        "            call(op_id, [1, 2.5, 3])\n"
+        "        except TypeError:\n"
+        "            refused += 1\n"
+        "print(refused, *sorted(k for k in sys.modules if k.startswith('numrep')))")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["30", "numrep", "numrep.binary", "numrep.costmeter"]
+
+
 # --- list-op inputs --------------------------------------------------------------
 
 LIST_OPS = ("sumlist", "sumlist2", "filter_keep", "max_naive", "max_fast")
@@ -560,7 +591,8 @@ EVERY_INPUT = {
 def test_no_input_takes_more_steps_than_the_worst_case_input_of_its_size(op_id):
     """The most steps of every input of each size are the worst-case input's,
     within the op's step bound.  The sizes are this test's own: the ROADMAP
-    (item 11) moves each op's size function into its ``_MAKE`` row."""
+    (item 11) adds each op's size function to its plain-data ``_MAKE``
+    row, next to the row's ``worst_case(layer, n)`` and step bound."""
     most = {}
     for n, args in EVERY_INPUT[op_id]():
         most[n] = max(most.get(n, 0), costmeter.measured(op_id, *args)[1])
@@ -809,7 +841,7 @@ def test_deep_recursion_overlapping_in_two_threads():
 
 # --- the clause table ---------------------------------------------------------------
 
-COUNTED = {fn for row in costmeter._OPS.values() for fn in row.counted}
+COUNTED = {fn for op_id in costmeter._MAKE for fn in costmeter._build(op_id)[2]}
 CLAUSE_TABLE = Path(__file__).resolve().parent / "clause_table.txt"
 
 
