@@ -35,8 +35,8 @@ outside value by the two rules here: a text by at most its first 60
 characters, a number past 100 digits by its bit length.  The two
 read-only tables that make a row on its key's first use,
 :data:`numrep.numio.KINDS` and :data:`numrep.costmeter.METERED`, are
-instances of one class here, ``_OnFirstUse``, made from the keys and
-the one function that reads a key's row.
+instances of one class here, ``_OnFirstUse``, made from a table of
+plain-data rows and the one function that resolves a key's row.
 """
 
 from __future__ import annotations

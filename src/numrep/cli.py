@@ -14,7 +14,8 @@ when they are parsed or run; neither loads a layer of its own.
 ``bench`` loads its op id's layer once its schedule is accepted, and
 ``check`` each suite's layer as the suite runs.  Each numeral
 kind's conversions come from its row in :data:`numrep.numio.KINDS`, and
-``eval`` finds each operation's function by name in its layer.  Every
+``eval`` finds each operation's function by name in that row's layer,
+the one its literals load.  Every
 command reads and prints decimals past Python's 4300-digit int/str
 limit: :func:`main` lifts it while it parses and runs a command, and
 restores it after.
@@ -37,8 +38,8 @@ an argument, or the value after an option's ``=``, the same way.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
+import re
 import sys
 from typing import List, Optional, Sequence
 
@@ -49,8 +50,8 @@ class _UsageError(Exception):
     pass
 
 
-# (kind, op) -> the function that runs it, found in the kind's layer when
-# eval runs it, so that eval loads only that layer; rows in --op's order
+# (kind, op) -> the function that runs it, found in the layer of the kind's
+# row in numio.KINDS, the layer its literals load; rows in --op's order
 _EVAL_OPS = {
     ("unary", "plus"): "plus",
     ("unary", "add"): "add",
@@ -130,7 +131,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError(
             f"operation {args.op!r} is not available for kind {args.kind!r}"
         ) from None
-    fn = getattr(importlib.import_module(f"{__package__}.{args.kind}"), name)
+    fn = getattr(numio.KINDS[args.kind].layer, name)
     arity = fn.__code__.co_argcount
     if len(args.operands) != arity:
         raise _UsageError(f"{args.op} takes {arity} operand(s), got {len(args.operands)}")
@@ -216,6 +217,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, add_arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._add_arguments = add_arguments
+        # argparse's private test for an argument that is a value, not an
+        # option, though it starts with "-": set to Python 3.13's, a "-" then
+        # a digit, so that 3.11 too reads "--sizes -1,2" as the value "-1,2"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
         if self._add_arguments is not None:

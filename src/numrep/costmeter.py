@@ -41,7 +41,7 @@ bodies count toward their caller's total (add_v1 includes its
 increments, add_v2 its carry helper, mult its additions); smart
 constructors such as ``even`` and ``odd`` are not steps.  Without the source, it raises
 :class:`SourceUnavailable` naming the op id and its module, and an
-unknown op id raises KeyError.
+unknown op id raises KeyError naming it, as ``METERED[op_id]`` does.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -208,9 +208,9 @@ _BUILT: Dict[str, Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[...
 
 def _build(op_id: str) -> Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]:
     """op_id's entry in _BUILT, made on first use: import its layer and
-    resolve its row's names there; KeyError for an unknown op id."""
+    resolve its row's names there; KeyError naming an unknown op id."""
     if op_id not in _BUILT:
-        row = _MAKE[op_id]
+        row = _MAKE[_known(op_id)]
         layer = importlib.import_module(f"{__package__}.{row.layer}")
         _BUILT.setdefault(op_id, (layer, getattr(layer, row.entry), tuple(getattr(layer, f) for f in row.counted)))
     return _BUILT[op_id]
@@ -321,7 +321,7 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
     A list op's list or tuple argument runs as a :class:`_Suffix` view of
     itself, so that its metered memory is linear in its length."""
     # the plain dict first: a sweep measures once per sample
-    _, entry, counted = _BUILT.get(op_id) or _build(_known(op_id))
+    _, entry, counted = _BUILT.get(op_id) or _build(op_id)
     if op_id in _LIST_OPS:
         args = tuple(_Suffix(a) if type(a) is list or type(a) is tuple else a for a in args)
     try:

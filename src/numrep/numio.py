@@ -3,23 +3,30 @@
 Literals are fully parenthesized constructor applications, one letter per
 constructor, such as ``S(S(Z))`` or ``B(A(N))``.  Whitespace is ignored
 everywhere: the parser removes it once and reads the rest.  Each numeral
-kind is one row of :data:`KINDS`: its alphabet, its conversions from and
-to a machine integer, and its canonicality test and message, if any.
-The alphabets are:
+kind is one row of plain data, as each of the meter's op ids is: its
+layer's name; its alphabet, each letter mapped to the name there of its
+class, with a digit kind's 0-digit letter before its 1-digit letter;
+the names there of its conversions from and to a machine integer; and
+its canonicality message, or None for a kind whose every literal is
+canonical.  The rule that message states is always the layer's own
+``_canonical``.  :data:`KINDS` gives each kind's row with these names
+resolved, and ``layer`` as the layer's module.  The alphabets are:
 
     unary     Z | S(x)
     binary    Z | A(x) | B(x)        A never directly on Z
     twoscomp  Z | N | A(x) | B(x)    additionally B never directly on N
     cd        Z | C(x) | D(x)
 
-This module imports only :mod:`numrep.binary`.  A kind's row, with its
-pattern and its entries in the printer's tables, is made on the kind's
-first use, by :func:`parse_numeral` or ``KINDS[kind]``, which imports
-the kind's layer (:mod:`numrep.braun` for ``cd``); naming, listing or
-testing the kinds imports none.  When the printer meets a class it has
-no entry for, it makes the rows of the layers already loaded and looks
-again, so a value of any kind prints although its kind was never named.
-A process that reads and prints binary literals compiles no other layer.
+This module imports only :mod:`numrep.binary`.  A kind's row is
+resolved, with its pattern and its entries in the printer's tables, on
+the kind's first use, by :func:`parse_numeral` or ``KINDS[kind]``, which
+imports the kind's layer (:mod:`numrep.braun` for ``cd``); naming,
+listing or testing the kinds imports none, and ``KINDS[kind]`` of an
+unknown kind raises KeyError naming it.  When the printer meets a class
+it has no entry for, it resolves the rows of the layers already loaded
+and looks again, so a value of any kind prints although its kind was
+never named.  A process that reads and prints binary literals compiles
+no other layer.
 
 Parsing rejects non-canonical binary and twoscomp literals; that failure
 is a :class:`CanonicalityError`, distinct from a :class:`ParseError`,
@@ -58,7 +65,6 @@ import sys
 from collections.abc import Mapping
 from typing import Any, Callable, Dict, List, Tuple
 
-from . import binary
 from .binary import CanonicalityError, _bits, _from_bits, _OnFirstUse, _shown
 
 
@@ -70,50 +76,55 @@ class ParseError(ValueError):
         self.position = position
 
 
-# each kind's row: its alphabet, letter -> constructor (one with a slot
-# wraps the value in it, one with none is nullary), its (0-digit, 1-digit)
-# classes, which binary's builder and walker convert through, or None for
-# unary, its conversions from and to a machine integer, and its layer's
-# canonicality rule over a chain's innermost digit (as the builder's bit,
-# or "" for none) and its tail, and that rule's message, or None; in a
-# literal only the innermost digit can break canonicality, as every other
-# wraps a digit.  A row is made from its layer's module on its kind's
-# first use, and the parsing and printing tables below with it.
-_Kind = collections.namedtuple("_Kind", "alphabet digits from_int to_int canonical")
-_MAKE: Dict[str, Tuple[str, Callable[[Any], _Kind]]] = {  # kind -> its layer, and its row from that layer
-    "unary": ("unary", lambda m: _Kind({"Z": m.Zero, "S": m.Succ}, None, m.from_int, m.to_int, None)),
-    "binary": ("binary", lambda m: _Kind(
-        {"Z": m.Zero, "A": m.Even, "B": m.Odd}, (m.Even, m.Odd), m.from_int, m.to_int,
-        (m._canonical, "non-canonical literal: A applied directly to Z"))),
-    "twoscomp": ("twoscomp", lambda m: _Kind(
-        {"Z": binary.Zero, "N": m.MinusOne, "A": binary.Even, "B": binary.Odd}, (binary.Even, binary.Odd),
-        m.from_int, m.to_int,
-        (m._canonical, "non-canonical literal: A applied directly to Z, or B directly to N"))),
-    "cd": ("braun", lambda m: _Kind(
-        {"Z": m.IxZero, "C": m.IxOdd, "D": m.IxEven}, (m.IxOdd, m.IxEven), m.cd_from_int, m.cd_to_int, None)),
+# kind -> its row, as plain data: its layer's name; its alphabet, each
+# letter -> the name there of its class (one with a slot wraps the value in
+# it, one with none is nullary), a digit kind's 0-digit letter before its
+# 1-digit letter, which binary's builder and walker convert through as the
+# bits 0 and 1; the names there of its conversions from and to a machine
+# integer; and the message of its canonicality rule, or None.  The rule is
+# the layer's own _canonical over a chain's innermost digit (as the
+# builder's bit, or "" for none) and its tail; in a literal only the
+# innermost digit can break canonicality, as every other wraps a digit.
+_Kind = collections.namedtuple("_Kind", "layer alphabet from_int to_int canonical")
+_MAKE: Dict[str, _Kind] = {
+    "unary": _Kind("unary", {"Z": "Zero", "S": "Succ"}, "from_int", "to_int", None),
+    "binary": _Kind("binary", {"Z": "Zero", "A": "Even", "B": "Odd"}, "from_int", "to_int",
+                    "non-canonical literal: A applied directly to Z"),
+    "twoscomp": _Kind("twoscomp", {"Z": "Zero", "N": "MinusOne", "A": "Even", "B": "Odd"}, "from_int", "to_int",
+                      "non-canonical literal: A applied directly to Z, or B directly to N"),
+    "cd": _Kind("braun", {"Z": "IxZero", "C": "IxOdd", "D": "IxEven"}, "cd_from_int", "cd_to_int", None),
 }
 
-# each built kind -> (its row, its pattern, its parsing table: digit letter
-# -> bit, or None); printing tables: each class's letter, and each wrapper
-# class's reader, which reads a whole run of its kind's wrappers at once and
-# returns (the run's letters, outermost first; what follows the run).  Two
-# threads that build one kind at once store equal entries, _BUILT keeps the
-# first row, and a kind is in _BUILT only once its printing entries are in.
-_BUILT: Dict[str, Tuple[_Kind, "re.Pattern[str]", Any]] = {}
+# each kind used so far -> (its row resolved: the layer's module, the
+# alphabet's classes, the conversions and the rule, or None; its pattern;
+# its parsing table, digit letter -> bit, or None; its (0-digit, 1-digit)
+# classes, or None for unary); printing tables: each class's letter, and
+# each wrapper class's reader, which reads a whole run of its kind's
+# wrappers at once and returns (the run's letters, outermost first; what
+# follows the run).  Two threads that build one kind at once store equal
+# entries, _BUILT keeps the first, and a kind is in _BUILT only once its
+# printing entries are in.
+_BUILT: Dict[str, Tuple[_Kind, "re.Pattern[str]", Any, Any]] = {}
 _LETTERS: Dict[type, str] = {}
 _RUNS: Dict[type, Callable[[Any], Tuple[str, Any]]] = {}
 
 
-def _digit_letters(row: _Kind) -> str:
-    """The letters of row's 0-digit and 1-digit classes, in that order."""
-    return "".join(c for k in row.digits for c, cls in row.alphabet.items() if cls is k)
+def _known(kind: str, error: type = KeyError) -> str:
+    """kind, if it is a numeral kind; else raise error, KeyError unless told, naming it."""
+    if kind not in _MAKE:
+        raise error(f"unknown numeral kind: {_shown(repr(kind))}")
+    return kind
 
 
-def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any]:
-    """Import kind's layer and make its row and tables; KeyError for an unknown kind."""
-    name, make = _MAKE[kind]
-    layer = importlib.import_module(f"{__package__}.{name}")
-    row = make(layer)
+def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any, Any]:
+    """kind's entry in _BUILT: import its layer and resolve its row's names
+    there, and make its tables; KeyError naming an unknown kind."""
+    plain = _MAKE[_known(kind)]
+    layer = importlib.import_module(f"{__package__}.{plain.layer}")
+    alphabet = {c: getattr(layer, name) for c, name in plain.alphabet.items()}
+    row = _Kind(layer, alphabet, getattr(layer, plain.from_int), getattr(layer, plain.to_int),
+                None if plain.canonical is None else layer._canonical)
+    wrappers = "".join(c for c, k in alphabet.items() if k.__slots__)
     # the one pattern over a literal's whitespace-free text, from the
     # alphabet: the openings (wrapper letters each followed by "("), then a
     # wrapper letter with no "(", a nullary letter or neither, then the
@@ -121,50 +132,42 @@ def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any]:
     # that took the nullary letter, closes each opening once and reaches the
     # end, and any other match says where the literal goes wrong.
     pattern = re.compile(r"((?:[{0}]\()*)(?:([{0}])|([{1}]))?(\)*)".format(
-        "".join(c for c, k in row.alphabet.items() if k.__slots__),
-        "".join(c for c, k in row.alphabet.items() if not k.__slots__)))
-    _LETTERS.update((k, c) for c, k in row.alphabet.items())
-    if row.digits:  # binary's walker reads a run of digits as bits
-        letters = _digit_letters(row)
-        to_letters, to_bits = str.maketrans("01", letters), str.maketrans(letters, "01")
+        wrappers, "".join(c for c, k in alphabet.items() if not k.__slots__)))
+    _LETTERS.update((k, c) for c, k in alphabet.items())
+    if len(wrappers) == 2:  # a 0-digit and a 1-digit: binary's walker reads a run of them as bits
+        digits = (alphabet[wrappers[0]], alphabet[wrappers[1]])
+        to_letters, to_bits = str.maketrans("01", wrappers), str.maketrans(wrappers, "01")
 
         def read(x: Any) -> Tuple[str, Any]:
-            bits, rest = _bits(x, *row.digits)
+            bits, rest = _bits(x, *digits)
             return bits[::-1].translate(to_letters), rest
-        _RUNS.update(dict.fromkeys(row.digits, read))
+        _RUNS.update(dict.fromkeys(digits, read))
     else:  # unary: the layer's walk counts a run of its one wrapper
-        (letter, wrapper), = ((c, k) for c, k in row.alphabet.items() if k.__slots__)
-
         def read(x: Any) -> Tuple[str, Any]:
             n, rest = layer._layers(x)
-            return letter * n, rest
-        _RUNS[wrapper] = read
-        to_bits = None
-    return _BUILT.setdefault(kind, (row, pattern, to_bits))
+            return wrappers * n, rest
+        _RUNS[alphabet[wrappers]] = read
+        to_bits = digits = None
+    return _BUILT.setdefault(kind, (row, pattern, to_bits, digits))
 
 
 def _build_loaded() -> bool:
     """Build the row of each kind whose layer is loaded and whose row is not;
     whether there was one."""
-    new = [kind for kind, (name, _) in _MAKE.items()
-           if kind not in _BUILT and f"{__package__}.{name}" in sys.modules]
+    new = [kind for kind, plain in _MAKE.items()
+           if kind not in _BUILT and f"{__package__}.{plain.layer}" in sys.modules]
     for kind in new:
         _build(kind)
     return bool(new)
 
 
-KINDS: Mapping = _OnFirstUse(_MAKE, lambda kind: (_BUILT.get(kind) or _build(kind))[0])  # kind -> its row
+KINDS: Mapping = _OnFirstUse(_MAKE, lambda kind: (_BUILT.get(kind) or _build(kind))[0])  # kind -> its row, resolved
 
 
 def parse_numeral(text: str, kind: str) -> Any:
     """Parse a literal of the given kind; whitespace-insensitive.  An unknown
     kind raises ValueError, quoting at most 60 characters of its repr."""
-    built = _BUILT.get(kind)
-    if built is None:
-        if kind not in _MAKE:
-            raise ValueError(f"unknown numeral kind: {_shown(repr(kind))}")
-        built = _build(kind)
-    row, pattern, to_bits = built
+    row, pattern, to_bits, digits = _BUILT.get(kind) or _build(_known(kind, ValueError))
     compact = "".join(text.split())
     m = pattern.match(compact)
     if not m[3] or 2 * len(m[4]) != len(m[1]) or m.end() != len(compact):
@@ -173,9 +176,9 @@ def parse_numeral(text: str, kind: str) -> Any:
         return row.from_int(len(m[4]))
     bits = m[1][-2::-2].translate(to_bits)  # "A(B(" -> "10": innermost first
     tail = row.alphabet[m[3]]()
-    if row.canonical is not None and not row.canonical[0](bits[:1], tail):
-        raise CanonicalityError(row.canonical[1])
-    return _from_bits(bits, tail, *row.digits)
+    if row.canonical is not None and not row.canonical(bits[:1], tail):
+        raise CanonicalityError(_MAKE[kind].canonical)
+    return _from_bits(bits, tail, *digits)
 
 
 def _syntax_error(text: str, m: re.Match) -> ParseError:

@@ -17,7 +17,6 @@ environment; ``python -S``, the fresh thread, the foreign loaders and the
 first sizes over the meter's budget come from ``tests/shared.py``.
 """
 
-import argparse
 import contextlib
 import io
 import os
@@ -327,7 +326,7 @@ def test_every_eval_operation_is_a_function_of_its_kinds_layer_with_its_arity():
     assert len(cli._EVAL_OPS) == 10
     for (kind, op), name in cli._EVAL_OPS.items():
         fn = getattr(getattr(numrep, kind), name)
-        assert kind == numio._MAKE[kind][0]  # eval loads only the layer its literals load
+        assert kind == numio._MAKE[kind].layer  # eval loads only the layer its literals load
         # eval reads the arity from co_argcount, which counts optional parameters too
         assert (fn.__module__, fn.__defaults__) == (f"numrep.{kind}", None)
 
@@ -801,18 +800,6 @@ def quoted(text):
     return repr(text if len(text) <= 60 else text[:60] + "...")
 
 
-def taken_for_an_option(text):
-    """Whether argparse reads text after an option as another option, not as
-    its value, as Python 3.11's argparse reads ``-1,2``."""
-    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    probe.add_argument("--sizes")
-    try:
-        probe.parse_args(["--sizes", text])
-    except argparse.ArgumentError:
-        return True
-    return False
-
-
 @st.composite
 def misspelt_name(draw, names):
     """One of names with a letter dropped, one added or inserted, upper-cased or spaced."""
@@ -849,8 +836,6 @@ def bench_case(argv, op, text, flag):
     if op not in costmeter.METERED:
         return Case(argv, 2, stdout="", stderr=GOLDEN["bench --op frobnicate --sizes 4"][2].replace(
             "'frobnicate'", repr(op)))
-    if taken_for_an_option(text):
-        return refusal(argv, "argument --sizes: expected one argument")
     if flag:
         return refusal(argv, f"unrecognized arguments: {UNKNOWN_FLAG}")
     if len(text) > 131072:

@@ -76,6 +76,8 @@ CASES = [
     Case(["bench", "--op", "bs_rest", "--sizes", f"1,1000,{BIG}"], stdout=f"n,steps\n1,1\n1000,10\n{BIG},60\n"),
     Case(["bench", "--op", "sumlist", "--sizes=-3"], 2, stdout="",
          stderr="error: sumlist has no worst-case input of negative size -3\n"),
+    Case(["bench", "--op", "sumlist", "--sizes", "-1,2"], 2, stdout="",
+         stderr="error: sumlist has no worst-case input of negative size -1\n"),
     Case(["bench", "--op", "b_mult", "--sizes", "1024"], 2, stdout="",
          stderr="error: b_mult at size 1024 is over the meter's budget of 1048576 steps\n"),
     Case(["bench", "--op", "sumlist", "--sizes", "9" * 5000], 2, stdout="",

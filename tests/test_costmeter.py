@@ -6,6 +6,7 @@ import gc
 import importlib.util
 import itertools
 import json
+import operator
 import random
 import re
 import sys
@@ -208,11 +209,11 @@ def shown(value):
 @pytest.mark.parametrize("op_id", ["no_such_op", "x" * 100_000])
 @pytest.mark.parametrize("call, args", [
     ("measured", (1,)), ("worst_case_args", (4,)), ("check_schedule", ([4],)),
-    ("measure_schedule", ([4],)), ("check_bound", ([4], "linear")),
+    ("measure_schedule", ([4],)), ("check_bound", ([4], "linear")), ("METERED.__getitem__", ()),
 ])
 def test_an_unknown_operation_id_is_quoted_at_most_60_characters(op_id, call, args):
     with pytest.raises(KeyError) as caught:
-        getattr(costmeter, call)(op_id, *args)
+        operator.attrgetter(call)(costmeter)(op_id, *args)
     assert caught.value.args == (f"unknown operation id: {shown(op_id)}",)
 
 

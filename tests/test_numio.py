@@ -220,8 +220,9 @@ def test_an_unknown_kind_is_quoted_at_most_60_characters(kind, shown):
         numio.parse_numeral("Z", kind)
     assert caught.value.args == (f"unknown numeral kind: {shown}",)
     assert kind not in numio.KINDS
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as caught:
         numio.KINDS[kind]
+    assert caught.value.args == (f"unknown numeral kind: {shown}",)
 
 
 def test_kinds_are_four_rows_in_order():
