@@ -36,7 +36,9 @@ characters, a number past 100 digits by its bit length.  The two
 read-only tables that make a row on its key's first use,
 :data:`numrep.numio.KINDS` and :data:`numrep.costmeter.METERED`, are
 instances of one class here, ``_OnFirstUse``, made from a table of
-plain-data rows and the one function that resolves a key's row.
+plain-data rows and the one function that resolves a key's row.  A key
+that cannot be hashed, such as a list, is in neither table: testing it
+gives False, where a dict's test raises TypeError.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class _OnFirstUse(Mapping):
     """A read-only table over the keys of ``keys``, in their order, whose
     rows are made on first use: ``table[key]`` is ``value(key)``, which
     makes and keeps the key's row on its first use, or raises KeyError.
-    Naming, listing or testing the keys makes no row."""
+    Naming, listing or testing the keys makes no row, and testing an
+    unhashable key gives False."""
 
     def __init__(self, keys: Mapping, value: Callable[[Any], Any]) -> None:
         self._keys, self._value = keys, value
@@ -80,7 +83,10 @@ class _OnFirstUse(Mapping):
         return self._value(key)
 
     def __contains__(self, key: object) -> bool:
-        return key in self._keys
+        try:
+            return key in self._keys
+        except TypeError:  # unhashable, as a list is: no key
+            return False
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._keys)

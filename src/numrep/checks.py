@@ -16,14 +16,21 @@ no row holds: ``_b_add_cost_bound`` reads one schedule per op through
 :func:`costmeter.check_bound`, ``_t_render_injective`` and
 ``_br_index_bijection`` read a whole set, ``_br_deque_cost`` an upper
 bound and ``_br_persistence`` one comparison after a run of steps.
-Each check imports its suite's layer when it runs:
+Each check is stated once, where it is defined: :func:`_check` registers
+it in :data:`SUITES` under its suite and printed name, so suites and
+checks run in source order, and the module-level name is bound to the
+registered check, which runs as ``check(rng)``.  The body gets its
+suite's layer as its second argument, imported when the check runs:
 this module imports only :mod:`numrep.binary` and :mod:`numrep.costmeter`,
 which load no other layer, so naming the suites loads none and running
-one loads its own.
+one loads its own.  :func:`run_suite` refuses any other suite name, an
+unhashable one such as a list too, with the KeyError that names it.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,6 +40,22 @@ from .binary import CanonicalityError, Record, _shown
 DEFAULT_SEED = 12345
 
 CheckFn = Callable[[random.Random], Optional[str]]
+
+# suite -> its (printed name, check) pairs, in source order, filled by _check
+SUITES: Dict[str, List[Tuple[str, CheckFn]]] = {}
+
+
+def _check(suite: str, name: str) -> Callable[[Callable[..., Optional[str]]], CheckFn]:
+    """Register the decorated fn(rng, layer) as the check name of suite: the
+    check runs as check(rng), calling fn with numrep.<suite> imported then."""
+    def register(fn: Callable[..., Optional[str]]) -> CheckFn:
+        @functools.wraps(fn)
+        def check(rng: random.Random) -> Optional[str]:
+            return fn(rng, importlib.import_module(f"{__package__}.{suite}"))
+
+        SUITES.setdefault(suite, []).append((name, check))
+        return check
+    return register
 
 
 class CheckResult(Record):
@@ -109,15 +132,13 @@ def _not_canonical(is_canonical, rows, broken="is not canonical"):
 # ---------------------------------------------------------------------------
 # unary
 
-def _u_roundtrip(rng):
-    from . import unary
-
+@_check("unary", "int roundtrip 0..2000")
+def _u_roundtrip(rng, unary):
     return _oracle(unary.to_int, (("from_int", (n,), unary.from_int(n), n) for n in range(2001)))
 
 
-def _u_oracle(rng):
-    from . import unary
-
+@_check("unary", "plus/add agree with machine addition (0..60)")
+def _u_oracle(rng, unary):
     # to_int is type-exact: it reads a + b only from exactly a + b Succ over
     # a Zero, so two results that both read a + b are the same structure
     return _oracle(unary.to_int, (
@@ -126,9 +147,8 @@ def _u_oracle(rng):
         for name, op in (("plus", unary.plus), ("add", unary.add))))
 
 
-def _u_laws(rng):
-    from . import unary
-
+@_check("unary", "plus commutative and associative (0..25)")
+def _u_laws(rng, unary):
     plus = unary.plus
     swapped = (("plus({0},{1}) != plus({1},{0})", (a, b), plus(x, y), plus(y, x))
                for a, b, x, y in _pairs(rng, unary.from_int, range(26), 0, 25, 0))
@@ -138,17 +158,15 @@ def _u_laws(rng):
         for abc in triples for x, y, z in (map(unary.from_int, abc),))
 
 
-def _u_left_identity(rng):
-    from . import unary
-
+@_check("unary", "accumulative add has left identity (0..100)")
+def _u_left_identity(rng, unary):
     # a value check is a structure check, as in _u_oracle
     return _oracle(unary.to_int, (
         ("add", (0, n), unary.add(unary.Zero(), unary.from_int(n)), n) for n in range(101)))
 
 
-def _u_step_counts(rng):
-    from . import unary
-
+@_check("unary", "plus/add step counts equal second argument + 1")
+def _u_step_counts(rng, unary):
     return _costs(
         (op, (a, b), (x, y), b + 1)
         for a, b, x, y in _pairs(rng, unary.from_int, range(0), 0, 40, 60) for op in ("u_plus", "u_add"))
@@ -157,34 +175,32 @@ def _u_step_counts(rng):
 # ---------------------------------------------------------------------------
 # listlab
 
-def _l_accumulator(rng):
-    from . import listlab
-
+@_check("listlab", "accumulating sum equals offset plus structural sum")
+def _l_accumulator(rng, listlab):
     return _oracle(_same, (
         ("sumh", (xs, acc), listlab.sumh(xs, acc), acc + sum(xs))
         for xs in ([rng.randint(-100, 100) for _ in range(rng.randint(0, 50))] for _ in range(500))
         for acc in (rng.randint(-100, 100),)))
 
 
-def _l_sum_variants(rng):
-    from . import listlab
-
+@_check("listlab", "sumlist2 equals sumlist")
+def _l_sum_variants(rng, listlab):
     return _oracle(_same, (
         (name, (xs,), op(xs), sum(xs))
         for xs in ([rng.randint(-100, 100) for _ in range(rng.randint(0, 50))] for _ in range(200))
         for name, op in (("sumlist", listlab.sumlist), ("sumlist2", listlab.sumlist2))))
 
 
-def _l_max_agreement(rng):
-    from . import listlab
-
+@_check("listlab", "both maxima agree with the builtin maximum")
+def _l_max_agreement(rng, listlab):
     return _oracle(_same, (
         (name, (xs,), op(xs), max(xs))
         for xs in ([rng.randint(-50, 50) for _ in range(rng.randint(1, 12))] for _ in range(80))
         for name, op in (("max_naive", listlab.max_naive), ("max_fast", listlab.max_fast))))
 
 
-def _l_step_counts(rng):
+@_check("listlab", "step counts: linear sums/filter, exponential naive max")
+def _l_step_counts(rng, listlab):
     def even(v):
         return v % 2 == 0
 
@@ -199,7 +215,8 @@ def _l_step_counts(rng):
 # ---------------------------------------------------------------------------
 # binary
 
-def _b_shapes(rng):
+@_check("binary", "small values have the expected digit shapes")
+def _b_shapes(rng, binary):
     Z, E, O = binary.Zero, binary.Even, binary.Odd
     shapes = {0: Z(), 1: O(Z()), 2: E(O(Z())), 3: O(O(Z())), 4: E(E(O(Z()))), 5: O(E(O(Z())))}
     v = binary.from_int(1024)
@@ -209,25 +226,29 @@ def _b_shapes(rng):
             or _oracle(binary.size, [("size", (1024,), v, 11)]))
 
 
-def _b_add_oracle(rng):
+@_check("binary", "add agrees with machine addition")
+def _b_add_oracle(rng, binary):
     return _oracle(binary.to_int, (
         (name, (a, b), op(x, y), a + b)
         for a, b, x, y in _pairs(rng, binary.from_int, range(97), 0, 512, 400)
         for name, op in (("add_v1", binary.add_v1), ("add_v2", binary.add_v2))))
 
 
-def _b_add_structural(rng):
+@_check("binary", "both addition algorithms build identical structures")
+def _b_add_structural(rng, binary):
     return _identical(("add_v1({0},{1}) != add_v2({0},{1})", (a, b), binary.add_v1(x, y), binary.add_v2(x, y))
                       for a, b, x, y in _pairs(rng, binary.from_int, range(97), 0, 512, 400))
 
 
-def _b_mult_oracle(rng):
+@_check("binary", "mult agrees with machine multiplication")
+def _b_mult_oracle(rng, binary):
     return _oracle(binary.to_int, (
         ("mult", (a, b), binary.mult(x, y), a * b)
         for a, b, x, y in _pairs(rng, binary.from_int, range(49), 0, 128, 200)))
 
 
-def _b_canonical(rng):
+@_check("binary", "arithmetic outputs are canonical")
+def _b_canonical(rng, binary):
     # the one-operand op on every value in the pairs' range, then the pair ops
     ones = (("add1", (a,), binary.add1(binary.from_int(a))) for a in range(513))
     return _not_canonical(binary.is_canonical, ones) or _not_canonical(binary.is_canonical, (
@@ -236,17 +257,20 @@ def _b_canonical(rng):
         for name, op in (("add_v1", binary.add_v1), ("add_v2", binary.add_v2), ("mult", binary.mult))))
 
 
-def _b_size_law(rng):
+@_check("binary", "size equals the bit length (1..4096)")
+def _b_size_law(rng, binary):
     return _oracle(binary.size, (("size", (n,), binary.from_int(n), n.bit_length()) for n in range(1, 4097)))
 
 
-def _b_add1_cost(rng):
+@_check("binary", "increment cost equals trailing ones + 1")
+def _b_add1_cost(rng, binary):
     # n ends in t ones, so incrementing it takes t + 1 steps
     return _costs(("b_add1", (n,), (binary.from_int(n),), t + 1)
                   for t in range(13) for n in ((1 << t) - 1, ((1 << t) - 1) + (1 << (t + 1))))
 
 
-def _b_add_cost_bound(rng):
+@_check("binary", "addition cost within the frozen linear bound")
+def _b_add_cost_bound(rng, binary):
     # its own code: check_bound reads a whole schedule per op, not one row
     for op, k in (("b_add_v1", costmeter.K_ADD_V1), ("b_add_v2", costmeter.K_ADD_V2)):
         report = costmeter.check_bound(op, [1, 2, 4, 6, 8, 9], "linear", k=k)
@@ -258,16 +282,14 @@ def _b_add_cost_bound(rng):
 # ---------------------------------------------------------------------------
 # twoscomp
 
-def _t_roundtrip(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "signed conversions roundtrip (-512..512)")
+def _t_roundtrip(rng, twoscomp):
     return _oracle(twoscomp.to_int, (
         ("from_int", (n,), twoscomp.from_int(n), n) for n in range(-512, 513)))
 
 
-def _t_arith_oracle(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "add/sub/neg agree with machine arithmetic")
+def _t_arith_oracle(rng, twoscomp):
     # neg first: sub(a, b) is add(a, neg(b)), so a wrong neg is named as itself
     negs = (("neg", (a,), twoscomp.neg(twoscomp.from_int(a)), -a) for a in range(-64, 65))
     return _oracle(twoscomp.to_int, negs) or _oracle(twoscomp.to_int, (
@@ -276,9 +298,8 @@ def _t_arith_oracle(rng):
         for name, op, want in (("add", twoscomp.add, a + b), ("sub", twoscomp.sub, a - b))))
 
 
-def _t_conservative(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "nonnegative add matches the binary algorithm exactly")
+def _t_conservative(rng, twoscomp):
     return _identical(("add({0},{1}) != add_v2({0},{1})", (a, b), twoscomp.add(x, y), binary.add_v2(x, y))
                       for a, b, x, y in _pairs(rng, binary.from_int, range(65), 0, 256, 300))
 
@@ -289,16 +310,14 @@ _BIT_TABLE = {
 }
 
 
-def _t_bit_table(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "bit strings match the fixed table")
+def _t_bit_table(rng, twoscomp):
     return _oracle(twoscomp.render_bits, (
         ("render_bits", (n,), twoscomp.from_int(n), want) for n, want in _BIT_TABLE.items()))
 
 
-def _t_render_injective(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "bit rendering is injective (-512..512)")
+def _t_render_injective(rng, twoscomp):
     # its own code: injectivity is a property of the whole set, not of one row
     seen = {twoscomp.render_bits(twoscomp.from_int(n)) for n in range(-512, 513)}
     if len(seen) != 1025:
@@ -306,9 +325,8 @@ def _t_render_injective(rng):
     return None
 
 
-def _t_involutions(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "complement involution, add1/sub1 inverses")
+def _t_involutions(rng, twoscomp):
     complement, add1, sub1 = twoscomp.complement, twoscomp.add1, twoscomp.sub1
     return _identical(row for n in range(-256, 257) for v in (twoscomp.from_int(n),) for row in (
         ("complement(complement({0})) != {0}", (n,), complement(complement(v)), v),
@@ -316,9 +334,8 @@ def _t_involutions(rng):
         ("sub1(add1({0})) != {0}", (n,), sub1(add1(v)), v)))
 
 
-def _t_canonical(rng):
-    from . import twoscomp
-
+@_check("twoscomp", "arithmetic outputs are canonical")
+def _t_canonical(rng, twoscomp):
     # the one-operand ops on every value in the pairs' range, then the pair ops
     values = {a: twoscomp.from_int(a) for a in range(-256, 257)}
     ones = ((name, (a,), op(x)) for a, x in values.items()
@@ -349,9 +366,8 @@ def _digit_count(i: int) -> int:
     return (i + 1).bit_length() - 1  # the digits of i's index numeral, as numrep.braun derives
 
 
-def _br_shape(rng):
-    from . import braun
-
+@_check("braun", "shape invariant after every operation")
+def _br_shape(rng, braun):
     def rows():
         for length in (0, 1, 2, 3, 5, 10, 50, 200, 500):
             s = braun.from_list([rng.randint(0, 999) for _ in range(length)])
@@ -366,9 +382,8 @@ def _br_shape(rng):
     return _not_canonical(_shape_ok, rows(), "is not a Braun tree")
 
 
-def _br_list_oracle(rng):
-    from . import braun
-
+@_check("braun", "operations agree with plain list operations")
+def _br_list_oracle(rng, braun):
     def rows():
         for length in (0, 1, 2, 3, 7, 20, 100, 300):
             xs = [rng.randint(0, 999) for _ in range(length)]
@@ -389,9 +404,8 @@ def _br_list_oracle(rng):
     return _oracle(_same, rows())
 
 
-def _br_persistence(rng):
-    from . import braun
-
+@_check("braun", "persistence: older versions survive later operations")
+def _br_persistence(rng, braun):
     # its own code: one comparison after a run of steps, not a row per step
     xs = [rng.randint(0, 999) for _ in range(200)]
     s = braun.from_list(xs)
@@ -405,9 +419,8 @@ def _br_persistence(rng):
     return None
 
 
-def _br_depth_law(rng):
-    from . import braun
-
+@_check("braun", "depth equals floor(log2 n) + 1 (1..1024)")
+def _br_depth_law(rng, braun):
     def conses():
         s = braun.EMPTY
         for n in range(1, 1025):
@@ -417,17 +430,15 @@ def _br_depth_law(rng):
     return _oracle(braun.depth, conses())
 
 
-def _br_access_cost(rng):
-    from . import braun
-
+@_check("braun", "access visits equal the index digit count")
+def _br_access_cost(rng, braun):
     return _costs(("bs_access", (f"from_list(range({length}))", i), (s, i), _digit_count(i))
                   for length in (1, 10, 100, 1000) for s in (braun.from_list(range(length)),)
                   for i in {0, length - 1, rng.randrange(length)})
 
 
-def _br_deque_cost(rng):
-    from . import braun
-
+@_check("braun", "cons/rest visits stay within depth + 1")
+def _br_deque_cost(rng, braun):
     # its own code: it reads an upper bound, where _costs reads exact counts
     for length in (0, 1, 5, 33, 200, 1000):
         s = braun.from_list(range(length))
@@ -442,9 +453,8 @@ def _br_deque_cost(rng):
     return None
 
 
-def _br_index_bijection(rng):
-    from . import braun
-
+@_check("braun", "index numerals biject with machine integers")
+def _br_index_bijection(rng, braun):
     values = []
 
     def grow(ix, depth):
@@ -460,52 +470,6 @@ def _br_index_bijection(rng):
         return "digit strings of <= 12 digits do not cover 0..8190 uniquely"
     return _oracle(braun.cd_to_int, (("cd_from_int", (n,), braun.cd_from_int(n), n) for n in (0, 1, 2, 5, 997, 8190)))
 
-
-# ---------------------------------------------------------------------------
-
-SUITES: Dict[str, List[Tuple[str, CheckFn]]] = {
-    "unary": [
-        ("int roundtrip 0..2000", _u_roundtrip),
-        ("plus/add agree with machine addition (0..60)", _u_oracle),
-        ("plus commutative and associative (0..25)", _u_laws),
-        ("accumulative add has left identity (0..100)", _u_left_identity),
-        ("plus/add step counts equal second argument + 1", _u_step_counts),
-    ],
-    "listlab": [
-        ("accumulating sum equals offset plus structural sum", _l_accumulator),
-        ("sumlist2 equals sumlist", _l_sum_variants),
-        ("both maxima agree with the builtin maximum", _l_max_agreement),
-        ("step counts: linear sums/filter, exponential naive max", _l_step_counts),
-    ],
-    "binary": [
-        ("small values have the expected digit shapes", _b_shapes),
-        ("add agrees with machine addition", _b_add_oracle),
-        ("both addition algorithms build identical structures", _b_add_structural),
-        ("mult agrees with machine multiplication", _b_mult_oracle),
-        ("arithmetic outputs are canonical", _b_canonical),
-        ("size equals the bit length (1..4096)", _b_size_law),
-        ("increment cost equals trailing ones + 1", _b_add1_cost),
-        ("addition cost within the frozen linear bound", _b_add_cost_bound),
-    ],
-    "twoscomp": [
-        ("signed conversions roundtrip (-512..512)", _t_roundtrip),
-        ("add/sub/neg agree with machine arithmetic", _t_arith_oracle),
-        ("nonnegative add matches the binary algorithm exactly", _t_conservative),
-        ("bit strings match the fixed table", _t_bit_table),
-        ("bit rendering is injective (-512..512)", _t_render_injective),
-        ("complement involution, add1/sub1 inverses", _t_involutions),
-        ("arithmetic outputs are canonical", _t_canonical),
-    ],
-    "braun": [
-        ("shape invariant after every operation", _br_shape),
-        ("operations agree with plain list operations", _br_list_oracle),
-        ("persistence: older versions survive later operations", _br_persistence),
-        ("depth equals floor(log2 n) + 1 (1..1024)", _br_depth_law),
-        ("access visits equal the index digit count", _br_access_cost),
-        ("cons/rest visits stay within depth + 1", _br_deque_cost),
-        ("index numerals biject with machine integers", _br_index_bijection),
-    ],
-}
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 

@@ -41,7 +41,9 @@ bodies count toward their caller's total (add_v1 includes its
 increments, add_v2 its carry helper, mult its additions); smart
 constructors such as ``even`` and ``odd`` are not steps.  Without the source, it raises
 :class:`SourceUnavailable` naming the op id and its module, and an
-unknown op id raises KeyError naming it, as ``METERED[op_id]`` does.
+unknown op id, an unhashable one such as a list too, raises KeyError
+naming it, as ``METERED[op_id]`` and every other function here that
+takes an op id do; ``[] in METERED`` is False.
 
     op id        counted functions
     -----------  ------------------------------------------------
@@ -209,11 +211,12 @@ _BUILT: Dict[str, Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[...
 def _build(op_id: str) -> Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]:
     """op_id's entry in _BUILT, made on first use: import its layer and
     resolve its row's names there; KeyError naming an unknown op id."""
-    if op_id not in _BUILT:
+    try:
+        return _BUILT[op_id]
+    except (KeyError, TypeError):  # not made yet, or no op id at all
         row = _MAKE[_known(op_id)]
-        layer = importlib.import_module(f"{__package__}.{row.layer}")
-        _BUILT.setdefault(op_id, (layer, getattr(layer, row.entry), tuple(getattr(layer, f) for f in row.counted)))
-    return _BUILT[op_id]
+    layer = importlib.import_module(f"{__package__}.{row.layer}")
+    return _BUILT.setdefault(op_id, (layer, getattr(layer, row.entry), tuple(getattr(layer, f) for f in row.counted)))
 
 
 STEP_BUDGET = 1 << 20  # the most steps a schedule's sizes may predict
@@ -281,7 +284,7 @@ def count(entry: Callable[..., Any], counted: Sequence[Callable[..., Any]], *arg
 
 def _known(op_id: str) -> str:
     """op_id, if it is an op id; else KeyError naming it."""
-    if op_id not in _MAKE:
+    if op_id not in METERED:  # which holds no unhashable key, and says so without TypeError
         raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
     return op_id
 
@@ -320,8 +323,10 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
 
     A list op's list or tuple argument runs as a :class:`_Suffix` view of
     itself, so that its metered memory is linear in its length."""
-    # the plain dict first: a sweep measures once per sample
-    _, entry, counted = _BUILT.get(op_id) or _build(op_id)
+    try:  # the plain dict first: a sweep measures once per sample
+        _, entry, counted = _BUILT[op_id]
+    except (KeyError, TypeError):  # not built yet, or no op id at all
+        _, entry, counted = _build(op_id)
     if op_id in _LIST_OPS:
         args = tuple(_Suffix(a) if type(a) is list or type(a) is tuple else a for a in args)
     try:
@@ -414,18 +419,19 @@ def check_bound(
 
     The inexact forms check steps <= k*f(size) + k, with f the identity,
     the bit length, or 2**size.  The "exact" form requires the expected
-    closed form as a callable and checks equality.  An unknown form, or
-    the "exact" form without its closed form, raises ValueError before
-    anything is measured.
+    closed form as a callable and checks equality.  An unknown form (an
+    unhashable one too), or the "exact" form without its closed form,
+    raises ValueError before anything is measured.
     """
     if bound == "exact":
         if exact is None:
             raise ValueError("exact bound needs its closed form")
         f = exact
-    elif bound in _BOUND_FORMS:
-        f = _BOUND_FORMS[bound]
     else:
-        raise ValueError(f"unknown bound form: {_shown(repr(bound))}")
+        try:
+            f = _BOUND_FORMS[bound]
+        except (KeyError, TypeError):  # no form, an unhashable one too
+            raise ValueError(f"unknown bound form: {_shown(repr(bound))}") from None
     samples = measure_schedule(op_id, sizes)
     if bound == "exact":
         passed = all(steps == f(n) for n, steps in samples)

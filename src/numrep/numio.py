@@ -22,7 +22,9 @@ resolved, with its pattern and its entries in the printer's tables, on
 the kind's first use, by :func:`parse_numeral` or ``KINDS[kind]``, which
 imports the kind's layer (:mod:`numrep.braun` for ``cd``); naming,
 listing or testing the kinds imports none, and ``KINDS[kind]`` of an
-unknown kind raises KeyError naming it.  When the printer meets a class
+unknown kind, an unhashable one such as a list too, raises KeyError
+naming it, as :func:`parse_numeral` raises ValueError; ``[] in KINDS``
+is False.  When the printer meets a class
 it has no entry for, it resolves the rows of the layers already loaded
 and looks again, so a value of any kind prints although its kind was
 never named.  A process that reads and prints binary literals compiles
@@ -111,15 +113,19 @@ _RUNS: Dict[type, Callable[[Any], Tuple[str, Any]]] = {}
 
 def _known(kind: str, error: type = KeyError) -> str:
     """kind, if it is a numeral kind; else raise error, KeyError unless told, naming it."""
-    if kind not in _MAKE:
+    if kind not in KINDS:  # which holds no unhashable key, and says so without TypeError
         raise error(f"unknown numeral kind: {_shown(repr(kind))}")
     return kind
 
 
-def _build(kind: str) -> Tuple[_Kind, "re.Pattern[str]", Any, Any]:
-    """kind's entry in _BUILT: import its layer and resolve its row's names
-    there, and make its tables; KeyError naming an unknown kind."""
-    plain = _MAKE[_known(kind)]
+def _build(kind: str, error: type = KeyError) -> Tuple[_Kind, "re.Pattern[str]", Any, Any]:
+    """kind's entry in _BUILT, made on first use: import its layer and
+    resolve its row's names there, and make its tables; error, KeyError
+    unless told, naming an unknown kind."""
+    try:
+        return _BUILT[kind]
+    except (KeyError, TypeError):  # not made yet, or no kind at all
+        plain = _MAKE[_known(kind, error)]
     layer = importlib.import_module(f"{__package__}.{plain.layer}")
     alphabet = {c: getattr(layer, name) for c, name in plain.alphabet.items()}
     row = _Kind(layer, alphabet, getattr(layer, plain.from_int), getattr(layer, plain.to_int),
@@ -161,13 +167,17 @@ def _build_loaded() -> bool:
     return bool(new)
 
 
-KINDS: Mapping = _OnFirstUse(_MAKE, lambda kind: (_BUILT.get(kind) or _build(kind))[0])  # kind -> its row, resolved
+KINDS: Mapping = _OnFirstUse(_MAKE, lambda kind: _build(kind)[0])  # kind -> its row, resolved
 
 
 def parse_numeral(text: str, kind: str) -> Any:
     """Parse a literal of the given kind; whitespace-insensitive.  An unknown
-    kind raises ValueError, quoting at most 60 characters of its repr."""
-    row, pattern, to_bits, digits = _BUILT.get(kind) or _build(_known(kind, ValueError))
+    kind, an unhashable one too, raises ValueError, quoting at most 60
+    characters of its repr."""
+    try:  # the plain dict first: a kind is built once, and parsed often
+        row, pattern, to_bits, digits = _BUILT[kind]
+    except (KeyError, TypeError):  # not built yet, or no kind at all
+        row, pattern, to_bits, digits = _build(kind, ValueError)
     compact = "".join(text.split())
     m = pattern.match(compact)
     if not m[3] or 2 * len(m[4]) != len(m[1]) or m.end() != len(compact):

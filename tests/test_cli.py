@@ -703,8 +703,22 @@ EVAL_FNS = {("unary", "plus"): unary.plus, ("unary", "add"): unary.add, ("unary"
             ("binary", "add"): binary.add_v2, ("binary", "add1"): binary.add1, ("binary", "mul"): binary.mult,
             ("twoscomp", "add"): twoscomp.add, ("twoscomp", "add1"): twoscomp.add1,
             ("twoscomp", "neg"): twoscomp.neg, ("twoscomp", "sub"): twoscomp.sub}
+EVAL_OPS = sorted({op for _, op in EVAL_FNS})
 # ints in the small range and far past it, past unary's height bound of 2**20 both ways
 ints = st.integers(-300, 300) | st.integers(2**21, 2**80) | st.integers(-2**80, -2**21)
+UNKNOWN_FLAG = "--frobnicate"
+
+
+@st.composite
+def misspelt_name(draw, names):
+    """One of names with a letter dropped, one added or inserted, upper-cased or spaced."""
+    name = draw(st.sampled_from(names))
+    at = draw(st.integers(0, len(name) - 1))
+    return draw(st.sampled_from([name[:at] + name[at + 1:], name + "x", name[:at] + "_" + name[at:],
+                                 name.upper(), " " + name]))
+
+
+UNKNOWN_KINDS = st.sampled_from(["Binary", "bin", "", "x" * 100]) | misspelt_name(KIND_NAMES)
 
 
 @st.composite
@@ -737,13 +751,23 @@ def mutated(draw, t):
     }[how]()
 
 
-@given(st.sampled_from(KIND_NAMES), st.sampled_from(FORMS), st.sampled_from(FORMS), st.booleans(), st.data())
+@given(st.sampled_from(KIND_NAMES), st.sampled_from(FORMS), st.sampled_from(FORMS), st.booleans(),
+       st.sampled_from([None] * 8 + ["kind", "from", "to", "flag"]), st.data())
 @settings(max_examples=250, derandomize=True, deadline=None)
-def test_convert_meets_the_contract_and_the_library_on_generated_inputs(kind, src, dst, whole, data):
+def test_convert_meets_the_contract_and_the_library_on_generated_inputs(kind, src, dst, whole, usage, data):
     text = data.draw(texts(kind, src))
     text = text if whole else data.draw(mutated(text))
+    # and in some examples one usage fault: an unknown kind or form, or an unknown flag
+    kind = data.draw(UNKNOWN_KINDS) if usage == "kind" else kind
+    src = data.draw(misspelt_name(FORMS)) if usage == "from" else src
+    dst = data.draw(misspelt_name(FORMS)) if usage == "to" else dst
+    argv = ["convert", "--kind", kind, "--from", src, "--to", dst, text]
+    if usage == "flag":
+        argv.insert(data.draw(st.sampled_from([1, len(argv)])), UNKNOWN_FLAG)
 
     def library():
+        if kind not in KIND_NAMES or not {src, dst} <= set(FORMS) or usage == "flag":
+            raise Usage
         if "bits" in (src, dst) and kind != "twoscomp":
             raise Usage
         row = numio.KINDS[kind]
@@ -752,14 +776,15 @@ def test_convert_meets_the_contract_and_the_library_on_generated_inputs(kind, sr
         return (row.to_int(value) if dst == "int" else numio.print_numeral(value) if dst == "literal"
                 else twoscomp.render_bits(value))
 
-    argv = ["convert", "--kind", kind, "--from", src, "--to", dst, text]
     assert run_in_process(cli.main, outcome(argv, library)) == []
 
 
-@given(st.sampled_from(list(EVAL_FNS)), st.sampled_from([None] * 3 + ["operand", "kind", "arity"]), st.data())
+@given(st.sampled_from(list(EVAL_FNS)), st.sampled_from([None] * 3 + ["operand", "kind", "arity"]),
+       st.sampled_from([None] * 8 + ["kind", "op", "flag"]), st.data())
 @settings(max_examples=250, derandomize=True, deadline=None)
-def test_eval_meets_the_contract_and_the_library_on_generated_inputs(kind_op, fault, data):
-    # an op's own operands, or one fault: a mutated operand, another kind or another operand count
+def test_eval_meets_the_contract_and_the_library_on_generated_inputs(kind_op, fault, usage, data):
+    # an op's own operands, or one fault: a mutated operand, another kind or another operand count;
+    # and in some examples one usage fault: an unknown kind or op, or an unknown flag
     (kind, op), arity = kind_op, EVAL_FNS[kind_op].__code__.co_argcount
     operands = [data.draw(texts(kind, "literal")) for _ in range(arity)]
     if fault == "operand":
@@ -769,14 +794,18 @@ def test_eval_meets_the_contract_and_the_library_on_generated_inputs(kind_op, fa
         kind = data.draw(st.sampled_from(KIND_NAMES))
     elif fault == "arity":
         operands = (operands * 3)[:data.draw(st.sampled_from([n for n in (1, 2, 3) if n != arity]))]
+    kind = data.draw(UNKNOWN_KINDS) if usage == "kind" else kind
+    op = data.draw(st.sampled_from(["Add", "", "x" * 100]) | misspelt_name(EVAL_OPS)) if usage == "op" else op
+    argv = ["eval", "--kind", kind, "--op", op, *operands]
+    if usage == "flag":
+        argv.insert(data.draw(st.sampled_from([1, len(argv)])), UNKNOWN_FLAG)
     fn = EVAL_FNS.get((kind, op))
 
     def library():
-        if fn is None or len(operands) != fn.__code__.co_argcount:
+        if fn is None or len(operands) != fn.__code__.co_argcount or usage == "flag":
             raise Usage
         return numio.print_numeral(fn(*[read_literal(text, kind) for text in operands]))
 
-    argv = ["eval", "--kind", kind, "--op", op, *operands]
     assert run_in_process(cli.main, outcome(argv, library)) == []
 
 
@@ -792,21 +821,11 @@ FIRST_OVER = {op: str(n) if n < 10**5000 else ONE_AT_5000 for op, n in FIRST_OVE
 MALFORMED = ["x", "1.5", "0x1", ""]
 PAST_THE_CAP = ["1" * 131073, "1," * 65537]  # longer than the 131072-character argument cap
 LONG_INTS = [ONE_AT_5000, "-" + "9" * 5000]
-UNKNOWN_FLAG = "--frobnicate"
 
 
 def quoted(text):
     """text as the CLI's own parse messages quote it: the repr of at most its first 60 characters."""
     return repr(text if len(text) <= 60 else text[:60] + "...")
-
-
-@st.composite
-def misspelt_name(draw, names):
-    """One of names with a letter dropped, one added or inserted, upper-cased or spaced."""
-    name = draw(st.sampled_from(names))
-    at = draw(st.integers(0, len(name) - 1))
-    return draw(st.sampled_from([name[:at] + name[at + 1:], name + "x", name[:at] + "_" + name[at:],
-                                 name.upper(), " " + name]))
 
 
 @st.composite

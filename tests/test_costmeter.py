@@ -206,7 +206,7 @@ def shown(value):
     return text if len(text) <= 60 else text[:60] + "..."
 
 
-@pytest.mark.parametrize("op_id", ["no_such_op", "x" * 100_000])
+@pytest.mark.parametrize("op_id", ["no_such_op", "x" * 100_000, []])
 @pytest.mark.parametrize("call, args", [
     ("measured", (1,)), ("worst_case_args", (4,)), ("check_schedule", ([4],)),
     ("measure_schedule", ([4],)), ("check_bound", ([4], "linear")), ("METERED.__getitem__", ()),
@@ -287,7 +287,7 @@ def test_check_bound_unknown_form():
         costmeter.check_bound("sumlist", [10], "quadratic")
 
 
-@pytest.mark.parametrize("form", ["quadratic", "q" * 100_000])
+@pytest.mark.parametrize("form", ["quadratic", "q" * 100_000, []])
 def test_an_unknown_bound_form_is_quoted_at_most_60_characters(form):
     with pytest.raises(ValueError) as caught:
         costmeter.check_bound("sumlist", [10], form)

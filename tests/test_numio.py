@@ -213,7 +213,7 @@ def test_parse_unknown_kind():
 
 
 @pytest.mark.parametrize("kind, shown", [
-    ("ternary", "'ternary'"), ("k" * 100_000, "'" + "k" * 59 + "..."), (5, "5"),
+    ("ternary", "'ternary'"), ("k" * 100_000, "'" + "k" * 59 + "..."), (5, "5"), ([], "[]"),
 ])
 def test_an_unknown_kind_is_quoted_at_most_60_characters(kind, shown):
     with pytest.raises(ValueError) as caught:
