@@ -36,9 +36,10 @@ characters, a number past 100 digits by its bit length.  The two
 read-only tables that make a row on its key's first use,
 :data:`numrep.numio.KINDS` and :data:`numrep.costmeter.METERED`, are
 instances of one class here, ``_OnFirstUse``, made from a table of
-plain-data rows and the one function that resolves a key's row.  A key
-that cannot be hashed, such as a list, is in neither table: testing it
-gives False, where a dict's test raises TypeError.
+plain-data rows and the one function that makes a row's entry; it alone
+keeps the entries made and refuses an unknown key.  A key that cannot be
+hashed, such as a list, is in neither table: testing it gives False,
+where a dict's test raises TypeError.
 """
 
 from __future__ import annotations
@@ -70,29 +71,50 @@ def _number(n: int, noun: str = "") -> str:
 
 
 class _OnFirstUse(Mapping):
-    """A read-only table over the keys of ``keys``, in their order, whose
-    rows are made on first use: ``table[key]`` is ``value(key)``, which
-    makes and keeps the key's row on its first use, or raises KeyError.
-    Naming, listing or testing the keys makes no row, and testing an
-    unhashable key gives False."""
+    """A read-only table over the keys of ``rows``, in their order, whose
+    plain rows are made on first use into entries by ``make(row)``.
 
-    def __init__(self, keys: Mapping, value: Callable[[Any], Any]) -> None:
-        self._keys, self._value = keys, value
+    ``row(key, error)`` is the key's plain row, and makes nothing;
+    ``entry(key, error)`` is ``make(row)``, made on the key's first use
+    and kept, and where two threads make one key's entry at once the first
+    kept is the one every later lookup returns; ``table[key]`` is
+    ``entry(key)[pick]``.  An unknown key, an unhashable one such as a list
+    too, makes ``row`` and ``entry`` raise ``error``, KeyError unless told,
+    as ``"unknown <noun>: <key>"`` with at most 60 characters of its repr.
+    Naming, listing, counting or testing the keys makes no entry, and
+    testing an unhashable key gives False."""
+
+    def __init__(self, rows: Mapping, make: Callable[[Any], Any], noun: str, pick: int) -> None:
+        self._rows, self._make, self._noun, self._pick = rows, make, noun, pick
+        self._made: Dict[Any, Any] = {}
+
+    def row(self, key: Any, error: type = KeyError) -> Any:
+        try:
+            return self._rows[key]
+        except (KeyError, TypeError):  # no key, an unhashable one too
+            raise error(f"unknown {self._noun}: {_shown(repr(key))}") from None
+
+    def entry(self, key: Any, error: type = KeyError) -> Any:
+        try:  # the plain dict first: a key is made once, and read often
+            return self._made[key]
+        except (KeyError, TypeError):  # not made yet, or no key at all
+            row = self.row(key, error)
+        return self._made.setdefault(key, self._make(row))
 
     def __getitem__(self, key: Any) -> Any:
-        return self._value(key)
+        return self.entry(key)[self._pick]
 
     def __contains__(self, key: object) -> bool:
         try:
-            return key in self._keys
+            return key in self._rows
         except TypeError:  # unhashable, as a list is: no key
             return False
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self._keys)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._rows)
 
 
 class Record:

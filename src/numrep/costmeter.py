@@ -69,13 +69,14 @@ as ``numio.KINDS`` is).  Each op id has one row in ``_MAKE``, plain
 data that names no function object: the op's layer, the names there of
 its entry and of its counted functions, its smallest size, a bound on
 its steps at size n, and its worst-case input of size n, built from the
-layer's module as ``worst_case(layer, n)``.  ``_build`` imports an op's
-layer on the op's first use, resolves the row's names there once and
-keeps them in ``_BUILT``, which :func:`measured`,
-:func:`worst_case_args`, :func:`measure_schedule` and :data:`METERED`
-all read: naming, listing or testing the op ids imports no layer, and
-neither does refusing a schedule, so this module itself imports only
-:mod:`numrep.binary`.
+layer's module as ``worst_case(layer, n)``.  ``_build(row)`` imports
+the row's layer and resolves its names there; :data:`METERED` makes an
+op's entry so on the op's first use, keeps it, and refuses an unknown
+op id, and :func:`measured`, :func:`worst_case_args` and
+:func:`measure_schedule` read their op's entry from it.  Naming,
+listing or testing the op ids imports no layer, and neither does
+refusing a schedule, which reads only the plain row, so this module
+itself imports only :mod:`numrep.binary`.
 
 Sizes mean, per operation: the denoted value for the unary ops, the list
 length for the list ops, the digit count of an all-ones operand for the
@@ -120,7 +121,6 @@ import operator
 import sys
 import threading
 import types
-from collections.abc import Mapping
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .binary import Record, _number, _OnFirstUse, _shown
@@ -203,25 +203,19 @@ _MAKE: Dict[str, _Row] = {
                     lambda m, n: ("x", m.replicate(n, 0))),
     "bs_rest": _Row("braun", "rest", ("_untop",), 1, lambda n: n.bit_length() + 1, lambda m, n: (m.replicate(n, 0),)),
 }
-# each op id used so far -> its layer's module, its entry function and its
-# counted functions; two threads may both build one, and keep the first
-_BUILT: Dict[str, Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]] = {}
 
 
-def _build(op_id: str) -> Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]:
-    """op_id's entry in _BUILT, made on first use: import its layer and
-    resolve its row's names there; KeyError naming an unknown op id."""
-    try:
-        return _BUILT[op_id]
-    except (KeyError, TypeError):  # not made yet, or no op id at all
-        row = _MAKE[_known(op_id)]
+def _build(row: _Row) -> Tuple[types.ModuleType, Callable[..., Any], Tuple[Callable[..., Any], ...]]:
+    """An op's entry, made from its row: import its layer, and resolve
+    there the names of its entry function and of its counted functions."""
     layer = importlib.import_module(f"{__package__}.{row.layer}")
-    return _BUILT.setdefault(op_id, (layer, getattr(layer, row.entry), tuple(getattr(layer, f) for f in row.counted)))
+    return layer, getattr(layer, row.entry), tuple(getattr(layer, f) for f in row.counted)
 
 
 STEP_BUDGET = 1 << 20  # the most steps a schedule's sizes may predict
 
-METERED: Mapping = _OnFirstUse(_MAKE, lambda op_id: _build(op_id)[1])  # op id -> its plain entry function
+# op id -> its plain entry function; METERED.entry(op_id) is _build of its row
+METERED: _OnFirstUse = _OnFirstUse(_MAKE, _build, "operation id", 1)
 # per thread: (entry, counted) -> (the entry run against the twins, their
 # step counter); id(a module's namespace) -> (that namespace, a copy of it,
 # the twin of each of its top-level defs by (line, name)).  Keeping the
@@ -282,13 +276,6 @@ def count(entry: Callable[..., Any], counted: Sequence[Callable[..., Any]], *arg
     return result, steps[0]
 
 
-def _known(op_id: str) -> str:
-    """op_id, if it is an op id; else KeyError naming it."""
-    if op_id not in METERED:  # which holds no unhashable key, and says so without TypeError
-        raise KeyError(f"unknown operation id: {_shown(repr(op_id))}")
-    return op_id
-
-
 class _Suffix:
     """A list or tuple from index ``start`` on, without a copy: its ``[k:]``
     is another view, O(1) as a range's slice is, so a list op's pending
@@ -323,10 +310,7 @@ def measured(op_id: str, *args: Any) -> Tuple[Any, int]:
 
     A list op's list or tuple argument runs as a :class:`_Suffix` view of
     itself, so that its metered memory is linear in its length."""
-    try:  # the plain dict first: a sweep measures once per sample
-        _, entry, counted = _BUILT[op_id]
-    except (KeyError, TypeError):  # not built yet, or no op id at all
-        _, entry, counted = _build(op_id)
+    _, entry, counted = METERED.entry(op_id)
     if op_id in _LIST_OPS:
         args = tuple(_Suffix(a) if type(a) is list or type(a) is tuple else a for a in args)
     try:
@@ -340,7 +324,7 @@ def _check_size(op_id: str, sizes: Sequence[int]) -> None:
     """Refuse, before op_id's layer loads, a size that is not an integer,
     then a least size that is negative or below op_id's smallest; KeyError
     for an unknown op id."""
-    smallest = _MAKE[_known(op_id)].smallest
+    smallest = METERED.row(op_id).smallest
     for n in sizes:
         try:
             operator.index(n)
@@ -361,7 +345,7 @@ def worst_case_args(op_id: str, n: int) -> Tuple[Any, ...]:
     negative size and for size 0 of an op whose input needs an element.
     """
     _check_size(op_id, (n,))
-    return _MAKE[op_id].worst_case(_build(op_id)[0], n)
+    return _MAKE[op_id].worst_case(METERED.entry(op_id)[0], n)
 
 
 def check_schedule(op_id: str, sizes: Sequence[int]) -> None:
@@ -388,7 +372,7 @@ def measure_schedule(op_id: str, sizes: Sequence[int]) -> List[Tuple[int, int]]:
     measured or the op's layer loads.
     """
     check_schedule(op_id, sizes)
-    layer, worst_case = _build(op_id)[0], _MAKE[op_id].worst_case
+    layer, worst_case = METERED.entry(op_id)[0], _MAKE[op_id].worst_case
     return [(n, measured(op_id, *worst_case(layer, n))[1]) for n in sorted(set(sizes))]
 
 

@@ -17,18 +17,19 @@ resolved, and ``layer`` as the layer's module.  The alphabets are:
     twoscomp  Z | N | A(x) | B(x)    additionally B never directly on N
     cd        Z | C(x) | D(x)
 
-This module imports only :mod:`numrep.binary`.  A kind's row is
-resolved, with its pattern and its entries in the printer's tables, on
-the kind's first use, by :func:`parse_numeral` or ``KINDS[kind]``, which
-imports the kind's layer (:mod:`numrep.braun` for ``cd``); naming,
-listing or testing the kinds imports none, and ``KINDS[kind]`` of an
-unknown kind, an unhashable one such as a list too, raises KeyError
+This module imports only :mod:`numrep.binary`.  ``_build(row)``
+imports a kind's layer (:mod:`numrep.braun` for ``cd``), resolves the
+row's names there, makes the kind's pattern and adds its classes to the
+printer's table; :data:`KINDS`, ``binary``'s on-first-use table, makes
+a kind's entry so on the kind's first use, by :func:`parse_numeral` or
+``KINDS[kind]``, keeps it, and refuses an unknown kind.  Naming,
+listing or testing the kinds imports no layer, and ``KINDS[kind]`` of
+an unknown kind, an unhashable one such as a list too, raises KeyError
 naming it, as :func:`parse_numeral` raises ValueError; ``[] in KINDS``
-is False.  When the printer meets a class
-it has no entry for, it resolves the rows of the layers already loaded
-and looks again, so a value of any kind prints although its kind was
-never named.  A process that reads and prints binary literals compiles
-no other layer.
+is False.  When the printer meets a class it has no reader for, it
+makes the entries of the kinds whose layers are loaded and looks again,
+so a value of any kind prints although its kind was never named.  A
+process that reads and prints binary literals compiles no other layer.
 
 Parsing rejects non-canonical binary and twoscomp literals; that failure
 is a :class:`CanonicalityError`, distinct from a :class:`ParseError`,
@@ -48,13 +49,16 @@ does.
 Literals convert through :mod:`numrep.binary`'s builder and walker, like
 every other conversion in the package.  The wrapper letters of a binary,
 twoscomp or cd literal translate to the builder's bits, and one builder
-call wraps them onto the tail.  The printer loops over runs: each wrapper
-class has one reader, which reads a whole run of its kind's wrappers and
-returns the run's letters and what follows it.  A digit's reader is
-binary's walker, whose bits translate back to letters; unary's wrapper's
-is the walk that :func:`numrep.unary.to_int` counts with, repeating the
-wrapper's letter.  What follows a run ends the text or starts the next
-run.  The printer never recurses, so a chain of any length prints.
+call wraps them onto the tail.  The printer reads one table, each class
+of a kind made so far -> its reader, which returns the letters it read
+and what follows them.  A wrapper class's reader reads a whole run of
+its kind's wrappers: a digit's is binary's walker, whose bits translate
+back to letters, and unary's wrapper's is the walk that
+:func:`numrep.unary.to_int` counts with, repeating the wrapper's letter.
+A nullary class's reader reads its letter, which ends the text.  A
+kind's first use adds all of its classes to the table in one step, so a
+printer in another thread sees all of them or none.  The printer loops
+over runs and never recurses, so a chain of any length prints.
 """
 
 from __future__ import annotations
@@ -64,10 +68,9 @@ import importlib
 import itertools
 import re
 import sys
-from collections.abc import Mapping
 from typing import Any, Callable, Dict, List, Tuple
 
-from .binary import CanonicalityError, _bits, _from_bits, _OnFirstUse, _shown
+from .binary import CanonicalityError, _bits, _from_bits, _OnFirstUse
 
 
 class ParseError(ValueError):
@@ -97,35 +100,20 @@ _MAKE: Dict[str, _Kind] = {
     "cd": _Kind("braun", {"Z": "IxZero", "C": "IxOdd", "D": "IxEven"}, "cd_from_int", "cd_to_int", None),
 }
 
-# each kind used so far -> (its row resolved: the layer's module, the
-# alphabet's classes, the conversions and the rule, or None; its pattern;
-# its parsing table, digit letter -> bit, or None; its (0-digit, 1-digit)
-# classes, or None for unary); printing tables: each class's letter, and
-# each wrapper class's reader, which reads a whole run of its kind's
-# wrappers at once and returns (the run's letters, outermost first; what
-# follows the run).  Two threads that build one kind at once store equal
-# entries, _BUILT keeps the first, and a kind is in _BUILT only once its
-# printing entries are in.
-_BUILT: Dict[str, Tuple[_Kind, "re.Pattern[str]", Any, Any]] = {}
-_LETTERS: Dict[type, str] = {}
-_RUNS: Dict[type, Callable[[Any], Tuple[str, Any]]] = {}
+# the printer's table: each class of a kind made so far -> its reader, which
+# returns (the letters it read, outermost first; what follows them, or _END
+# after a nullary class's letter)
+_END = object()
+_PRINT: Dict[type, Callable[[Any], Tuple[str, Any]]] = {}
 
 
-def _known(kind: str, error: type = KeyError) -> str:
-    """kind, if it is a numeral kind; else raise error, KeyError unless told, naming it."""
-    if kind not in KINDS:  # which holds no unhashable key, and says so without TypeError
-        raise error(f"unknown numeral kind: {_shown(repr(kind))}")
-    return kind
-
-
-def _build(kind: str, error: type = KeyError) -> Tuple[_Kind, "re.Pattern[str]", Any, Any]:
-    """kind's entry in _BUILT, made on first use: import its layer and
-    resolve its row's names there, and make its tables; error, KeyError
-    unless told, naming an unknown kind."""
-    try:
-        return _BUILT[kind]
-    except (KeyError, TypeError):  # not made yet, or no kind at all
-        plain = _MAKE[_known(kind, error)]
+def _build(plain: _Kind) -> Tuple[_Kind, "re.Pattern[str]", Any, Any]:
+    """A kind's entry, made from its row: import its layer and resolve the
+    row's names there, make its pattern, and add its classes' readers to
+    the printer's table.  The entry is (the row resolved: the layer's
+    module, the alphabet's classes, the conversions and the rule, or None;
+    the pattern; the parsing table, digit letter -> bit, or None; the
+    (0-digit, 1-digit) classes, or None for unary)."""
     layer = importlib.import_module(f"{__package__}.{plain.layer}")
     alphabet = {c: getattr(layer, name) for c, name in plain.alphabet.items()}
     row = _Kind(layer, alphabet, getattr(layer, plain.from_int), getattr(layer, plain.to_int),
@@ -139,7 +127,7 @@ def _build(kind: str, error: type = KeyError) -> Tuple[_Kind, "re.Pattern[str]",
     # end, and any other match says where the literal goes wrong.
     pattern = re.compile(r"((?:[{0}]\()*)(?:([{0}])|([{1}]))?(\)*)".format(
         wrappers, "".join(c for c, k in alphabet.items() if not k.__slots__)))
-    _LETTERS.update((k, c) for c, k in alphabet.items())
+    readers = {k: (lambda x, done=(c, _END): done) for c, k in alphabet.items() if not k.__slots__}
     if len(wrappers) == 2:  # a 0-digit and a 1-digit: binary's walker reads a run of them as bits
         digits = (alphabet[wrappers[0]], alphabet[wrappers[1]])
         to_letters, to_bits = str.maketrans("01", wrappers), str.maketrans(wrappers, "01")
@@ -147,37 +135,36 @@ def _build(kind: str, error: type = KeyError) -> Tuple[_Kind, "re.Pattern[str]",
         def read(x: Any) -> Tuple[str, Any]:
             bits, rest = _bits(x, *digits)
             return bits[::-1].translate(to_letters), rest
-        _RUNS.update(dict.fromkeys(digits, read))
+        readers.update(dict.fromkeys(digits, read))
     else:  # unary: the layer's walk counts a run of its one wrapper
         def read(x: Any) -> Tuple[str, Any]:
             n, rest = layer._layers(x)
             return wrappers * n, rest
-        _RUNS[alphabet[wrappers]] = read
+        readers[alphabet[wrappers]] = read
         to_bits = digits = None
-    return _BUILT.setdefault(kind, (row, pattern, to_bits, digits))
+    _PRINT.update(readers)  # in one step: a printer in another thread sees all of the kind's classes or none
+    return row, pattern, to_bits, digits
 
 
-def _build_loaded() -> bool:
-    """Build the row of each kind whose layer is loaded and whose row is not;
-    whether there was one."""
-    new = [kind for kind, plain in _MAKE.items()
-           if kind not in _BUILT and f"{__package__}.{plain.layer}" in sys.modules]
-    for kind in new:
-        _build(kind)
-    return bool(new)
+# kind -> its row, resolved; KINDS.entry(kind) is _build of its plain row
+KINDS: _OnFirstUse = _OnFirstUse(_MAKE, _build, "numeral kind", 0)
 
 
-KINDS: Mapping = _OnFirstUse(_MAKE, lambda kind: _build(kind)[0])  # kind -> its row, resolved
+def _build_loaded() -> None:
+    """Make the entry of each kind whose layer is loaded."""
+    for kind, plain in _MAKE.items():
+        if f"{__package__}.{plain.layer}" in sys.modules:
+            KINDS.entry(kind)
 
 
 def parse_numeral(text: str, kind: str) -> Any:
     """Parse a literal of the given kind; whitespace-insensitive.  An unknown
     kind, an unhashable one too, raises ValueError, quoting at most 60
-    characters of its repr."""
-    try:  # the plain dict first: a kind is built once, and parsed often
-        row, pattern, to_bits, digits = _BUILT[kind]
-    except (KeyError, TypeError):  # not built yet, or no kind at all
-        row, pattern, to_bits, digits = _build(kind, ValueError)
+    characters of its repr; a text that is not a str raises TypeError
+    naming its type."""
+    row, pattern, to_bits, digits = KINDS.entry(kind, ValueError)
+    if not isinstance(text, str):
+        raise TypeError(f"a numeral literal must be a str, not {type(text).__name__}")
     compact = "".join(text.split())
     m = pattern.match(compact)
     if not m[3] or 2 * len(m[4]) != len(m[1]) or m.end() != len(compact):
@@ -215,17 +202,17 @@ def _syntax_error(text: str, m: re.Match) -> ParseError:
 
 def print_numeral(value: Any) -> str:
     """Canonical text of a numeral value; exact inverse of the parser."""
-    parts = []  # the letters of each run of wrappers, outermost first
+    parts = []  # the letters of each run, outermost first
     rest = value
-    while (read := _RUNS.get(type(rest))) is not None:
+    while rest is not _END:
+        read = _PRINT.get(type(rest))
+        if read is None:  # a kind not yet used: a value of it means its layer is loaded
+            _build_loaded()
+            read = _PRINT.get(type(rest))
+            if read is None:
+                raise TypeError(f"not a printable numeral: {rest!r}")
         letters, rest = read(rest)
         parts.append(letters)
-    try:
-        parts.append(_LETTERS[type(rest)])
-    except KeyError:
-        if _build_loaded():  # a kind not yet used: a value of it means its layer is loaded
-            return print_numeral(value)
-        raise TypeError(f"not a printable numeral: {rest!r}") from None
     letters = "".join(parts)
     return "(".join(letters) + ")" * (len(letters) - 1)
 

@@ -227,7 +227,10 @@ def render_bits(x: TcInt) -> str:
 
 
 def parse_bits(text: str) -> TcInt:
-    """Inverse of :func:`render_bits`; normalizes redundant leading bits."""
+    """Inverse of :func:`render_bits`; normalizes redundant leading bits.
+    A text that is not a str raises TypeError naming its type."""
+    if not isinstance(text, str):
+        raise TypeError(f"a bit string must be a str, not {type(text).__name__}")
     s = text.strip()
     if not s.startswith("..."):
         raise ValueError(f"bit string must start with '...': {_shown(text)!r}")

@@ -10,7 +10,8 @@ first held them, under the same test ids.  The tests that stay
 functions need more than argv in, outputs out: they patch a layer, a
 loader, the int/str digit limit or the terminal width; they bound a
 command's time; they run a fresh interpreter (``python -m``, a closed
-pipe, deep recursion, the layers a command loads); they feed one
+pipe, deep recursion, the layers a command loads, a capped address
+space); they feed one
 command's output to the next; or they pin argparse's help and usage
 texts at one terminal width.  ``python -m`` runs with ``test_console``'s
 environment; ``python -S``, the fresh thread, the foreign loaders and the
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from shared import FIRST_OVER_BUDGET, NoSource, Sourceless, in_a_fresh_thread, run_python
-from test_console import BIG, Case, _module_prefix, run_in_process
+from test_console import BIG, Case, _faults, _module_prefix, run_in_process
 
 import numrep
 from numrep import binary, checks, cli, costmeter, listlab, numio, twoscomp, unary
@@ -362,7 +363,7 @@ def test_a_refused_bench_loads_no_layer(capsys, argv, error):
     ("binary", "from_int(4)", "A(A(B(Z)))"),
 ])
 def test_a_numeral_prints_in_a_fresh_process_that_never_named_its_kind(layer, value, text):
-    code = (f"from numrep import {layer}, numio; assert not numio._BUILT; "
+    code = (f"from numrep import {layer}, numio; assert not numio.KINDS._made; "
             f"assert numio.print_numeral({layer}.{value}) == {text!r}")
     assert numrep_modules_loaded_by(code) == sorted({"numrep", "numrep.binary", f"numrep.{layer}", "numrep.numio"})
 
@@ -417,6 +418,32 @@ def test_eval_out_of_memory(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: MemoryError\n"
+
+
+HEIGHT = 1 << 20  # unary's height bound: its tower takes about 66 MB past a bare interpreter's address space on 3.11
+
+
+@pytest.mark.parametrize("extra_mb, case", [
+    (24, Case(["convert", "--kind", "unary", "--from", "int", "--to", "literal", str(HEIGHT)], 1, stdout="",
+              stderr="error: MemoryError\n")),
+    (24, Case(["convert", "--kind", "unary", "--from", "int", "--to", "int", str(HEIGHT)], 1, stdout="",
+              stderr="error: MemoryError\n")),
+    (160, Case(["convert", "--kind", "unary", "--from", "int", "--to", "literal", str(HEIGHT)],
+               stdout="S(" * HEIGHT + "Z" + ")" * HEIGHT + "\n")),
+], ids=["literal-out-of-memory", "int-out-of-memory", "literal-within-the-cap"])
+def test_a_command_under_an_address_space_cap_meets_the_contract(extra_mb, case):
+    # python -S -m numrep in a child that caps its address space at what it
+    # started with plus extra_mb, so that running out raises MemoryError
+    # where the command runs, at the same margin on any interpreter version
+    proc = run_python(f"""
+import resource, runpy
+with open("/proc/self/status") as status:
+    start = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (start + ({extra_mb} << 20),) * 2)
+sys.argv = ["numrep", *{list(case.argv)!r}]
+runpy.run_module("numrep", run_name="__main__", alter_sys=True)
+""")
+    assert _faults(case, proc.returncode, proc.stdout.encode(), proc.stderr.encode()) == []
 
 
 # --- braun ---------------------------------------------------------------------

@@ -785,7 +785,7 @@ def test_threads_making_the_rows_at_once():
     code = textwrap.dedent("""
         import threading
         import numrep.costmeter as m
-        assert not m._BUILT
+        assert not m.METERED._made
         sys.setswitchinterval(1e-6)
         found = []
         def run():
@@ -842,7 +842,7 @@ def test_deep_recursion_overlapping_in_two_threads():
 
 # --- the clause table ---------------------------------------------------------------
 
-COUNTED = {fn for op_id in costmeter._MAKE for fn in costmeter._build(op_id)[2]}
+COUNTED = {fn for op_id in costmeter._MAKE for fn in costmeter.METERED.entry(op_id)[2]}
 CLAUSE_TABLE = Path(__file__).resolve().parent / "clause_table.txt"
 
 

@@ -6,6 +6,7 @@ import ast
 import random
 import re
 import sys
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from numrep import binary, braun, numio, twoscomp, unary
 from numrep.numio import CanonicalityError, ParseError
-from shared import TAILS, WRAPPERS, Digit, Layer, index_digits, outcome, wrap
+from shared import TAILS, WRAPPERS, Digit, Layer, index_digits, outcome, run_python, wrap
 
 
 def test_parse_unary():
@@ -135,6 +136,9 @@ PARSE_ERRORS = [
                  id="10000-deep-B-on-N"),
     ("B(N)", "twoscomp", CanonicalityError,
      "non-canonical literal: A applied directly to Z, or B directly to N", None),
+    (None, "binary", TypeError, "a numeral literal must be a str, not NoneType", None),
+    (5, "unary", TypeError, "a numeral literal must be a str, not int", None),
+    (b"Z", "cd", TypeError, "a numeral literal must be a str, not bytes", None),
 ]
 
 
@@ -501,6 +505,71 @@ def test_print_walks_a_chain_of_short_runs_without_recursing():
     assert text == reference_print(value)
     assert text.startswith("S(A(S(A(") and text.count("(") == 100_000
 
+
+
+def test_printing_while_another_thread_makes_the_kind_at_every_interleaving():
+    # one thread prints binary's 1 while another makes the binary entry for
+    # the first time.  For each k, a fresh numio, one thread paused at its
+    # k-th line in numio, and the other run to its end: the print must read
+    # 'B(Z)' and the parse 1 at every pause, in both roles
+    code = textwrap.dedent("""
+        import importlib, threading
+        from numrep import binary, numio
+        one = binary.from_int(1)
+        roles = {"make": lambda: numio.parse_numeral("B(Z)", "binary"), "print": lambda: numio.print_numeral(one)}
+        want = {"make": one, "print": "B(Z)"}
+
+        def lines(pause):
+            # a tracer that calls pause() at each line event in numio
+            def local(frame, event, arg):
+                if event == "line":
+                    pause()
+                return local
+            return lambda frame, event, arg: local if frame.f_code.co_filename == numio.__file__ else None
+
+        def outcome(role):
+            try:
+                return roles[role]()
+            except Exception as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        wrong = checked = 0
+        for paused, other in [("make", "print"), ("print", "make")]:
+            importlib.reload(numio)
+            seen = []
+            sys.settrace(lines(lambda: seen.append(1)))
+            outcome(paused)
+            sys.settrace(None)
+            for k in range(1, len(seen) + 1):
+                importlib.reload(numio)
+                count, at_k, go, out = [0], threading.Event(), threading.Event(), {}
+
+                def pause():
+                    count[0] += 1
+                    if count[0] == k:
+                        at_k.set()
+                        go.wait(60)
+
+                def run():
+                    sys.settrace(lines(pause))
+                    out[paused] = outcome(paused)
+                thread = threading.Thread(target=run)
+                thread.start()
+                assert at_k.wait(60), (paused, k)
+                out[other] = outcome(other)
+                go.set()
+                thread.join(60)
+                assert not thread.is_alive()
+                checked += 1
+                if out != want:
+                    wrong += 1
+                    print(paused, "paused at line event", k, out)
+        print(wrong, "wrong of", checked, "interleavings")
+    """)
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("0 wrong of ") and int(lines[-1].split()[3]) > 20, lines
 
 def test_csv_empty():
     assert numio.csv_emit([]) == "n,steps\n"

@@ -223,6 +223,10 @@ def test_parse_bits_rejects_garbage():
     for bad in ("1011", "...", "...2", "...0x1"):
         with pytest.raises(ValueError):
             twoscomp.parse_bits(bad)
+    for bad, name in [(None, "NoneType"), (5, "int"), (b"...1", "bytes")]:
+        with pytest.raises(TypeError) as caught:
+            twoscomp.parse_bits(bad)
+        assert caught.value.args == (f"a bit string must be a str, not {name}",)
 
 
 @pytest.mark.parametrize("op, args", [
